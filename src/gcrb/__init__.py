@@ -14,10 +14,8 @@ from .bayes import (
     PhaseDomain,
     PosteriorGrid,
     SaturationReport,
-    absolute_moment,
     estimate,
     gaussian_abs_moment,
-    gaussianity_ratios,
     kappa,
     moment_set,
     posterior,
@@ -25,22 +23,18 @@ from .bayes import (
 )
 from .errors import (
     CountsParseError,
-    DegeneratePosteriorError,
     EstimationError,
     InfeasibleDataError,
-    SingularScoreError,
     UndefinedRatioError,
 )
 from .fisher import (
     BoundValue,
-    OrderPair,
     conjugate_exponent,
     crb_bound,
     fisher,
     generalized_fisher,
 )
 from .ingest import (
-    CalibrationRecord,
     CountsRecord,
     fold_phase,
     parse_counts,
@@ -48,19 +42,11 @@ from .ingest import (
     write_counts,
 )
 from .model import (
-    MODELS,
-    NOON2,
-    SETTINGS,
-    LikelihoodModel,
+    MODEL_NAME,
     ModelParams,
-    Noon2Model,
     OutcomeTally,
-    Setting,
-    get_model,
-    log_likelihood,
-    outcome_prob,
+    outcome_dprobs,
     outcome_probs,
-    score,
 )
 from .montecarlo import (
     CampaignConfig,
@@ -78,32 +64,22 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     "BoundValue",
-    "CalibrationRecord",
     "CampaignConfig",
     "CountsParseError",
     "CountsRecord",
     "DEFAULT_DOMAIN",
-    "DegeneratePosteriorError",
     "EstimationError",
     "ExperimentRecord",
     "InfeasibleDataError",
-    "LikelihoodModel",
-    "MODELS",
+    "MODEL_NAME",
     "ModelParams",
     "MomentSet",
-    "NOON2",
-    "Noon2Model",
-    "OrderPair",
     "OutcomeTally",
     "PhaseDomain",
     "PosteriorGrid",
-    "SETTINGS",
     "SaturationReport",
-    "Setting",
-    "SingularScoreError",
     "UndefinedRatioError",
     "ViolationStats",
-    "absolute_moment",
     "conjugate_exponent",
     "crb_bound",
     "empirical_bias",
@@ -112,13 +88,10 @@ __all__ = [
     "fisher",
     "fold_phase",
     "gaussian_abs_moment",
-    "gaussianity_ratios",
     "generalized_fisher",
-    "get_model",
     "kappa",
-    "log_likelihood",
     "moment_set",
-    "outcome_prob",
+    "outcome_dprobs",
     "outcome_probs",
     "parse_counts",
     "posterior",
@@ -126,7 +99,6 @@ __all__ = [
     "run_experiment",
     "sample_tally",
     "saturation_report",
-    "score",
     "sigma_beta",
     "to_tally",
     "violation_fractions",

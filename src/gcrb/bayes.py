@@ -23,9 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegeneratePosteriorError, InfeasibleDataError, UndefinedRatioError
+from .errors import InfeasibleDataError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher
-from .model import NOON2, LikelihoodModel, ModelParams, OutcomeTally, PI
+from .model import PI, ModelParams, OutcomeTally, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
 
@@ -61,7 +61,15 @@ class PhaseDomain:
         return (self.upper - self.lower) / (self.grid_points - 1)
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.lower, self.upper, self.grid_points)
+        """The grid nodes; read-only and shared by every caller."""
+        return _grid(self.lower, self.upper, self.grid_points)
+
+
+@lru_cache(maxsize=16)
+def _grid(lower: float, upper: float, points: int) -> np.ndarray:
+    nodes = np.linspace(lower, upper, points)
+    nodes.setflags(write=False)
+    return nodes
 
 
 DEFAULT_DOMAIN = PhaseDomain(0.0, PI / 2.0)
@@ -111,16 +119,25 @@ class MomentSet:
 
 @dataclass(frozen=True)
 class SaturationReport:
-    """kappa_beta saturation ratios plus Gaussianity diagnostics."""
+    """Per-posterior analysis: phi_hat plus, for each order beta, Delta_beta,
+    the saturation ratio kappa_beta and the Gaussianity ratio
+    Delta_beta / Delta_beta(Gaussian at sigma = sqrt(Delta_2)).
 
+    ``nan`` marks a kappa without data or information and a Gaussianity ratio
+    of a posterior without spread.
+    """
+
+    estimate: float
+    deltas: dict[float, float]
     kappas: dict[float, float]
-    gauss_ratio_3: float
-    gauss_ratio_4: float
+    gauss_ratios: dict[float, float]
 
 
 @lru_cache(maxsize=16)
-def _log_prob_grid(model: LikelihoodModel, domain: PhaseDomain, params: ModelParams) -> np.ndarray:
-    out = model.log_prob_grid(domain.grid(), params)
+def _log_prob_grid(domain: PhaseDomain, params: ModelParams) -> np.ndarray:
+    """log p(outcome | phi) over the domain grid; zero probabilities give -inf."""
+    with np.errstate(divide="ignore"):
+        out = np.log(outcome_probs(domain.grid(), params))
     out.setflags(write=False)
     return out
 
@@ -130,7 +147,6 @@ def posterior(
     params: ModelParams,
     domain: PhaseDomain = DEFAULT_DOMAIN,
     prior: np.ndarray | None = None,
-    model: LikelihoodModel = NOON2,
 ) -> PosteriorGrid:
     """Posterior density of the phase given a tally.
 
@@ -139,7 +155,7 @@ def posterior(
     InfeasibleDataError when the data have zero likelihood at every grid node
     under the assumed visibility.
     """
-    logp = _log_prob_grid(model, domain, params)
+    logp = _log_prob_grid(domain, params)
     counts = tally.as_array()
     active = counts > 0
     # excluding zero-count outcomes implements the 0 * log(0) = 0 convention
@@ -195,29 +211,25 @@ def _kernel_slope(t: np.ndarray, rho: np.ndarray, h: float, beta: float, k: int,
 
 
 def _abs_moment(
-    grid: np.ndarray,
+    t: np.ndarray,
     rho: np.ndarray,
     h: float,
-    center: float,
     beta: float,
-    window_coeffs: list[np.ndarray] | None = None,
-    window_panels: tuple[int, int] | None = None,
+    window_coeffs: list[np.ndarray],
+    window_panels: tuple[int, int],
 ) -> float:
-    """Trapezoidal integral of |phi - center|**beta * rho with kink refinement."""
-    t = grid - center
+    """Trapezoidal integral of |t|**beta * rho, t = phi - center, with the
+    panels of ``window_panels`` refined by their cubic fits."""
     g = np.abs(t) ** beta * rho
     total = _trapezoid(g, h)
 
-    n = grid.size
-    if window_panels is None:
-        window_panels = _window_bounds(grid, center)
+    n = t.size
     lo, hi = window_panels
 
     # swap the trapezoid panels around the kink for the closed-form integral of
     # |t|^beta against a cubic density fit
     total -= float(h * 0.5 * (g[lo:hi + 1] + g[lo + 1:hi + 2]).sum())
-    for offset, k in enumerate(range(lo, hi + 1)):
-        coeffs = window_coeffs[offset] if window_coeffs is not None else _cubic_coeffs(t, rho, h, k, n)
+    for k, coeffs in zip(range(lo, hi + 1), window_coeffs):
         t0, t1 = float(t[k]), float(t[k + 1])
         total += sum(
             coeffs[p] / h ** p * (_power_antiderivative(p, beta, t1) - _power_antiderivative(p, beta, t0))
@@ -240,16 +252,9 @@ def _window_bounds(grid: np.ndarray, center: float) -> tuple[int, int]:
     return max(0, j - (_KINK_PANELS - 1)), min(n - 2, j + _KINK_PANELS)
 
 
-def absolute_moment(post: PosteriorGrid, beta: float) -> float:
-    """Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x) dphi."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta >= 1.0):
-        raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
-    grid = post.domain.grid()
-    return _abs_moment(grid, post.densities, post.domain.spacing, estimate(post), float(beta))
-
-
 def moment_set(post: PosteriorGrid, betas, shots: int) -> MomentSet:
-    """phi_hat and Delta_beta for each requested order, sharing one kink window."""
+    """phi_hat and Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x)
+    for each requested order, sharing one kink window."""
     betas = tuple(betas)
     for b in betas:
         if not (isinstance(b, (int, float)) and math.isfinite(b) and b >= 1.0):
@@ -262,7 +267,7 @@ def moment_set(post: PosteriorGrid, betas, shots: int) -> MomentSet:
     n = grid.size
     coeffs = [_cubic_coeffs(t, post.densities, h, k, n) for k in range(panels[0], panels[1] + 1)]
     deltas = {
-        float(b): _abs_moment(grid, post.densities, h, center, float(b), coeffs, panels)
+        float(b): _abs_moment(t, post.densities, h, float(b), coeffs, panels)
         for b in betas
     }
     return MomentSet(estimate=center, deltas=deltas, shots=int(shots))
@@ -296,34 +301,29 @@ def kappa(delta_beta: float, f_alpha: float, shots: int, beta: float) -> float:
     return float(delta_beta) * shots ** (beta / 2.0) * f_alpha ** (beta / alpha)
 
 
-def gaussianity_ratios(post: PosteriorGrid) -> tuple[float, float]:
-    """(Delta_3, Delta_4) over their Gaussian values at sigma = sqrt(Delta_2)."""
-    ms = moment_set(post, (2.0, 3.0, 4.0), shots=1)
-    d2 = ms.deltas[2.0]
-    if d2 <= 0.0:
-        raise DegeneratePosteriorError("posterior carries no spread")
-    sigma = math.sqrt(d2)
-    return (
-        ms.deltas[3.0] / gaussian_abs_moment(3.0, sigma),
-        ms.deltas[4.0] / gaussian_abs_moment(4.0, sigma),
-    )
-
-
 def saturation_report(
     post: PosteriorGrid,
     params: ModelParams,
     shots: int,
     betas=(1.5, 2.0, 3.0, 4.0),
-    model: LikelihoodModel = NOON2,
-    phase: float | None = None,
 ) -> SaturationReport:
-    """kappa ratios (f_alpha at the estimated phase unless given) plus
-    Gaussianity diagnostics for one posterior."""
-    ms = moment_set(post, betas, shots)
-    at = ms.estimate if phase is None else phase
-    kappas = {
-        b: kappa(ms.deltas[b], generalized_fisher(conjugate_exponent(b), at, params, model), shots, b)
-        for b in ms.deltas
-    }
-    ratio_3, ratio_4 = gaussianity_ratios(post)
-    return SaturationReport(kappas=kappas, gauss_ratio_3=ratio_3, gauss_ratio_4=ratio_4)
+    """phi_hat, Delta_beta, kappa_beta and the Gaussianity ratio per order.
+
+    f_alpha is taken at phi_hat, from one model evaluation for all orders.
+    kappa is ``nan`` when there are no shots or f_alpha is undefined (beta = 1)
+    or vanishes; the Gaussianity ratio is ``nan`` when Delta_2 = 0.
+    """
+    betas = tuple(float(b) for b in betas)
+    ms = moment_set(post, sorted(set(betas) | {2.0}), max(shots, 1))
+    d2 = ms.deltas[2.0]
+    sigma = math.sqrt(d2) if d2 > 0.0 else 0.0
+    bounded = [b for b in betas if b > 1.0]
+    alphas = tuple(conjugate_exponent(b) for b in bounded)
+    infos = dict(zip(bounded, generalized_fisher(alphas, ms.estimate, params).tolist()))
+    deltas, kappas, ratios = {}, {}, {}
+    for b in betas:
+        delta = deltas[b] = ms.deltas[b]
+        f_alpha = infos.get(b, 0.0)
+        kappas[b] = kappa(delta, f_alpha, shots, b) if shots > 0 and f_alpha > 0.0 else math.nan
+        ratios[b] = delta / gaussian_abs_moment(b, sigma) if sigma > 0.0 else math.nan
+    return SaturationReport(ms.estimate, deltas, kappas, ratios)

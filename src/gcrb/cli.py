@@ -24,17 +24,11 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .bayes import (
-    PhaseDomain,
-    gaussian_abs_moment,
-    kappa,
-    moment_set,
-    posterior,
-)
-from .errors import CountsParseError, EstimationError, InfeasibleDataError, UndefinedRatioError
-from .fisher import conjugate_exponent, crb_bound, generalized_fisher
+from .bayes import PhaseDomain, posterior, saturation_report
+from .errors import EstimationError, InfeasibleDataError
+from .fisher import BoundValue, conjugate_exponent, generalized_fisher
 from .ingest import fold_phase, parse_counts, to_tally
-from .model import ModelParams, get_model
+from .model import MODEL_NAME, ModelParams
 from .montecarlo import (
     DEFAULT_BETAS,
     VIOLATION_RULES,
@@ -47,7 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-MODEL_NAME = "noon2-4setting"
 DEFAULT_DOMAIN_SPEC = "0:1.5707963267948966"
 DEFAULT_VEST_SPEC = "0.9:1.0:0.01"
 DEFAULT_PHASE = math.pi / 8.0
@@ -180,13 +173,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    phases = parse_value_list(args.phase_true)
+    # tuples keep the arguments of generalized_fisher hashable for
+    # perfbench/tracer.py, which records them
+    phases = tuple(parse_value_list(args.phase_true))
     betas = tuple(parse_value_list(args.beta))
     params = ModelParams(args.v_est)
+    alphas = tuple(conjugate_exponent(b) for b in betas)
+    # f_alpha for every (order, phase) from one model evaluation
+    infos = generalized_fisher(alphas, phases, params).T.tolist()
     rows = []
-    for phase in phases:
-        for b in betas:
-            bv = crb_bound(b, phase, params, args.shots)
+    for phase, row_infos in zip(phases, infos):
+        for b, f_alpha in zip(betas, row_infos):
+            bv = BoundValue.from_information(b, f_alpha, args.shots)
             rescaled = math.inf if bv.f_alpha == 0.0 else bv.f_alpha ** (-1.0 / bv.alpha)
             rows.append((
                 _fmt(float(phase)),
@@ -208,34 +206,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _analyze_row(tally, params, domain, betas, model):
-    """phi_hat plus per-beta (delta, kappa, gauss ratio) for one tally."""
-    post = posterior(tally, params, domain, model=model)
-    orders = tuple(sorted(set(betas) | {2.0}))
-    ms = moment_set(post, orders, max(tally.total, 1))
-    d2 = ms.deltas[2.0]
-    sigma = math.sqrt(d2) if d2 > 0.0 else 0.0
-    per_beta = {}
-    for b in betas:
-        delta = ms.deltas[b]
-        if tally.total == 0:
-            kap = math.nan
-        else:
-            try:
-                f_alpha = generalized_fisher(conjugate_exponent(b), ms.estimate, params, model)
-                kap = kappa(delta, f_alpha, tally.total, b)
-            except (UndefinedRatioError, ValueError):
-                kap = math.nan
-        ratio = delta / gaussian_abs_moment(b, sigma) if sigma > 0.0 else math.nan
-        per_beta[b] = (delta, kap, ratio)
-    return ms.estimate, per_beta
-
-
 def cmd_analyze(args) -> int:
     domain = parse_domain(args.domain, args.grid_points)
     v_est_values = parse_value_list(args.v_est)
     betas = tuple(parse_value_list(args.beta))
-    model = get_model(MODEL_NAME)
     try:
         records = parse_counts(args.counts)
     except OSError as exc:
@@ -249,7 +223,8 @@ def cmd_analyze(args) -> int:
         for v_est in v_est_values:
             params = ModelParams(v_est)
             try:
-                phi_hat, per_beta = _analyze_row(tally, params, domain, betas, model)
+                report = saturation_report(posterior(tally, params, domain), params,
+                                           tally.total, betas)
             except InfeasibleDataError:
                 infeasible.append(f"phase_rad={record.phase_label!r} v_est={v_est!r}")
                 for b in betas:
@@ -257,15 +232,14 @@ def cmd_analyze(args) -> int:
                                  "nan", "nan", "nan", "nan"))
                 continue
             for b in betas:
-                delta, kap, ratio = per_beta[b]
                 rows.append((
                     _fmt(float(label)),
                     _fmt(float(v_est)),
                     _fmt(float(b)),
-                    _fmt(phi_hat),
-                    _fmt(delta),
-                    _fmt(kap),
-                    _fmt(ratio),
+                    _fmt(report.estimate),
+                    _fmt(report.deltas[b]),
+                    _fmt(report.kappas[b]),
+                    _fmt(report.gauss_ratios[b]),
                 ))
     out = Path(args.out)
     config = {
@@ -348,12 +322,6 @@ def main(argv=None) -> int:
         args.phase_true = [str(DEFAULT_PHASE)]
     try:
         return args.func(args)
-    except CountsParseError as exc:
-        print(f"gcrb: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InfeasibleDataError as exc:
-        print(f"gcrb: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except EstimationError as exc:
         print(f"gcrb: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -5,16 +5,8 @@ class EstimationError(Exception):
     """Base class for all diagnostic-pipeline errors."""
 
 
-class SingularScoreError(EstimationError):
-    """Score requested at a point where the outcome probability vanishes."""
-
-
 class InfeasibleDataError(EstimationError):
     """Observed counts have zero likelihood everywhere on the phase grid."""
-
-
-class DegeneratePosteriorError(EstimationError):
-    """Posterior has no spread, so moment ratios are undefined."""
 
 
 class UndefinedRatioError(EstimationError):

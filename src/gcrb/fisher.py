@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NOON2, LikelihoodModel, ModelParams
+import numpy as np
+
+from .model import ModelParams, outcome_dprobs, outcome_probs
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -25,34 +27,12 @@ from .model import NOON2, LikelihoodModel, ModelParams
 # singular phases.
 VISIBILITY_CLAMP = 1e-14
 
-CONJUGACY_TOL = 1e-12
-
 
 def conjugate_exponent(beta: float) -> float:
     """Hoelder conjugate alpha = beta / (beta - 1); requires beta > 1."""
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 1.0):
         raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
     return beta / (beta - 1.0)
-
-
-@dataclass(frozen=True)
-class OrderPair:
-    """A conjugate (beta, alpha) pair with 1/alpha + 1/beta = 1."""
-
-    beta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.beta <= 1.0 or self.alpha <= 1.0:
-            raise ValueError("conjugate exponents must both exceed 1")
-        if abs(1.0 / self.alpha + 1.0 / self.beta - 1.0) > CONJUGACY_TOL:
-            raise ValueError(
-                f"exponents ({self.beta}, {self.alpha}) are not Hoelder conjugate"
-            )
-
-    @classmethod
-    def from_beta(cls, beta: float) -> "OrderPair":
-        return cls(beta, conjugate_exponent(beta))
 
 
 @dataclass(frozen=True)
@@ -71,61 +51,64 @@ class BoundValue:
         if self.shots < 1:
             raise ValueError("shots must be a positive integer")
 
+    @classmethod
+    def from_information(cls, beta: float, f_alpha: float, shots: int) -> "BoundValue":
+        """M**(-beta/2) * f_alpha**(-beta/alpha), or the +inf marker when
+        f_alpha vanishes (unbounded uncertainty)."""
+        if shots != int(shots) or shots < 1:
+            raise ValueError(f"shots must be a positive integer, got {shots!r}")
+        shots = int(shots)
+        alpha = conjugate_exponent(beta)
+        if f_alpha == 0.0:
+            bound = math.inf
+        else:
+            bound = shots ** (-beta / 2.0) * f_alpha ** (-beta / alpha)
+        return cls(
+            beta=float(beta),
+            alpha=alpha,
+            f_alpha=f_alpha,
+            bound_on_delta_beta=bound,
+            shots=shots,
+        )
 
-def generalized_fisher(
-    alpha: float,
-    phase: float,
-    params: ModelParams,
-    model: LikelihoodModel = NOON2,
-) -> float:
+
+def generalized_fisher(alpha, phases, params: ModelParams):
     """alpha-th absolute moment of the score, sum_x |dp|^alpha * p^(1-alpha).
 
-    Outcomes with exactly zero probability contribute nothing (they never
-    occur).  Any real alpha > 1 is accepted.
+    A scalar phase gives a float and an array of phases an array of the same
+    shape.  ``alpha`` is one order or a sequence of orders; a sequence adds a
+    leading axis to the result and shares one model evaluation.  Outcomes with
+    exactly zero probability contribute nothing (they never occur).  Any real
+    alpha > 1 is accepted.
     """
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 1.0):
+    orders = np.asarray(alpha, dtype=float)
+    if orders.ndim > 1 or not ((orders > 1.0) & (orders < math.inf)).all():
         raise ValueError(f"information order must be a finite real > 1, got {alpha!r}")
     effective = ModelParams(min(params.visibility, 1.0 - VISIBILITY_CLAMP))
-    total = 0.0
-    for outcome in model.outcomes:
-        p = model.prob(outcome, phase, effective)
-        if p <= 0.0:
-            continue
-        dp = model.prob_gradient(outcome, phase, effective)
-        total += abs(dp) ** alpha * p ** (1.0 - alpha)
-    return total
+    p = outcome_probs(phases, effective)
+    dp = np.abs(outcome_dprobs(phases, effective))
+    if orders.ndim == 0:
+        a = float(orders)
+    else:
+        # orders on a new axis after the outcome axis
+        p, dp = p[:, np.newaxis], dp[:, np.newaxis]
+        a = orders.reshape(orders.shape + (1,) * (p.ndim - 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0)
+    total = terms[0] + terms[1] + terms[2] + terms[3]
+    return float(total) if total.ndim == 0 else total
 
 
-def fisher(phase: float, params: ModelParams, model: LikelihoodModel = NOON2) -> float:
+def fisher(phases, params: ModelParams):
     """Fisher information F = f_2."""
-    return generalized_fisher(2.0, phase, params, model)
+    return generalized_fisher(2.0, phases, params)
 
 
-def crb_bound(
-    beta: float,
-    phase: float,
-    params: ModelParams,
-    shots: int,
-    model: LikelihoodModel = NOON2,
-) -> BoundValue:
-    """Order-beta lower bound on the absolute moment Delta_beta.
+def crb_bound(beta: float, phase: float, params: ModelParams, shots: int) -> BoundValue:
+    """Order-beta lower bound on the absolute moment Delta_beta at one phase.
 
     Vanishing f_alpha signals unbounded uncertainty; the bound is then the
     +inf marker rather than an error.
     """
-    if shots != int(shots) or shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    shots = int(shots)
-    alpha = conjugate_exponent(beta)
-    f_alpha = generalized_fisher(alpha, phase, params, model)
-    if f_alpha == 0.0:
-        bound = math.inf
-    else:
-        bound = shots ** (-beta / 2.0) * f_alpha ** (-beta / alpha)
-    return BoundValue(
-        beta=float(beta),
-        alpha=alpha,
-        f_alpha=f_alpha,
-        bound_on_delta_beta=bound,
-        shots=shots,
-    )
+    f_alpha = generalized_fisher(conjugate_exponent(beta), phase, params)
+    return BoundValue.from_information(beta, f_alpha, shots)

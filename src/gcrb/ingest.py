@@ -1,9 +1,11 @@
-"""Ingestion of measured coincidence-count tables and calibration records.
+"""Ingestion of measured coincidence-count tables.
 
 Counts tables are plain CSV with the exact header ``phase_rad,c0,c1,c2,c3``
 plus an optional trailing ``acquisition_id`` column: decimal point, newline
-delimited, no thousands separators.  Phases are stored as given; folding into
-an analysis domain is always an explicit, separate step.
+delimited, no thousands separators.  Numbers are ASCII: counts are plain
+digit strings and phases decimal literals with an optional exponent.  Phases
+are stored as given; folding into an analysis domain is always an explicit,
+separate step.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
@@ -21,6 +24,11 @@ from .model import N_SETTINGS, OutcomeTally
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
+
+# int() and float() also accept "_" digit separators and non-ASCII digits,
+# which the schema forbids
+_COUNT = re.compile(r"[0-9]+")
+_PHASE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -41,21 +49,6 @@ class CountsRecord:
             if c != int(c) or c < 0:
                 raise ValueError(f"counts must be non-negative integers, got {c!r}")
         object.__setattr__(self, "counts", tuple(int(c) for c in counts))
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """A visibility calibration point, e.g. from a fringe-contrast measurement."""
-
-    visibility: float
-    uncertainty: float
-    sequence: str = ""
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.visibility) and 0.0 <= self.visibility <= 1.0):
-            raise ValueError("calibrated visibility must lie in [0, 1]")
-        if not (math.isfinite(self.uncertainty) and self.uncertainty >= 0.0):
-            raise ValueError("calibration uncertainty must be >= 0")
 
 
 def _open_text(source: TextIO | str | Path):
@@ -91,26 +84,18 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
             if len(row) != len(header):
                 problems.append((lineno, f"expected {len(header)} columns, got {len(row)}"))
                 continue
-            try:
-                phase = float(row[0])
-                if not math.isfinite(phase):
-                    raise ValueError
-            except ValueError:
+            problems_before = len(problems)
+            cell = row[0].strip()
+            phase = float(cell) if _PHASE.fullmatch(cell) else math.nan
+            if not math.isfinite(phase):
                 problems.append((lineno, f"phase_rad is not a finite number: {row[0]!r}"))
-                continue
             counts = []
-            bad = False
             for name, cell in zip(COUNTS_COLUMNS[1:], row[1:5]):
-                try:
-                    value = int(cell)
-                    if value < 0:
-                        raise ValueError
-                except ValueError:
+                if not _COUNT.fullmatch(cell.strip()):
                     problems.append((lineno, f"{name} must be a non-negative integer: {cell!r}"))
-                    bad = True
                     continue
-                counts.append(value)
-            if bad:
+                counts.append(int(cell))
+            if len(problems) > problems_before:
                 continue
             records.append(
                 CountsRecord(

@@ -11,47 +11,22 @@ which sum to one over the four settings.  Because the N00N fringe oscillates
 at 2*phi, every probability is pi-periodic in the phase; the trigonometric
 argument is reduced with an exact remainder so that periodicity holds bitwise.
 
-The shipped instance is registered under the name ``noon2-4setting``; the
-:class:`LikelihoodModel` contract lets the information and posterior machinery
-run against any finite-outcome single-parameter model.
+The model is evaluated on whole phase arrays: :func:`outcome_probs` and
+:func:`outcome_dprobs` return one row per setting.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularScoreError
-
 PI = math.pi
 N_SETTINGS = 4
-SETTING_STEP = PI / 16.0
 
-
-@dataclass(frozen=True)
-class Setting:
-    """One analyzer setting; exactly four exist, with angle = index * pi/16."""
-
-    index: int
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or not 0 <= self.index < N_SETTINGS:
-            raise ValueError(f"setting index must be one of 0..3, got {self.index!r}")
-        if self.angle != self.index * SETTING_STEP:
-            raise ValueError(
-                f"setting angle {self.angle!r} does not equal index * pi/16"
-            )
-
-    @classmethod
-    def of(cls, index: int) -> "Setting":
-        return cls(index, index * SETTING_STEP)
-
-
-SETTINGS: tuple[Setting, ...] = tuple(Setting.of(k) for k in range(N_SETTINGS))
+# recorded in every CLI manifest
+MODEL_NAME = "noon2-4setting"
 
 
 @dataclass(frozen=True)
@@ -90,158 +65,34 @@ class OutcomeTally:
         return np.asarray(self.counts, dtype=float)
 
 
-def _phase_trig(phase: float) -> tuple[float, float]:
+def _phase_trig(phases) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of 2*phi after exact reduction of phi mod pi.
 
     fmod is an exact remainder, so phases differing by a representable
     multiple of float(pi) map to identical probabilities.
     """
-    if not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase!r}")
-    r = math.fmod(phase, PI)
-    if r < 0.0:
-        r += PI
-    u = 2.0 * r
-    return math.cos(u), math.sin(u)
-
-
-def _phase_trig_grid(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not np.isfinite(phases).all():
+        raise ValueError("phase must be finite")
     r = np.fmod(phases, PI)
-    r = np.where(r < 0.0, r + PI, r)
-    u = 2.0 * r
+    # lift negative remainders by one period; adding 0.0 keeps the rest exact
+    u = 2.0 * (r + PI * (r < 0.0))
     return np.cos(u), np.sin(u)
 
 
-class LikelihoodModel(ABC):
-    """Finite-outcome parametric likelihood in a single phase parameter.
+def outcome_probs(phases, params: ModelParams) -> np.ndarray:
+    """p(theta_k | phi) for k = 0..3, shape (4, *phases.shape).
 
-    Implementations guarantee that probabilities over :attr:`outcomes` sum to
-    one for every (phase, params) and that :meth:`score` is the exact analytic
-    derivative of the log probability with respect to the phase.
+    cos(8*theta - 2*phi) at the quarter-turn offsets 8*theta_k is
+    cos 2phi, sin 2phi, -cos 2phi, -sin 2phi.  Each column sums to one and
+    every entry lies in [0, 1/2].
     """
-
-    name: str = "abstract"
-
-    @property
-    @abstractmethod
-    def outcomes(self) -> tuple[Setting, ...]:
-        """The finite outcome alphabet."""
-
-    @abstractmethod
-    def prob(self, outcome: Setting, phase: float, params: ModelParams) -> float:
-        """Probability of one outcome."""
-
-    @abstractmethod
-    def prob_gradient(self, outcome: Setting, phase: float, params: ModelParams) -> float:
-        """d prob / d phase for one outcome."""
-
-    def probs(self, phase: float, params: ModelParams) -> np.ndarray:
-        return np.array([self.prob(o, phase, params) for o in self.outcomes])
-
-    def score(self, outcome: Setting, phase: float, params: ModelParams) -> float:
-        p = self.prob(outcome, phase, params)
-        if p <= 0.0:
-            raise SingularScoreError(
-                f"score undefined for outcome {outcome.index} at phase {phase!r}: "
-                "probability vanishes"
-            )
-        return self.prob_gradient(outcome, phase, params) / p
-
-    def log_prob_grid(self, phases: np.ndarray, params: ModelParams) -> np.ndarray:
-        """log p(outcome | phi) for each outcome over a phase grid.
-
-        Zero probabilities map to -inf.  Shape (n_outcomes, len(phases)).
-        """
-        rows = np.stack([
-            np.array([self.prob(o, float(p), params) for p in phases])
-            for o in self.outcomes
-        ])
-        with np.errstate(divide="ignore"):
-            return np.log(rows)
-
-    def log_likelihood(self, tally: OutcomeTally, phase: float, params: ModelParams) -> float:
-        """Sum of counts * log prob; 0 * log(0) contributes nothing.
-
-        Returns -inf when an observed outcome is impossible under the model.
-        """
-        total = 0.0
-        for count, outcome in zip(tally.counts, self.outcomes):
-            if count == 0:
-                continue
-            p = self.prob(outcome, phase, params)
-            if p <= 0.0:
-                return float("-inf")
-            total += count * math.log(p)
-        return total
+    cu, su = _phase_trig(phases)
+    v = params.visibility
+    return 0.25 * np.array([1.0 + v * cu, 1.0 + v * su, 1.0 - v * cu, 1.0 - v * su])
 
 
-class Noon2Model(LikelihoodModel):
-    """The four-setting N00N interferometer model defined in this module."""
-
-    name = "noon2-4setting"
-
-    # cos(8*theta - 2*phi) expanded at the quarter-turn offsets 8*theta
-    _COS_SIGN = (1.0, 0.0, -1.0, 0.0)
-    _SIN_SIGN = (0.0, 1.0, 0.0, -1.0)
-
-    @property
-    def outcomes(self) -> tuple[Setting, ...]:
-        return SETTINGS
-
-    def prob(self, outcome: Setting, phase: float, params: ModelParams) -> float:
-        cu, su = _phase_trig(phase)
-        k = outcome.index
-        fringe = self._COS_SIGN[k] * cu + self._SIN_SIGN[k] * su
-        return 0.25 * (1.0 + params.visibility * fringe)
-
-    def prob_gradient(self, outcome: Setting, phase: float, params: ModelParams) -> float:
-        cu, su = _phase_trig(phase)
-        k = outcome.index
-        dfringe = -self._COS_SIGN[k] * su + self._SIN_SIGN[k] * cu
-        return 0.5 * params.visibility * dfringe
-
-    def probs(self, phase: float, params: ModelParams) -> np.ndarray:
-        cu, su = _phase_trig(phase)
-        v = params.visibility
-        return 0.25 * np.array([1.0 + v * cu, 1.0 + v * su, 1.0 - v * cu, 1.0 - v * su])
-
-    def log_prob_grid(self, phases: np.ndarray, params: ModelParams) -> np.ndarray:
-        cu, su = _phase_trig_grid(np.asarray(phases, dtype=float))
-        v = params.visibility
-        rows = 0.25 * np.stack([1.0 + v * cu, 1.0 + v * su, 1.0 - v * cu, 1.0 - v * su])
-        with np.errstate(divide="ignore"):
-            return np.log(rows)
-
-
-NOON2 = Noon2Model()
-
-MODELS: dict[str, LikelihoodModel] = {NOON2.name: NOON2}
-
-
-def get_model(name: str) -> LikelihoodModel:
-    try:
-        return MODELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; available: {sorted(MODELS)}"
-        ) from None
-
-
-def outcome_prob(setting: Setting, phase: float, params: ModelParams) -> float:
-    """p(theta | phi) for the shipped four-setting model; lies in [0, 1/2]."""
-    return NOON2.prob(setting, phase, params)
-
-
-def outcome_probs(phase: float, params: ModelParams) -> np.ndarray:
-    """All four outcome probabilities; they sum to one."""
-    return NOON2.probs(phase, params)
-
-
-def log_likelihood(tally: OutcomeTally, phase: float, params: ModelParams) -> float:
-    """Log likelihood of a tally under the shipped model (-inf marker allowed)."""
-    return NOON2.log_likelihood(tally, phase, params)
-
-
-def score(setting: Setting, phase: float, params: ModelParams) -> float:
-    """d/dphi log p(theta | phi); raises SingularScoreError where p = 0."""
-    return NOON2.score(setting, phase, params)
+def outcome_dprobs(phases, params: ModelParams) -> np.ndarray:
+    """d p(theta_k | phi) / d phi for k = 0..3, shape (4, *phases.shape)."""
+    cu, su = _phase_trig(phases)
+    half_v = 0.5 * params.visibility
+    return np.array([half_v * -su, half_v * cu, half_v * su, half_v * -cu])

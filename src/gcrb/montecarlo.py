@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .bayes import (
 )
 from .errors import InfeasibleDataError
 from .fisher import BoundValue, crb_bound, fisher
-from .model import LikelihoodModel, ModelParams, OutcomeTally, get_model
+from .model import ModelParams, OutcomeTally, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -63,7 +64,6 @@ class CampaignConfig:
     sigma_window: float = 3.0
     violation_rule: str = "composite"
     window_scale: str = "standard-error"
-    model: str = "noon2-4setting"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.phase_true):
@@ -90,7 +90,6 @@ class CampaignConfig:
         object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "n_experiments", int(self.n_experiments))
         object.__setattr__(self, "seed", int(self.seed))
-        get_model(self.model)
 
     def with_v_est(self, v_est: float) -> "CampaignConfig":
         return replace(self, v_est=v_est)
@@ -133,12 +132,11 @@ def sample_tally(
     v_true: float,
     shots: int,
     rng: np.random.Generator,
-    model: LikelihoodModel | None = None,
 ) -> OutcomeTally:
     """M i.i.d. categorical draws over the settings, returned as a tally."""
     if shots != int(shots) or shots < 0:
         raise ValueError("shots must be a non-negative integer")
-    probs = (model or get_model("noon2-4setting")).probs(phase_true, ModelParams(v_true))
+    probs = outcome_probs(phase_true, ModelParams(v_true))
     counts = rng.multinomial(int(shots), probs)
     return OutcomeTally(tuple(int(c) for c in counts))
 
@@ -166,51 +164,68 @@ def _flag_violation(delta: float, bound: float, center: float, window: float, ru
     return delta + window < bound or abs(delta - center) > window
 
 
+@dataclass(frozen=True)
+class _Reference:
+    """Per-campaign constants of the flagging rule, one entry per order."""
+
+    params: ModelParams
+    bounds: tuple[BoundValue, ...]
+    windows: tuple[float, ...]
+    centers: tuple[float, ...]
+
+
+@lru_cache(maxsize=64)
+def _reference(config: CampaignConfig) -> _Reference:
+    """Bounds, windows and Gaussian centres of a campaign.
+
+    All use the experimenter's model, i.e. f_alpha evaluated at
+    (phase_true, v_est); they are the same for every experiment.
+    """
+    params = ModelParams(config.v_est)
+    bounds = tuple(crb_bound(b, config.phase_true, params, config.shots) for b in config.beta_list)
+    info = fisher(config.phase_true, params)
+    sigma_post = 1.0 / math.sqrt(config.shots * info) if info > 0.0 else math.inf
+    windows, centers = [], []
+    for b in config.beta_list:
+        window = config.sigma_window * sigma_beta(b, config.shots, info)
+        if config.window_scale == "standard-error":
+            window /= math.sqrt(config.shots)
+        windows.append(window)
+        centers.append(gaussian_abs_moment(b, sigma_post))
+    return _Reference(params, bounds, tuple(windows), tuple(centers))
+
+
 def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentRecord:
     """Sample one experiment with v_true, analyze it with v_est, flag violations.
 
-    Bounds, windows and the Gaussian reference all use the experimenter's
-    model, i.e. f_alpha evaluated at (phase_true, v_est).  Deterministic given
-    (config.seed, experiment_index).
+    Deterministic given (config.seed, experiment_index).
     """
     rng = experiment_rng(config.seed, experiment_index)
-    tally = sample_tally(config.phase_true, config.v_true, config.shots, rng,
-                         get_model(config.model))
-    params_est = ModelParams(config.v_est)
-    model = get_model(config.model)
-    bounds = tuple(
-        crb_bound(b, config.phase_true, params_est, config.shots, model)
-        for b in config.beta_list
-    )
+    tally = sample_tally(config.phase_true, config.v_true, config.shots, rng)
+    ref = _reference(config)
     try:
-        post = posterior(tally, params_est, config.domain, model=model)
+        post = posterior(tally, ref.params, config.domain)
     except InfeasibleDataError:
         # maximal evidence of model mismatch: counts impossible under v_est
         return ExperimentRecord(
             index=experiment_index,
             tally=tally,
             moments=None,
-            bounds=bounds,
+            bounds=ref.bounds,
             violations={b: True for b in config.beta_list},
             infeasible=True,
         )
     moments = moment_set(post, config.beta_list, config.shots)
-    info = fisher(config.phase_true, params_est, model)
-    sigma_post = 1.0 / math.sqrt(config.shots * info) if info > 0.0 else math.inf
-    violations: dict[float, bool] = {}
-    for b, bv in zip(config.beta_list, bounds):
-        window = config.sigma_window * sigma_beta(b, config.shots, info)
-        if config.window_scale == "standard-error":
-            window /= math.sqrt(config.shots)
-        center = gaussian_abs_moment(b, sigma_post)
-        violations[b] = _flag_violation(
-            moments.deltas[b], bv.bound_on_delta_beta, center, window, config.violation_rule
-        )
+    violations = {
+        b: _flag_violation(moments.deltas[b], bv.bound_on_delta_beta, center, window,
+                           config.violation_rule)
+        for b, bv, window, center in zip(config.beta_list, ref.bounds, ref.windows, ref.centers)
+    }
     return ExperimentRecord(
         index=experiment_index,
         tally=tally,
         moments=moments,
-        bounds=bounds,
+        bounds=ref.bounds,
         violations=violations,
     )
 

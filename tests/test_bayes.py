@@ -9,16 +9,14 @@ from gcrb.bayes import (
     DEFAULT_DOMAIN,
     PhaseDomain,
     PosteriorGrid,
-    absolute_moment,
     estimate,
     gaussian_abs_moment,
-    gaussianity_ratios,
     kappa,
     moment_set,
     posterior,
     saturation_report,
 )
-from gcrb.errors import DegeneratePosteriorError, InfeasibleDataError, UndefinedRatioError
+from gcrb.errors import InfeasibleDataError, UndefinedRatioError
 from gcrb.model import ModelParams, OutcomeTally
 from gcrb.montecarlo import experiment_rng, sample_tally
 
@@ -114,30 +112,31 @@ def test_estimate_of_simulated_experiment_is_consistent():
 
 
 def test_uniform_moments():
-    post = uniform_posterior()
-    assert absolute_moment(post, 2.0) == pytest.approx(L ** 2 / 12.0, rel=1e-6)
-    assert absolute_moment(post, 1.0) == pytest.approx(L / 4.0, rel=1e-6)
+    deltas = moment_set(uniform_posterior(), (2.0, 1.0), shots=1).deltas
+    assert deltas[2.0] == pytest.approx(L ** 2 / 12.0, rel=1e-6)
+    assert deltas[1.0] == pytest.approx(L / 4.0, rel=1e-6)
 
 
 def test_gaussian_third_moment():
     post = gaussian_posterior(0.01)
     want = 2.0 * math.sqrt(2.0 / PI) * 0.01 ** 3
-    assert absolute_moment(post, 3.0) == pytest.approx(want, rel=1e-4)
+    assert moment_set(post, (3.0,), shots=1).deltas[3.0] == pytest.approx(want, rel=1e-4)
 
 
 def test_moment_set_matches_absolute_moment():
+    # each order computed alone agrees with the set sharing one kink window
     post = gaussian_posterior(0.013, center=0.4)
     ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), shots=2000)
     assert ms.shots == 2000
     for b, value in ms.deltas.items():
-        assert value == pytest.approx(absolute_moment(post, b), rel=1e-12)
+        assert value == pytest.approx(moment_set(post, (b,), shots=1).deltas[b], rel=1e-12)
     assert ms.estimate == pytest.approx(estimate(post), rel=1e-12)
 
 
 def test_absolute_moment_validates_order():
     post = uniform_posterior()
     with pytest.raises(ValueError):
-        absolute_moment(post, 0.5)
+        moment_set(post, (2.0, 0.5), shots=1)
 
 
 def test_grid_refinement_convergence():
@@ -185,29 +184,46 @@ def test_kappa_values():
 
 
 def test_gaussianity_ratios():
-    post = gaussian_posterior(0.01)
-    r3, r4 = gaussianity_ratios(post)
-    assert r3 == pytest.approx(1.0, abs=1e-3)
-    assert r4 == pytest.approx(1.0, abs=1e-3)
+    params = ModelParams(0.95)
+    ratios = saturation_report(gaussian_posterior(0.01), params, 2000, (3.0, 4.0)).gauss_ratios
+    assert ratios[3.0] == pytest.approx(1.0, abs=1e-3)
+    assert ratios[4.0] == pytest.approx(1.0, abs=1e-3)
 
-    uniform = uniform_posterior()
-    _, r4u = gaussianity_ratios(uniform)
-    assert r4u == pytest.approx(0.6, abs=1e-3)
+    uniform = saturation_report(uniform_posterior(), params, 2000, (4.0,))
+    assert uniform.gauss_ratios[4.0] == pytest.approx(0.6, abs=1e-3)
 
 
 def test_degenerate_posterior_rejected():
+    # a posterior without spread has no Gaussian reference: its ratios are nan
     values = np.zeros(DEFAULT_DOMAIN.grid_points)
     values[2048] = 1.0
     post = PosteriorGrid.from_unnormalized(DEFAULT_DOMAIN, values)
-    with pytest.raises(DegeneratePosteriorError):
-        gaussianity_ratios(post)
+    report = saturation_report(post, ModelParams(0.95), 2000, (2.0, 3.0, 4.0))
+    assert report.deltas[2.0] <= 0.0
+    assert all(math.isnan(r) for r in report.gauss_ratios.values())
 
 
 def test_saturation_report_shape():
     tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(9, 4))
     post = posterior(tally, ModelParams(0.95))
     report = saturation_report(post, ModelParams(0.95), 2000)
+    ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), 2000)
+    assert report.estimate == ms.estimate
+    assert report.deltas == ms.deltas
     assert set(report.kappas) == {1.5, 2.0, 3.0, 4.0}
     assert report.kappas[2.0] == pytest.approx(1.0, rel=0.2)
-    assert report.gauss_ratio_3 == pytest.approx(1.0, abs=0.1)
-    assert report.gauss_ratio_4 == pytest.approx(1.0, abs=0.1)
+    assert report.gauss_ratios[2.0] == pytest.approx(1.0, rel=1e-12)
+    assert report.gauss_ratios[3.0] == pytest.approx(1.0, abs=0.1)
+    assert report.gauss_ratios[4.0] == pytest.approx(1.0, abs=0.1)
+
+
+def test_saturation_report_nan_markers():
+    # kappa is undefined without shots, without information (v = 0) and for
+    # beta = 1, whose conjugate order is infinite
+    post = gaussian_posterior(0.02, center=0.5)
+    assert all(math.isnan(k) for k in saturation_report(post, ModelParams(0.95), 0).kappas.values())
+    flat = saturation_report(post, ModelParams(0.0), 2000)
+    assert all(math.isnan(k) for k in flat.kappas.values())
+    mixed = saturation_report(post, ModelParams(0.95), 2000, (1.0, 2.0))
+    assert math.isnan(mixed.kappas[1.0])
+    assert math.isfinite(mixed.kappas[2.0])

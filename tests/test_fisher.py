@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gcrb.fisher import (
     BoundValue,
-    OrderPair,
     conjugate_exponent,
     crb_bound,
     fisher,
@@ -58,12 +57,7 @@ def test_conjugate_rejects_bad_orders():
 def test_conjugacy_identity(beta):
     alpha = conjugate_exponent(beta)
     assert abs(1.0 / alpha + 1.0 / beta - 1.0) <= 1e-12
-    OrderPair(beta, alpha)  # invariant accepted
-
-
-def test_order_pair_rejects_non_conjugate():
-    with pytest.raises(ValueError):
-        OrderPair(2.0, 3.0)
+    assert alpha > 1.0
 
 
 def test_fisher_anchor_values():
@@ -107,6 +101,24 @@ def test_generalized_examples():
         generalized_fisher(1.0, PI / 8.0, params)
 
 
+def test_vectorised_over_phases_and_orders():
+    rng = np.random.default_rng(29)
+    phases = rng.uniform(0.0, PI, 300)
+    params = ModelParams(0.97)
+    alphas = (3.0, 2.0, 1.5, 4.0 / 3.0)
+    table = generalized_fisher(alphas, phases, params)
+    assert table.shape == (4, 300)
+    for a, row in zip(alphas, table):
+        np.testing.assert_allclose(row, generalized_fisher(a, phases, params), rtol=1e-14, atol=0)
+        for phi, value in zip(phases, row):
+            want = direct_generalized_sum(a, phi, 0.97)
+            assert abs(value - want) <= 1e-10 * want
+    assert generalized_fisher(alphas, PI / 8.0, params).shape == (4,)
+    assert isinstance(generalized_fisher(2.0, PI / 8.0, params), float)
+    with pytest.raises(ValueError):
+        generalized_fisher((2.0, 1.0), phases, params)
+
+
 def test_monotone_information_in_visibility():
     previous = -1.0
     for v in np.linspace(0.0, 0.999, 200):
@@ -118,7 +130,7 @@ def test_monotone_information_in_visibility():
 def test_extremal_phases_on_grid():
     params = ModelParams(0.95)
     grid = np.arange(0.0, PI / 2.0, 1e-3)
-    values = np.array([fisher(float(p), params) for p in grid])
+    values = fisher(grid, params)
     f_peak = fisher(PI / 8.0, params)
     f_valley = fisher(PI / 4.0, params)
     assert values.max() <= f_peak + 1e-5

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gcrb.bayes import DEFAULT_DOMAIN, PhaseDomain
 from gcrb.errors import CountsParseError
 from gcrb.ingest import (
-    CalibrationRecord,
     CountsRecord,
     counts_to_text,
     fold_phase,
@@ -72,6 +71,22 @@ def test_fractional_count_rejected():
         parse_text("phase_rad,c0,c1,c2,c3\n0.0,1.5,2,3,4\n")
 
 
+def test_digit_separators_and_non_ascii_digits_rejected():
+    # Python's int() and float() accept both; the schema allows neither
+    with pytest.raises(CountsParseError) as err:
+        parse_text("phase_rad,c0,c1,c2,c3\n0_1.5,1_000,2,3,4\n")
+    assert err.value.line_errors == [
+        (2, "phase_rad is not a finite number: '0_1.5'"),
+        (2, "c0 must be a non-negative integer: '1_000'"),
+    ]
+    with pytest.raises(CountsParseError) as err:
+        parse_text("phase_rad,c0,c1,c2,c3\n0.5,1,2,3,4\n\u0661.5,\u0661\u0662,2,3,4\n")
+    assert [n for n, _ in err.value.line_errors] == [3, 3]
+    # plain decimal and exponent forms, with surrounding blanks, still parse
+    records = parse_text("phase_rad,c0,c1,c2,c3\n-1.5e-3, 12 ,0,7,3\n.25,1,2,3,4\n")
+    assert records == [CountsRecord(-1.5e-3, (12, 0, 7, 3)), CountsRecord(0.25, (1, 2, 3, 4))]
+
+
 record_strategy = st.builds(
     CountsRecord,
     phase_label=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -114,12 +129,3 @@ def test_fold_phase():
     assert 0.0 <= fold_phase(-0.1, DEFAULT_DOMAIN) < PI / 2.0
     other = PhaseDomain(0.5, 1.5, 64)
     assert 0.5 <= fold_phase(9.9, other) < 1.5
-
-
-def test_calibration_record_validation():
-    record = CalibrationRecord(visibility=0.985, uncertainty=0.003, sequence="start")
-    assert record.visibility == 0.985
-    with pytest.raises(ValueError):
-        CalibrationRecord(visibility=1.02, uncertainty=0.003)
-    with pytest.raises(ValueError):
-        CalibrationRecord(visibility=0.9, uncertainty=-0.1)

@@ -5,33 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrb.errors import SingularScoreError
-from gcrb.model import (
-    SETTINGS,
-    ModelParams,
-    OutcomeTally,
-    Setting,
-    log_likelihood,
-    outcome_prob,
-    outcome_probs,
-    score,
-)
+from gcrb.bayes import posterior
+from gcrb.fisher import generalized_fisher
+from gcrb.model import ModelParams, OutcomeTally, outcome_dprobs, outcome_probs
 
 PI = math.pi
 
 
 def test_setting_table():
-    assert len(SETTINGS) == 4
-    for k, s in enumerate(SETTINGS):
-        assert s.index == k
-        assert s.angle == k * PI / 16
-
-
-def test_setting_rejects_bad_angle():
-    with pytest.raises(ValueError):
-        Setting(1, 0.3)
-    with pytest.raises(ValueError):
-        Setting(5, 5 * PI / 16)
+    # row k is the setting theta_k = k*pi/16, whose fringe peaks at phi = k*pi/4
+    for k in range(4):
+        assert outcome_probs(k * PI / 4.0, ModelParams(1.0))[k] == pytest.approx(0.5, abs=1e-15)
+    assert outcome_probs(0.3, ModelParams(0.9)).shape == (4,)
+    phases = np.linspace(-1.0, 4.0, 15).reshape(3, 5)
+    assert outcome_probs(phases, ModelParams(0.9)).shape == (4, 3, 5)
+    assert outcome_dprobs(phases, ModelParams(0.9)).shape == (4, 3, 5)
 
 
 def test_params_domain():
@@ -54,9 +42,9 @@ def test_tally_validation():
 
 
 def test_outcome_prob_values():
-    assert outcome_prob(SETTINGS[0], 0.0, ModelParams(1.0)) == pytest.approx(0.5, abs=1e-15)
-    assert outcome_prob(SETTINGS[2], 0.0, ModelParams(1.0)) == pytest.approx(0.0, abs=1e-15)
-    assert outcome_prob(SETTINGS[1], 0.0, ModelParams(0.95)) == pytest.approx(0.25, abs=1e-15)
+    assert outcome_probs(0.0, ModelParams(1.0))[0] == pytest.approx(0.5, abs=1e-15)
+    assert outcome_probs(0.0, ModelParams(1.0))[2] == pytest.approx(0.0, abs=1e-15)
+    assert outcome_probs(0.0, ModelParams(0.95))[1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_outcome_probs_values():
@@ -69,9 +57,21 @@ def test_outcome_probs_values():
     assert outcome_probs(PI / 8, ModelParams(0.95)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_array_evaluation_matches_pointwise():
+    rng = np.random.default_rng(13)
+    phases = rng.uniform(-2 * PI, 2 * PI, 200)
+    params = ModelParams(0.93)
+    probs, dprobs = outcome_probs(phases, params), outcome_dprobs(phases, params)
+    for i, phi in enumerate(phases):
+        np.testing.assert_array_equal(probs[:, i], outcome_probs(float(phi), params))
+        np.testing.assert_array_equal(dprobs[:, i], outcome_dprobs(float(phi), params))
+
+
 def test_outcome_prob_requires_finite_phase():
     with pytest.raises(ValueError):
-        outcome_prob(SETTINGS[0], float("inf"), ModelParams(0.5))
+        outcome_probs(float("inf"), ModelParams(0.5))
+    with pytest.raises(ValueError):
+        outcome_dprobs(np.array([0.1, float("nan")]), ModelParams(0.5))
 
 
 @given(
@@ -104,6 +104,9 @@ def test_periodicity_is_bitwise():
         np.testing.assert_array_equal(
             outcome_probs(phi, params), outcome_probs(shifted, params)
         )
+    phis = rng.integers(0, int(0.85 * 2 ** 22), 200) / 2 ** 22
+    np.testing.assert_array_equal(outcome_probs(phis, params), outcome_probs(phis + PI, params))
+    np.testing.assert_array_equal(outcome_dprobs(phis, params), outcome_dprobs(phis + PI, params))
 
 
 def test_cos_parity_symmetry():
@@ -113,35 +116,56 @@ def test_cos_parity_symmetry():
     for _ in range(200):
         phi = rng.uniform(-2.0, 2.0)
         v = rng.uniform(0.0, 1.0)
-        for s in SETTINGS:
-            direct = 0.25 * (1.0 + v * math.cos(-(8.0 * s.angle - 2.0 * phi)))
-            assert outcome_prob(s, phi, ModelParams(v)) == pytest.approx(direct, abs=1e-13)
+        probs = outcome_probs(phi, ModelParams(v))
+        for k in range(4):
+            direct = 0.25 * (1.0 + v * math.cos(-(8.0 * k * PI / 16.0 - 2.0 * phi)))
+            assert probs[k] == pytest.approx(direct, abs=1e-13)
 
 
 def test_log_likelihood_cases():
-    assert log_likelihood(OutcomeTally((0, 0, 0, 0)), 0.7, ModelParams(0.9)) == 0.0
-    got = log_likelihood(OutcomeTally((1, 0, 0, 0)), 0.0, ModelParams(1.0))
-    assert got == pytest.approx(math.log(0.5), abs=1e-15)
-    assert log_likelihood(OutcomeTally((0, 0, 1, 0)), 0.0, ModelParams(1.0)) == -math.inf
+    # the posterior's log likelihood skips zero counts (0 * log 0 = 0) and is
+    # -inf, giving zero density, where an observed outcome is impossible
+    flat = posterior(OutcomeTally((0, 0, 0, 0)), ModelParams(0.9))
+    assert np.all(flat.densities == flat.densities[0])
+    # p(theta_2 | 0) = 0 at v = 1, but theta_2 was never observed
+    assert posterior(OutcomeTally((1, 0, 0, 0)), ModelParams(1.0)).densities[0] > 0.0
+    post = posterior(OutcomeTally((0, 0, 1, 0)), ModelParams(1.0))
+    assert post.densities[0] == 0.0  # grid node phi = 0, where p(theta_2 | phi) = 0
+    assert np.all(post.densities[1:] > 0.0)
 
 
 def test_log_likelihood_is_sum_of_count_weighted_logs():
     params = ModelParams(0.87)
     tally = OutcomeTally((10, 20, 5, 7))
-    probs = outcome_probs(0.51, params)
-    expected = sum(c * math.log(p) for c, p in zip(tally.counts, probs))
-    assert log_likelihood(tally, 0.51, params) == pytest.approx(expected, rel=1e-14)
+    post = posterior(tally, params)
+    grid = post.domain.grid()
+
+    def log_likelihood(phi):
+        return sum(c * math.log(p) for c, p in zip(tally.counts, outcome_probs(phi, params)))
+
+    for i, j in ((1000, 1500), (300, 3900), (2047, 2048)):
+        want = log_likelihood(grid[i]) - log_likelihood(grid[j])
+        got = math.log(post.densities[i] / post.densities[j])
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def score(k, phi, params):
+    return outcome_dprobs(phi, params)[k] / outcome_probs(phi, params)[k]
 
 
 def test_score_values():
-    assert score(SETTINGS[0], 0.0, ModelParams(0.7)) == 0.0
-    assert score(SETTINGS[1], 0.0, ModelParams(0.95)) == pytest.approx(1.9, rel=1e-12)
-    assert score(SETTINGS[0], PI / 4, ModelParams(0.95)) == pytest.approx(-1.9, rel=1e-12)
+    assert score(0, 0.0, ModelParams(0.7)) == 0.0
+    assert score(1, 0.0, ModelParams(0.95)) == pytest.approx(1.9, rel=1e-12)
+    assert score(0, PI / 4, ModelParams(0.95)) == pytest.approx(-1.9, rel=1e-12)
 
 
 def test_score_singular():
-    with pytest.raises(SingularScoreError):
-        score(SETTINGS[2], 0.0, ModelParams(1.0))
+    # p(theta_2 | 0) and its derivative vanish at v = 1, so the score is 0/0
+    # there; the information sums stay finite
+    params = ModelParams(1.0)
+    assert outcome_probs(0.0, params)[2] == 0.0
+    assert outcome_dprobs(0.0, params)[2] == 0.0
+    assert math.isfinite(generalized_fisher(2.0, 0.0, params))
 
 
 def test_score_matches_finite_difference():
@@ -151,14 +175,14 @@ def test_score_matches_finite_difference():
     while checked < 300:
         phi = rng.uniform(0.0, PI)
         v = rng.uniform(0.0, 1.0)
-        s = SETTINGS[rng.integers(0, 4)]
+        k = rng.integers(0, 4)
         params = ModelParams(v)
-        if outcome_prob(s, phi, params) <= 1e-6:
+        if outcome_probs(phi, params)[k] <= 1e-6:
             continue
         fd = (
-            math.log(outcome_prob(s, phi + step, params))
-            - math.log(outcome_prob(s, phi - step, params))
+            math.log(outcome_probs(phi + step, params)[k])
+            - math.log(outcome_probs(phi - step, params)[k])
         ) / (2.0 * step)
-        got = score(s, phi, params)
+        got = score(k, phi, params)
         assert abs(got - fd) <= 1e-5 * max(abs(got), 1e-3)
         checked += 1
