@@ -12,7 +12,11 @@ Moment integrals carry the |phi - phi_hat|**beta kernel whose kink at phi_hat
 destroys the usual error cancellation of the trapezoidal rule for non-even
 beta.  The panels surrounding the kink are therefore integrated in closed form
 against a local cubic fit of the density, with Euler-Maclaurin edge terms
-where the refined window meets the plain rule; see `_abs_moment`.
+where the refined window meets the plain rule; see `_block_moments`.
+
+Posteriors and moments are computed for blocks of experiments at once, one
+row per tally (`_block_posterior`, `_block_moments`, `_block_reports`); the
+single-posterior functions are blocks of one.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ DEFAULT_GRID_POINTS = 4096
 
 # panels refined on each side of the moment-kernel kink
 _KINK_PANELS = 4
+
+# doubles per (block rows x grid points) temporary: large enough to amortise
+# the per-call overhead over several experiments, small enough to keep the
+# working set in cache and peak memory flat
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,26 @@ def _grid(lower: float, upper: float, points: int) -> np.ndarray:
 DEFAULT_DOMAIN = PhaseDomain(0.0, PI / 2.0)
 
 
-def _trapezoid(values: np.ndarray, spacing: float) -> float:
-    return float(spacing * (values.sum() - 0.5 * (values[0] + values[-1])))
+def _block_slices(n: int, domain: PhaseDomain) -> list[slice]:
+    """Consecutive row blocks covering range(n), each small enough that one
+    (rows, grid_points) temporary stays within _BLOCK_ELEMENTS doubles."""
+    size = max(1, _BLOCK_ELEMENTS // domain.grid_points)
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _trapezoid(values: np.ndarray, spacing: float):
+    """Trapezoidal integral along the last axis."""
+    return spacing * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+
+
+def _check_densities(dens: np.ndarray, spacing: float) -> None:
+    """The PosteriorGrid contract, row by row: finite, non-negative, unit mass."""
+    if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
+        raise ValueError("densities must be finite and non-negative")
+    integrals = np.atleast_1d(_trapezoid(dens, spacing))
+    off = np.abs(integrals - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"posterior integrates to {float(integrals[off][0])!r}, not 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +117,7 @@ class PosteriorGrid:
         dens = np.asarray(self.densities, dtype=float)
         if dens.shape != (self.domain.grid_points,):
             raise ValueError("density vector does not match the domain grid")
-        if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
-            raise ValueError("densities must be finite and non-negative")
-        integral = _trapezoid(dens, self.domain.spacing)
-        if abs(integral - 1.0) > 1e-9:
-            raise ValueError(f"posterior integrates to {integral!r}, not 1")
+        _check_densities(dens, self.domain.spacing)
         dens = dens.copy()
         dens.setflags(write=False)
         object.__setattr__(self, "densities", dens)
@@ -102,7 +125,7 @@ class PosteriorGrid:
     @classmethod
     def from_unnormalized(cls, domain: PhaseDomain, values: np.ndarray) -> "PosteriorGrid":
         values = np.asarray(values, dtype=float)
-        norm = _trapezoid(values, domain.spacing)
+        norm = float(_trapezoid(values, domain.spacing))
         if not (norm > 0.0 and math.isfinite(norm)):
             raise ValueError("cannot normalize a vanishing density")
         return cls(domain, values / norm)
@@ -142,6 +165,52 @@ def _log_prob_grid(domain: PhaseDomain, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _block_posterior(
+    counts: np.ndarray,
+    params: ModelParams,
+    domain: PhaseDomain,
+    prior: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior densities of a block of tallies, one row per (4,) count row.
+
+    Returns the (E, G) densities and the (E,) mask of feasible rows.  A row
+    whose counts have zero likelihood at every grid node is infeasible: it is
+    masked out and holds a flat placeholder density instead of raising for
+    the whole block.
+    """
+    logp = _log_prob_grid(domain, params)
+    counts = np.asarray(counts, dtype=float)
+    dens = np.zeros((counts.shape[0], domain.grid_points))
+    for row, c in zip(dens, counts):
+        active = c > 0
+        # excluding zero-count outcomes implements the 0 * log(0) = 0 convention
+        if active.all():
+            np.matmul(c, logp, out=row)
+        elif active.any():
+            np.matmul(c[active], logp[active], out=row)
+    if prior is not None:
+        prior = np.asarray(prior, dtype=float)
+        if prior.shape != (domain.grid_points,):
+            raise ValueError("tabulated prior does not match the domain grid")
+        if np.any(prior < 0.0) or not np.any(prior > 0.0):
+            raise ValueError("prior weights must be non-negative and not all zero")
+        with np.errstate(divide="ignore"):
+            dens += np.log(prior)
+    peak = dens.max(axis=1)
+    feasible = np.isfinite(peak)
+    dens[~feasible] = 0.0
+    peak[~feasible] = 0.0
+    np.subtract(dens, peak[:, np.newaxis], out=dens)
+    # exp is exactly 0 below -745.2; skipping those nodes avoids the slow
+    # underflow path of the vectorised exp
+    vanishing = dens < -746.0
+    np.exp(dens, out=dens, where=~vanishing)
+    dens[vanishing] = 0.0
+    np.divide(dens, _trapezoid(dens, domain.spacing)[:, np.newaxis], out=dens)
+    _check_densities(dens, domain.spacing)
+    return dens, feasible
+
+
 def posterior(
     tally: OutcomeTally,
     params: ModelParams,
@@ -155,150 +224,186 @@ def posterior(
     InfeasibleDataError when the data have zero likelihood at every grid node
     under the assumed visibility.
     """
-    logp = _log_prob_grid(domain, params)
-    counts = tally.as_array()
-    active = counts > 0
-    # excluding zero-count outcomes implements the 0 * log(0) = 0 convention
-    logpost = counts[active] @ logp[active] if active.any() else np.zeros(domain.grid_points)
-    if prior is not None:
-        prior = np.asarray(prior, dtype=float)
-        if prior.shape != (domain.grid_points,):
-            raise ValueError("tabulated prior does not match the domain grid")
-        if np.any(prior < 0.0) or not np.any(prior > 0.0):
-            raise ValueError("prior weights must be non-negative and not all zero")
-        with np.errstate(divide="ignore"):
-            logpost = logpost + np.log(prior)
-    peak = logpost.max()
-    if not math.isfinite(peak):
+    dens, feasible = _block_posterior(tally.as_array()[np.newaxis], params, domain, prior)
+    if not feasible[0]:
         raise InfeasibleDataError(
             "counts are impossible at every grid phase under the assumed visibility"
         )
-    weights = np.exp(logpost - peak)
-    return PosteriorGrid.from_unnormalized(domain, weights)
+    return PosteriorGrid(domain, dens[0])
+
+
+def _estimates(dens: np.ndarray, domain: PhaseDomain) -> np.ndarray:
+    """Posterior means, one per density row."""
+    return _trapezoid(domain.grid() * dens, domain.spacing)
 
 
 def estimate(post: PosteriorGrid) -> float:
     """Posterior mean of the phase."""
-    grid = post.domain.grid()
-    return _trapezoid(grid * post.densities, post.domain.spacing)
+    return float(_estimates(post.densities[np.newaxis], post.domain)[0])
 
 
-def _cubic_coeffs(t: np.ndarray, rho: np.ndarray, h: float, k: int, n: int) -> np.ndarray:
-    """Cubic fit of rho through the four nodes around panel k, in xi = t/h."""
-    i0 = min(max(k - 1, 0), n - 4)
-    xi = t[i0:i0 + 4] / h
-    vand = np.vander(xi, 4, increasing=True)
-    return np.linalg.solve(vand, rho[i0:i0 + 4])
+def _check_orders(betas) -> tuple[float, ...]:
+    betas = tuple(betas)
+    for b in betas:
+        if not (isinstance(b, (int, float)) and math.isfinite(b) and b >= 1.0):
+            raise ValueError(f"moment order must be a finite real >= 1, got {b!r}")
+    return tuple(float(b) for b in betas)
 
 
-def _power_antiderivative(p: int, beta: float, t: float) -> float:
-    """Antiderivative of t**p * |t|**beta (p = 0..3)."""
-    e = beta + p + 1.0
-    val = abs(t) ** e / e
-    return val if p % 2 == 1 else math.copysign(val, t)
+def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.ndarray, np.ndarray]:
+    """phi_hat per row, shape (E,), and Delta_beta = integral of
+    |phi - phi_hat|**beta * p(phi | x) per row and order, shape (E, len(betas)).
 
+    Each integral is the trapezoidal rule over the whole grid, except on the
+    2 * _KINK_PANELS panels around the row's kink (fewer where the window is
+    clipped at the domain edges).  There the density is replaced by the
+    cubic through the four nodes around each panel, whose product with
+    |t|**beta, t = phi - phi_hat, integrates in closed form:
+    t**p * |t|**beta has the antiderivative |t|**(beta+p+1) / (beta+p+1),
+    signed for even p.  Euler-Maclaurin h^2/12 slope terms join the window to
+    the plain rule; the outer domain endpoints keep the uncorrected
+    trapezoidal convention.  The orders must be validated by the caller.
+    """
+    grid, h, n = domain.grid(), domain.spacing, domain.grid_points
+    rows = np.arange(dens.shape[0])[:, np.newaxis]
+    centers = _estimates(dens, domain)
+    abs_t = np.subtract(grid, centers[:, np.newaxis])
+    np.abs(abs_t, out=abs_t)
 
-def _kernel_slope(t: np.ndarray, rho: np.ndarray, h: float, beta: float, k: int, n: int) -> float:
-    """d/dphi of |t|**beta * rho at node k, with a finite-difference rho'."""
-    if k == 0:
-        drho = (rho[1] - rho[0]) / h
-    elif k == n - 1:
-        drho = (rho[-1] - rho[-2]) / h
-    else:
-        drho = (rho[k + 1] - rho[k - 1]) / (2.0 * h)
-    tk = float(t[k])
-    return beta * abs(tk) ** (beta - 1.0) * math.copysign(1.0, tk) * rho[k] + abs(tk) ** beta * drho
+    # window nodes j-3 .. j+5 bound the panels j-3 .. j+4 around the kink in
+    # panel j; panels outside [0, n-2] are masked
+    j = np.clip(np.searchsorted(grid, centers) - 1, 0, n - 2)
+    nodes = j[:, np.newaxis] + np.arange(1 - _KINK_PANELS, _KINK_PANELS + 2)
+    in_window = (nodes[:, :-1] >= 0) & (nodes[:, :-1] <= n - 2)
+    nodes = np.clip(nodes, 0, n - 1)
+    t_nodes = grid[nodes] - centers[:, np.newaxis]
 
+    # cubic fit of panel k through nodes i0 .. i0+3, i0 = clamp(k-1, 0, n-4),
+    # in xi = t/h
+    fit = np.clip(nodes[:, :-1] - 1, 0, n - 4)[..., np.newaxis] + np.arange(4)
+    xi = (grid[fit] - centers[:, np.newaxis, np.newaxis]) / h
+    vander = np.ones(xi.shape + (4,))
+    vander[..., 1] = xi
+    vander[..., 2] = xi * xi
+    vander[..., 3] = vander[..., 2] * xi
+    coeffs = np.linalg.solve(vander, dens[rows[..., np.newaxis], fit][..., np.newaxis])[..., 0]
+    coeffs /= np.array([h ** p for p in range(4)])
 
-def _abs_moment(
-    t: np.ndarray,
-    rho: np.ndarray,
-    h: float,
-    beta: float,
-    window_coeffs: list[np.ndarray],
-    window_panels: tuple[int, int],
-) -> float:
-    """Trapezoidal integral of |t|**beta * rho, t = phi - center, with the
-    panels of ``window_panels`` refined by their cubic fits."""
-    g = np.abs(t) ** beta * rho
-    total = _trapezoid(g, h)
+    # closed-form window integrals for every order at once:
+    # (orders, rows, window nodes, p)
+    powers = np.add.outer(np.asarray(betas), np.arange(1.0, 5.0))[:, np.newaxis, np.newaxis, :]
+    anti = np.abs(t_nodes)[np.newaxis, ..., np.newaxis] ** powers / powers
+    anti[..., 0::2] = np.copysign(anti[..., 0::2], t_nodes[np.newaxis, ..., np.newaxis])
+    panel_integrals = (coeffs * (anti[:, :, 1:] - anti[:, :, :-1])).sum(axis=-1)
+    window = np.where(in_window, panel_integrals, 0.0).sum(axis=-1)
 
-    n = t.size
-    lo, hi = window_panels
+    # Euler-Maclaurin slope terms at the window edges j-3 (lo > 0) and j+5
+    # (hi < n-2), with central-difference density slopes
+    edges = np.stack([j + 1 - _KINK_PANELS, j + 1 + _KINK_PANELS], axis=1)
+    edge_sign = np.where((edges > 0) & (edges < n - 1), [-1.0, 1.0], 0.0)
+    edges = np.clip(edges, 1, n - 2)
+    t_edges = grid[edges] - centers[:, np.newaxis]
+    drho = (dens[rows, edges + 1] - dens[rows, edges - 1]) / (2.0 * h)
+    b_edges = np.asarray(betas)[:, np.newaxis, np.newaxis]
+    slope = (b_edges * np.abs(t_edges) ** (b_edges - 1.0) * np.copysign(1.0, t_edges)
+             * dens[rows, edges] + np.abs(t_edges) ** b_edges * drho)
+    edge_terms = (h * h / 12.0 * slope * edge_sign).sum(axis=-1)
 
-    # swap the trapezoid panels around the kink for the closed-form integral of
-    # |t|^beta against a cubic density fit
-    total -= float(h * 0.5 * (g[lo:hi + 1] + g[lo + 1:hi + 2]).sum())
-    for k, coeffs in zip(range(lo, hi + 1), window_coeffs):
-        t0, t1 = float(t[k]), float(t[k + 1])
-        total += sum(
-            coeffs[p] / h ** p * (_power_antiderivative(p, beta, t1) - _power_antiderivative(p, beta, t0))
-            for p in range(4)
-        )
-
-    # Euler-Maclaurin h^2/12 terms where the plain rule meets the window; the
-    # outer domain endpoints keep the uncorrected trapezoidal convention
-    if lo > 0:
-        total -= h * h / 12.0 * _kernel_slope(t, rho, h, beta, lo, n)
-    if hi < n - 2:
-        total += h * h / 12.0 * _kernel_slope(t, rho, h, beta, hi + 1, n)
-    return float(total)
-
-
-def _window_bounds(grid: np.ndarray, center: float) -> tuple[int, int]:
-    n = grid.size
-    j = int(np.searchsorted(grid, center)) - 1
-    j = min(max(j, 0), n - 2)
-    return max(0, j - (_KINK_PANELS - 1)), min(n - 2, j + _KINK_PANELS)
+    deltas = np.empty((len(betas), dens.shape[0]))
+    kernel = np.empty_like(dens)
+    for i, b in enumerate(betas):
+        # the same kernel values enter the plain rule and the window panels
+        # it gives back
+        np.power(abs_t, b, out=kernel)
+        kernel *= dens
+        k_nodes = kernel[rows, nodes]
+        replaced = np.where(in_window, k_nodes[:, :-1] + k_nodes[:, 1:], 0.0).sum(axis=-1)
+        deltas[i] = _trapezoid(kernel, h) - h * 0.5 * replaced
+    deltas += window
+    deltas += edge_terms
+    return centers, deltas.T
 
 
 def moment_set(post: PosteriorGrid, betas, shots: int) -> MomentSet:
     """phi_hat and Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x)
     for each requested order, sharing one kink window."""
-    betas = tuple(betas)
-    for b in betas:
-        if not (isinstance(b, (int, float)) and math.isfinite(b) and b >= 1.0):
-            raise ValueError(f"moment order must be a finite real >= 1, got {b!r}")
-    grid = post.domain.grid()
-    h = post.domain.spacing
-    center = estimate(post)
-    panels = _window_bounds(grid, center)
-    t = grid - center
-    n = grid.size
-    coeffs = [_cubic_coeffs(t, post.densities, h, k, n) for k in range(panels[0], panels[1] + 1)]
-    deltas = {
-        float(b): _abs_moment(t, post.densities, h, float(b), coeffs, panels)
-        for b in betas
-    }
-    return MomentSet(estimate=center, deltas=deltas, shots=int(shots))
+    betas = _check_orders(betas)
+    centers, deltas = _block_moments(post.densities[np.newaxis], post.domain, betas)
+    return MomentSet(
+        estimate=float(centers[0]),
+        deltas=dict(zip(betas, deltas[0].tolist())),
+        shots=int(shots),
+    )
 
 
-def gaussian_abs_moment(beta: float, sigma: float) -> float:
+def gaussian_abs_moment(beta: float, sigma):
     """Absolute central moment of a Gaussian with standard deviation sigma.
 
     E|X - mu|**beta = sigma**beta * 2**(beta/2) * Gamma((beta+1)/2) / sqrt(pi);
-    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.
+    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  An
+    array of sigmas gives an array.
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta >= 1.0):
         raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
-    if not (isinstance(sigma, (int, float)) and math.isfinite(sigma) and sigma >= 0.0):
+    sigmas = np.asarray(sigma, dtype=float)
+    if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError(f"standard deviation must be >= 0, got {sigma!r}")
     return sigma ** beta * 2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0) / math.sqrt(PI)
 
 
-def kappa(delta_beta: float, f_alpha: float, shots: int, beta: float) -> float:
+def kappa(delta_beta, f_alpha, shots, beta: float):
     """Saturation ratio kappa_beta = Delta_beta * M**(beta/2) * f_alpha**(beta/alpha).
 
-    Values below 1 indicate a violated order-beta bound.
+    Values below 1 indicate a violated order-beta bound.  Arrays of moments,
+    informations and shots give an array.
     """
-    if shots < 1:
+    if np.any(np.asarray(shots) < 1):
         raise ValueError("shots must be a positive integer")
-    if f_alpha <= 0.0:
+    if np.any(np.asarray(f_alpha) <= 0.0):
         raise UndefinedRatioError(
             "saturation ratio undefined: generalized Fisher information vanishes"
         )
     alpha = conjugate_exponent(beta)
-    return float(delta_beta) * shots ** (beta / 2.0) * f_alpha ** (beta / alpha)
+    value = delta_beta * shots ** (beta / 2.0) * f_alpha ** (beta / alpha)
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _block_reports(
+    dens: np.ndarray,
+    domain: PhaseDomain,
+    params: ModelParams,
+    shots: np.ndarray,
+    betas,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """phi_hat (E,) plus Delta_beta, kappa_beta and Gaussianity ratios, each
+    (E, len(betas)), for a block of posteriors with the given shot counts.
+
+    f_alpha is taken at each row's phi_hat, from one model evaluation for all
+    rows and orders.  kappa is ``nan`` when there are no shots or f_alpha is
+    undefined (beta = 1) or vanishes; the Gaussianity ratio is ``nan`` when
+    Delta_2 = 0.
+    """
+    betas = _check_orders(betas)
+    orders = tuple(sorted(set(betas) | {2.0}))
+    centers, moments = _block_moments(dens, domain, orders)
+    deltas = moments[:, [orders.index(b) for b in betas]]
+    d2 = moments[:, orders.index(2.0)]
+    spread = d2 > 0.0
+    sigma = np.sqrt(d2[spread])
+    shots = np.asarray(shots)
+    bounded = [i for i, b in enumerate(betas) if b > 1.0]
+    infos = np.zeros((len(betas), dens.shape[0]))
+    if bounded:
+        alphas = tuple(conjugate_exponent(betas[i]) for i in bounded)
+        infos[bounded] = generalized_fisher(alphas, centers, params)
+    kappas = np.full(deltas.shape, math.nan)
+    ratios = np.full(deltas.shape, math.nan)
+    for i, b in enumerate(betas):
+        ok = (shots > 0) & (infos[i] > 0.0)
+        if b > 1.0 and ok.any():
+            kappas[ok, i] = kappa(deltas[ok, i], infos[i, ok], shots[ok], b)
+        ratios[spread, i] = deltas[spread, i] / gaussian_abs_moment(b, sigma)
+    return centers, deltas, kappas, ratios
 
 
 def saturation_report(
@@ -313,17 +418,14 @@ def saturation_report(
     kappa is ``nan`` when there are no shots or f_alpha is undefined (beta = 1)
     or vanishes; the Gaussianity ratio is ``nan`` when Delta_2 = 0.
     """
-    betas = tuple(float(b) for b in betas)
-    ms = moment_set(post, sorted(set(betas) | {2.0}), max(shots, 1))
-    d2 = ms.deltas[2.0]
-    sigma = math.sqrt(d2) if d2 > 0.0 else 0.0
-    bounded = [b for b in betas if b > 1.0]
-    alphas = tuple(conjugate_exponent(b) for b in bounded)
-    infos = dict(zip(bounded, generalized_fisher(alphas, ms.estimate, params).tolist()))
-    deltas, kappas, ratios = {}, {}, {}
-    for b in betas:
-        delta = deltas[b] = ms.deltas[b]
-        f_alpha = infos.get(b, 0.0)
-        kappas[b] = kappa(delta, f_alpha, shots, b) if shots > 0 and f_alpha > 0.0 else math.nan
-        ratios[b] = delta / gaussian_abs_moment(b, sigma) if sigma > 0.0 else math.nan
-    return SaturationReport(ms.estimate, deltas, kappas, ratios)
+    betas = tuple(betas)
+    center, deltas, kappas, ratios = _block_reports(
+        post.densities[np.newaxis], post.domain, params, np.array([shots]), betas
+    )
+    keys = [float(b) for b in betas]
+    return SaturationReport(
+        float(center[0]),
+        dict(zip(keys, deltas[0].tolist())),
+        dict(zip(keys, kappas[0].tolist())),
+        dict(zip(keys, ratios[0].tolist())),
+    )

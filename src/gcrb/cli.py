@@ -23,11 +23,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .bayes import PhaseDomain, posterior, saturation_report
-from .errors import EstimationError, InfeasibleDataError
+from .bayes import PhaseDomain, _block_posterior, _block_reports, _block_slices
+from .errors import EstimationError, UndefinedRatioError
 from .fisher import BoundValue, conjugate_exponent, generalized_fisher
-from .ingest import fold_phase, parse_counts, to_tally
+from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
 from .montecarlo import (
     DEFAULT_BETAS,
@@ -143,8 +145,17 @@ def cmd_simulate(args) -> int:
         window_scale=args.window_scale,
     )
     rows = []
+    undefined: list[float] = []
     for v_est in v_est_values:
-        stats = violation_fractions(base.with_v_est(v_est))
+        try:
+            stats = violation_fractions(base.with_v_est(v_est))
+        except UndefinedRatioError:
+            # no Fisher information at phase_true: Sigma_beta is undefined for
+            # this v_est alone, so flag its rows and keep the sweep going
+            undefined.append(v_est)
+            rows.extend((_fmt(float(v_est)), _fmt(float(b)), "nan", "nan",
+                         _fmt(base.n_experiments)) for b in betas)
+            continue
         for b in betas:
             rows.append((
                 _fmt(float(v_est)),
@@ -169,6 +180,9 @@ def cmd_simulate(args) -> int:
     }
     _emit(out, ("v_est", "beta", "sigma_frac", "n_violations", "n_experiments"),
           rows, _manifest("simulate", args.seed, config, [out.name]))
+    for v_est in undefined:
+        print(f"warning: v_est={v_est!r} has zero Fisher information at "
+              f"phase_true={args.phase_true!r}; its sigma_beta rows are nan", file=sys.stderr)
     return EXIT_OK
 
 
@@ -215,32 +229,36 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"gcrb: data error: cannot read counts file: {exc}", file=sys.stderr)
         return EXIT_DATA
+    counts = np.array([r.counts for r in records], dtype=float).reshape(-1, 4)
+    shots = np.array([sum(r.counts) for r in records], dtype=float)
+    shape = (len(records), len(v_est_values))
+    feasible = np.zeros(shape, dtype=bool)
+    estimates = np.full(shape, math.nan)
+    deltas, kappas, ratios = (np.full(shape + (len(betas),), math.nan) for _ in range(3))
+    # v_est outermost, so that each log-likelihood table is built once
+    for iv, v_est in enumerate(v_est_values):
+        params = ModelParams(v_est)
+        for block in _block_slices(len(records), domain):
+            dens, feasible[block, iv] = _block_posterior(counts[block], params, domain)
+            (estimates[block, iv], deltas[block, iv], kappas[block, iv],
+             ratios[block, iv]) = _block_reports(dens, domain, params, shots[block], betas)
     rows = []
     infeasible: list[str] = []
-    for record in records:
-        label = fold_phase(record.phase_label, domain) if args.fold else record.phase_label
-        tally = to_tally(record)
-        for v_est in v_est_values:
-            params = ModelParams(v_est)
-            try:
-                report = saturation_report(posterior(tally, params, domain), params,
-                                           tally.total, betas)
-            except InfeasibleDataError:
+    for ir, record in enumerate(records):
+        label = _fmt(float(fold_phase(record.phase_label, domain) if args.fold
+                           else record.phase_label))
+        for iv, v_est in enumerate(v_est_values):
+            if not feasible[ir, iv]:
                 infeasible.append(f"phase_rad={record.phase_label!r} v_est={v_est!r}")
-                for b in betas:
-                    rows.append((_fmt(float(label)), _fmt(float(v_est)), _fmt(float(b)),
-                                 "nan", "nan", "nan", "nan"))
+                rows.extend((label, _fmt(float(v_est)), _fmt(b), "nan", "nan", "nan", "nan")
+                            for b in betas)
                 continue
-            for b in betas:
-                rows.append((
-                    _fmt(float(label)),
-                    _fmt(float(v_est)),
-                    _fmt(float(b)),
-                    _fmt(report.estimate),
-                    _fmt(report.deltas[b]),
-                    _fmt(report.kappas[b]),
-                    _fmt(report.gauss_ratios[b]),
-                ))
+            phi_hat = _fmt(float(estimates[ir, iv]))
+            rows.extend(
+                (label, _fmt(float(v_est)), _fmt(b), phi_hat, _fmt(d), _fmt(k), _fmt(g))
+                for b, d, k, g in zip(betas, deltas[ir, iv].tolist(), kappas[ir, iv].tolist(),
+                                      ratios[ir, iv].tolist())
+            )
     out = Path(args.out)
     config = {
         "counts": str(args.counts),

@@ -153,4 +153,6 @@ def fold_phase(phase: float, domain: PhaseDomain) -> float:
     folded = domain.lower + math.fmod(phase - domain.lower, width)
     if folded < domain.lower:
         folded += width
-    return folded
+    # a remainder within rounding of one width lands on upper, which is
+    # congruent to lower
+    return domain.lower if folded >= domain.upper else folded

@@ -20,7 +20,10 @@ A moment is flagged through a statistical window of half-width
                            violates.
 
 Experiments derive their RNG streams from (seed, experiment index), so
-campaigns are reproducible and embarrassingly parallel.
+campaigns are reproducible and embarrassingly parallel.  They are analyzed in
+fixed-size blocks, one posterior and one moment evaluation per block; the
+results do not depend on the block size, and `run_experiment` recomputes any
+single experiment as a block of one.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .bayes import (
     DEFAULT_DOMAIN,
     MomentSet,
     PhaseDomain,
+    _block_moments,
+    _block_posterior,
+    _block_slices,
     gaussian_abs_moment,
-    moment_set,
-    posterior,
 )
-from .errors import InfeasibleDataError
+from .errors import UndefinedRatioError
 from .fisher import BoundValue, crb_bound, fisher
 from .model import ModelParams, OutcomeTally, outcome_probs
 
@@ -154,37 +158,36 @@ def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
     return math.sqrt(max(variance, 0.0))
 
 
-def _flag_violation(delta: float, bound: float, center: float, window: float, rule: str) -> bool:
-    if rule == "below-bound":
-        return delta + window < bound
-    if rule == "two-sided-bound":
-        return abs(delta - bound) > window
-    if rule == "gaussian-consistency":
-        return abs(delta - center) > window
-    return delta + window < bound or abs(delta - center) > window
-
-
 @dataclass(frozen=True)
 class _Reference:
-    """Per-campaign constants of the flagging rule, one entry per order."""
+    """Per-campaign constants: the sampling distribution of the true model
+    and, per order, the bound, window and Gaussian centre of the flagging rule."""
 
     params: ModelParams
+    true_probs: np.ndarray
     bounds: tuple[BoundValue, ...]
-    windows: tuple[float, ...]
-    centers: tuple[float, ...]
+    floors: np.ndarray
+    windows: np.ndarray
+    centers: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _reference(config: CampaignConfig) -> _Reference:
-    """Bounds, windows and Gaussian centres of a campaign.
+    """Constants of a campaign, the same for every experiment.
 
-    All use the experimenter's model, i.e. f_alpha evaluated at
-    (phase_true, v_est); they are the same for every experiment.
+    Bounds, windows and centres use the experimenter's model, i.e. f_alpha
+    evaluated at (phase_true, v_est).  Raises UndefinedRatioError when the
+    Fisher information vanishes there, which leaves the windows undefined.
     """
     params = ModelParams(config.v_est)
     bounds = tuple(crb_bound(b, config.phase_true, params, config.shots) for b in config.beta_list)
     info = fisher(config.phase_true, params)
-    sigma_post = 1.0 / math.sqrt(config.shots * info) if info > 0.0 else math.inf
+    if not info > 0.0:
+        raise UndefinedRatioError(
+            f"violation windows undefined: Fisher information vanishes at "
+            f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
+        )
+    sigma_post = 1.0 / math.sqrt(config.shots * info)
     windows, centers = [], []
     for b in config.beta_list:
         window = config.sigma_window * sigma_beta(b, config.shots, info)
@@ -192,7 +195,87 @@ def _reference(config: CampaignConfig) -> _Reference:
             window /= math.sqrt(config.shots)
         windows.append(window)
         centers.append(gaussian_abs_moment(b, sigma_post))
-    return _Reference(params, bounds, tuple(windows), tuple(centers))
+    return _Reference(
+        params=params,
+        true_probs=outcome_probs(config.phase_true, ModelParams(config.v_true)),
+        bounds=bounds,
+        floors=np.array([bv.bound_on_delta_beta for bv in bounds]),
+        windows=np.array(windows),
+        centers=np.array(centers),
+    )
+
+
+def _flag_violations(deltas: np.ndarray, ref: _Reference, rule: str) -> np.ndarray:
+    """Violation flags of (E, n_beta) moments against the per-order constants."""
+    if rule == "two-sided-bound":
+        return np.abs(deltas - ref.floors) > ref.windows
+    below = deltas + ref.windows < ref.floors
+    if rule == "below-bound":
+        return below
+    off_center = np.abs(deltas - ref.centers) > ref.windows
+    if rule == "gaussian-consistency":
+        return off_center
+    return below | off_center
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A block of consecutive experiments, one row each."""
+
+    start: int
+    counts: np.ndarray       # (E, 4) tallies
+    feasible: np.ndarray     # (E,)
+    estimates: np.ndarray    # (E,)
+    deltas: np.ndarray       # (E, n_beta)
+    flags: np.ndarray        # (E, n_beta); every order of an infeasible row
+
+
+def _evaluate(config: CampaignConfig, start: int, counts: np.ndarray) -> _Block:
+    """Analyze a block of tallies with v_est and flag their violations."""
+    ref = _reference(config)
+    dens, feasible = _block_posterior(counts, ref.params, config.domain)
+    estimates, deltas = _block_moments(dens, config.domain, config.beta_list)
+    # an infeasible row is maximal evidence of model mismatch: counts
+    # impossible under v_est
+    flags = _flag_violations(deltas, ref, config.violation_rule) | ~feasible[:, np.newaxis]
+    return _Block(start, counts, feasible, estimates, deltas, flags)
+
+
+def _run_block(config: CampaignConfig, rows: slice) -> _Block:
+    """Sample experiments rows.start .. rows.stop - 1 with v_true, each from its
+    own (seed, index) stream, and evaluate them."""
+    ref = _reference(config)
+    counts = np.array([
+        experiment_rng(config.seed, i).multinomial(config.shots, ref.true_probs)
+        for i in range(rows.start, rows.stop)
+    ])
+    return _evaluate(config, rows.start, counts)
+
+
+def _campaign_blocks(config: CampaignConfig):
+    for rows in _block_slices(config.n_experiments, config.domain):
+        yield _run_block(config, rows)
+
+
+def _records(config: CampaignConfig, block: _Block) -> list[ExperimentRecord]:
+    bounds = _reference(config).bounds
+    records = []
+    for e, counts in enumerate(block.counts.tolist()):
+        feasible = bool(block.feasible[e])
+        moments = MomentSet(
+            estimate=float(block.estimates[e]),
+            deltas=dict(zip(config.beta_list, block.deltas[e].tolist())),
+            shots=config.shots,
+        ) if feasible else None
+        records.append(ExperimentRecord(
+            index=block.start + e,
+            tally=OutcomeTally(tuple(counts)),
+            moments=moments,
+            bounds=bounds,
+            violations=dict(zip(config.beta_list, block.flags[e].tolist())),
+            infeasible=not feasible,
+        ))
+    return records
 
 
 def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentRecord:
@@ -200,52 +283,25 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentR
 
     Deterministic given (config.seed, experiment_index).
     """
-    rng = experiment_rng(config.seed, experiment_index)
-    tally = sample_tally(config.phase_true, config.v_true, config.shots, rng)
-    ref = _reference(config)
-    try:
-        post = posterior(tally, ref.params, config.domain)
-    except InfeasibleDataError:
-        # maximal evidence of model mismatch: counts impossible under v_est
-        return ExperimentRecord(
-            index=experiment_index,
-            tally=tally,
-            moments=None,
-            bounds=ref.bounds,
-            violations={b: True for b in config.beta_list},
-            infeasible=True,
-        )
-    moments = moment_set(post, config.beta_list, config.shots)
-    violations = {
-        b: _flag_violation(moments.deltas[b], bv.bound_on_delta_beta, center, window,
-                           config.violation_rule)
-        for b, bv, window, center in zip(config.beta_list, ref.bounds, ref.windows, ref.centers)
-    }
-    return ExperimentRecord(
-        index=experiment_index,
-        tally=tally,
-        moments=moments,
-        bounds=ref.bounds,
-        violations=violations,
-    )
+    block = _run_block(config, slice(experiment_index, experiment_index + 1))
+    return _records(config, block)[0]
 
 
 def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
     """All experiment records for one campaign."""
-    return [run_experiment(config, i) for i in range(config.n_experiments)]
+    return [record for block in _campaign_blocks(config) for record in _records(config, block)]
 
 
 def violation_fractions(config: CampaignConfig) -> ViolationStats:
     """Sigma_beta over n_experiments independent experiments."""
-    counts = {b: 0 for b in config.beta_list}
+    counts = np.zeros(len(config.beta_list), dtype=np.int64)
     infeasible = 0
-    for record in run_campaign(config):
-        infeasible += record.infeasible
-        for b, flagged in record.violations.items():
-            counts[b] += flagged
+    for block in _campaign_blocks(config):
+        counts += block.flags.sum(axis=0)
+        infeasible += int((~block.feasible).sum())
     return ViolationStats(
         n_experiments=config.n_experiments,
-        violation_counts=counts,
+        violation_counts=dict(zip(config.beta_list, counts.tolist())),
         infeasible_count=infeasible,
     )
 

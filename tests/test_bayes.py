@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gcrb.bayes import (
     DEFAULT_DOMAIN,
+    _block_posterior,
     PhaseDomain,
     PosteriorGrid,
     estimate,
@@ -88,6 +89,22 @@ def test_infeasible_data_raises():
     prior[0] = 1.0  # grid node at phi = 0, where p(theta_2 | phi) = 0
     with pytest.raises(InfeasibleDataError):
         posterior(OutcomeTally((0, 0, 3, 0)), ModelParams(1.0), domain, prior=prior)
+
+
+def test_block_posterior_masks_infeasible_rows():
+    # the same single-node prior as above: the impossible tally is masked
+    # instead of raising for the block, and the other rows equal their
+    # single posteriors
+    domain = DEFAULT_DOMAIN
+    prior = np.zeros(domain.grid_points)
+    prior[0] = 1.0
+    tallies = [(3, 0, 0, 0), (0, 0, 3, 0), (0, 0, 0, 0)]
+    params = ModelParams(1.0)
+    dens, feasible = _block_posterior(np.array(tallies), params, domain, prior)
+    assert feasible.tolist() == [True, False, True]
+    for row in (0, 2):
+        single = posterior(OutcomeTally(tallies[row]), params, domain, prior=prior)
+        assert np.array_equal(dens[row], single.densities)
 
 
 def test_tabulated_prior_restricts_support():

@@ -87,6 +87,20 @@ def test_simulate_invalid_config_leaves_no_output(tmp_path):
     assert not (tmp_path / "bad.csv.manifest.json").exists()
 
 
+def test_simulate_zero_information_v_est_flags_its_own_rows(tmp_path, capsys):
+    # v_est = 0 leaves Sigma_beta undefined; its rows are nan and the other
+    # rows match a sweep without it
+    clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
+    assert main(["simulate", "--v-est", "0.95", "--experiments", "5", "--out", str(clean)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--v-est", "0,0.95", "--experiments", "5", "--out", str(mixed)]) == 0
+    assert "v_est=0.0" in capsys.readouterr().err
+    header, *lines = read(mixed).splitlines()
+    assert header == read(clean).splitlines()[0]
+    assert lines[:4] == [f"0.0,{b},nan,nan,5" for b in ("1.5", "2.0", "3.0", "4.0")]
+    assert lines[4:] == read(clean).splitlines()[1:]
+
+
 def test_bounds_reference_value(tmp_path):
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--phase-true", repr(PI / 4.0), "--v-est", "0.95",

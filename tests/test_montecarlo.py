@@ -5,7 +5,7 @@ import pytest
 
 import gcrb.montecarlo as mc
 from gcrb.bayes import MomentSet, gaussian_abs_moment
-from gcrb.errors import InfeasibleDataError
+from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import fisher
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
@@ -108,15 +108,50 @@ def test_run_experiment_flags_are_recomputable():
         assert record.violations[b] == expected
 
 
-def test_infeasible_experiment_counts_as_violation(monkeypatch):
-    def raising_posterior(*args, **kwargs):
-        raise InfeasibleDataError("forced")
-
-    monkeypatch.setattr(mc, "posterior", raising_posterior)
-    record = run_experiment(small_config(), 0)
+def test_infeasible_experiment_counts_as_violation():
+    # one row of a block gets counts so large that their likelihood underflows
+    # to zero at every grid node; only that row is infeasible and flagged
+    config = small_config(v_est=0.99)
+    rows = slice(0, 8)
+    clean = mc._run_block(config, rows)
+    counts = clean.counts.astype(float)
+    counts[3] = 1e308
+    with np.errstate(over="ignore"):
+        block = mc._evaluate(config, rows.start, counts)
+    assert block.feasible.tolist() == [i != 3 for i in range(8)]
+    assert block.flags[3].all()
+    keep = block.feasible
+    assert np.array_equal(block.estimates[keep], clean.estimates[keep])
+    assert np.array_equal(block.deltas[keep], clean.deltas[keep])
+    assert np.array_equal(block.flags[keep], clean.flags[keep])
+    record = mc._records(config, block)[3]
+    assert record.index == 3
     assert record.infeasible
     assert record.moments is None
     assert all(record.violations.values())
+
+
+def test_campaign_blocks_match_single_experiments():
+    # 37 experiments span several blocks and end in a partial one; each
+    # record equals its recomputation from (seed, index) alone
+    config = small_config(v_est=1.0, n_experiments=37, seed=8)
+    records = run_campaign(config)
+    assert [r.index for r in records] == list(range(37))
+    flagged = [any(r.violations.values()) for r in records]
+    assert any(flagged) and not all(flagged)
+    for i, record in enumerate(records):
+        alone = run_experiment(config, i)
+        assert record.tally == alone.tally
+        assert record.moments == alone.moments
+        assert record.violations == alone.violations
+        assert record.infeasible == alone.infeasible is False
+
+
+def test_zero_information_campaign_is_undefined():
+    # v_est = 0 carries no Fisher information: the violation windows, and so
+    # Sigma_beta, are undefined
+    with pytest.raises(UndefinedRatioError):
+        violation_fractions(small_config(v_est=0.0, n_experiments=3))
 
 
 def test_violation_fractions_deterministic_and_exact():
