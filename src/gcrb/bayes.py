@@ -17,6 +17,15 @@ where the refined window meets the plain rule; see `_block_moments`.
 Posteriors and moments are computed for blocks of experiments at once, one
 row per tally (`_block_posterior`, `_block_moments`, `_block_reports`); the
 single-posterior functions are blocks of one.
+
+Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get density
+exactly 0, so the `PosteriorGrid.densities` of a `posterior` are exactly 0
+beyond the floor.
+The elementwise work of a block (exp, the normalising divide, phi * p,
+|t|**beta and the kernel products) runs only on its live span: the columns
+from the first to the last where any row is above the floor.  Every sum
+still runs over the full zero-padded row, so each row's results are the
+same bits whatever block it shares, and do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -29,12 +38,19 @@ import numpy as np
 
 from .errors import InfeasibleDataError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher
-from .model import PI, ModelParams, OutcomeTally, outcome_probs
+from .model import PI, ModelParams, OutcomeTally, is_real, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
 
 # panels refined on each side of the moment-kernel kink
 _KINK_PANELS = 4
+
+# log-density floor below each row's peak: nodes under it get density
+# exactly 0.  e**-100 is about 3.7e-44, so over 4,096 nodes with
+# |t|**beta <= (pi/2)**4 the dropped terms of a moment integral total under
+# 1e-39, below half an ulp of Delta_4 for any posterior wider than a tenth of
+# a grid spacing
+_LOG_FLOOR = -100.0
 
 # doubles per (block rows x grid points) temporary: large enough to amortise
 # the per-call overhead over several experiments, small enough to keep the
@@ -89,6 +105,20 @@ def _block_slices(n: int, domain: PhaseDomain) -> list[slice]:
     (rows, grid_points) temporary stays within _BLOCK_ELEMENTS doubles."""
     size = max(1, _BLOCK_ELEMENTS // domain.grid_points)
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+def _span(mask: np.ndarray) -> slice:
+    """Columns from the first to the last where any row of the mask is set
+    (all columns when none is)."""
+    cols = mask.any(axis=0)
+    return slice(int(cols.argmax()), cols.size - int(cols[::-1].argmax()))
+
+
+def _zero_outside(values: np.ndarray, span: slice) -> np.ndarray:
+    """Zero the columns of a block outside span; returns the block."""
+    values[:, :span.start] = 0.0
+    values[:, span.stop:] = 0.0
+    return values
 
 
 def _trapezoid(values: np.ndarray, spacing: float):
@@ -201,12 +231,16 @@ def _block_posterior(
     dens[~feasible] = 0.0
     peak[~feasible] = 0.0
     np.subtract(dens, peak[:, np.newaxis], out=dens)
-    # exp is exactly 0 below -745.2; skipping those nodes avoids the slow
-    # underflow path of the vectorised exp
-    vanishing = dens < -746.0
-    np.exp(dens, out=dens, where=~vanishing)
-    dens[vanishing] = 0.0
-    np.divide(dens, _trapezoid(dens, domain.spacing)[:, np.newaxis], out=dens)
+    live = dens >= _LOG_FLOOR
+    span = _span(live)
+    values = dens[:, span]
+    # raising the dead nodes to the floor keeps exp off its slow underflow
+    # path; the mask then zeroes them exactly
+    np.maximum(values, _LOG_FLOOR, out=values)
+    np.exp(values, out=values)
+    values *= live[:, span]
+    _zero_outside(dens, span)
+    np.divide(values, _trapezoid(dens, domain.spacing)[:, np.newaxis], out=values)
     _check_densities(dens, domain.spacing)
     return dens, feasible
 
@@ -232,20 +266,23 @@ def posterior(
     return PosteriorGrid(domain, dens[0])
 
 
-def _estimates(dens: np.ndarray, domain: PhaseDomain) -> np.ndarray:
-    """Posterior means, one per density row."""
-    return _trapezoid(domain.grid() * dens, domain.spacing)
+def _estimates(dens: np.ndarray, domain: PhaseDomain, span: slice) -> np.ndarray:
+    """Posterior means, one per row of densities that are zero outside span."""
+    weighted = _zero_outside(np.empty_like(dens), span)
+    np.multiply(domain.grid()[span], dens[:, span], out=weighted[:, span])
+    return _trapezoid(weighted, domain.spacing)
 
 
 def estimate(post: PosteriorGrid) -> float:
     """Posterior mean of the phase."""
-    return float(_estimates(post.densities[np.newaxis], post.domain)[0])
+    dens = post.densities[np.newaxis]
+    return float(_estimates(dens, post.domain, _span(dens != 0.0))[0])
 
 
 def _check_orders(betas) -> tuple[float, ...]:
     betas = tuple(betas)
     for b in betas:
-        if not (isinstance(b, (int, float)) and math.isfinite(b) and b >= 1.0):
+        if not (is_real(b) and math.isfinite(b) and b >= 1.0):
             raise ValueError(f"moment order must be a finite real >= 1, got {b!r}")
     return tuple(float(b) for b in betas)
 
@@ -254,9 +291,11 @@ def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.nda
     """phi_hat per row, shape (E,), and Delta_beta = integral of
     |phi - phi_hat|**beta * p(phi | x) per row and order, shape (E, len(betas)).
 
-    Each integral is the trapezoidal rule over the whole grid, except on the
-    2 * _KINK_PANELS panels around the row's kink (fewer where the window is
-    clipped at the domain edges).  There the density is replaced by the
+    The integrands are evaluated on the block's live span only and are 0
+    outside it, where every density is.  Each integral is the trapezoidal
+    rule over the whole zero-padded row, except on the 2 * _KINK_PANELS
+    panels around the row's kink (fewer where the window is clipped at the
+    domain edges).  There the density is replaced by the
     cubic through the four nodes around each panel, whose product with
     |t|**beta, t = phi - phi_hat, integrates in closed form:
     t**p * |t|**beta has the antiderivative |t|**(beta+p+1) / (beta+p+1),
@@ -266,8 +305,9 @@ def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.nda
     """
     grid, h, n = domain.grid(), domain.spacing, domain.grid_points
     rows = np.arange(dens.shape[0])[:, np.newaxis]
-    centers = _estimates(dens, domain)
-    abs_t = np.subtract(grid, centers[:, np.newaxis])
+    span = _span(dens != 0.0)
+    centers = _estimates(dens, domain, span)
+    abs_t = np.subtract(grid[span], centers[:, np.newaxis])
     np.abs(abs_t, out=abs_t)
 
     # window nodes j-3 .. j+5 bound the panels j-3 .. j+4 around the kink in
@@ -310,12 +350,12 @@ def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.nda
     edge_terms = (h * h / 12.0 * slope * edge_sign).sum(axis=-1)
 
     deltas = np.empty((len(betas), dens.shape[0]))
-    kernel = np.empty_like(dens)
+    kernel = _zero_outside(np.empty_like(dens), span)
     for i, b in enumerate(betas):
         # the same kernel values enter the plain rule and the window panels
         # it gives back
-        np.power(abs_t, b, out=kernel)
-        kernel *= dens
+        np.power(abs_t, b, out=kernel[:, span])
+        kernel[:, span] *= dens[:, span]
         k_nodes = kernel[rows, nodes]
         replaced = np.where(in_window, k_nodes[:, :-1] + k_nodes[:, 1:], 0.0).sum(axis=-1)
         deltas[i] = _trapezoid(kernel, h) - h * 0.5 * replaced
@@ -343,8 +383,9 @@ def gaussian_abs_moment(beta: float, sigma):
     beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  An
     array of sigmas gives an array.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta >= 1.0):
+    if not (is_real(beta) and math.isfinite(beta) and beta >= 1.0):
         raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
+    beta = float(beta)
     sigmas = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError(f"standard deviation must be >= 0, got {sigma!r}")

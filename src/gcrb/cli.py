@@ -235,13 +235,18 @@ def cmd_analyze(args) -> int:
     feasible = np.zeros(shape, dtype=bool)
     estimates = np.full(shape, math.nan)
     deltas, kappas, ratios = (np.full(shape + (len(betas),), math.nan) for _ in range(3))
+    # blocks are filled in phase-label order: rows set to near phases have
+    # posteriors on near grid columns, which keeps each block's live span
+    # short; results go back by record index
+    order = np.argsort([r.phase_label for r in records], kind="stable")
     # v_est outermost, so that each log-likelihood table is built once
     for iv, v_est in enumerate(v_est_values):
         params = ModelParams(v_est)
         for block in _block_slices(len(records), domain):
-            dens, feasible[block, iv] = _block_posterior(counts[block], params, domain)
-            (estimates[block, iv], deltas[block, iv], kappas[block, iv],
-             ratios[block, iv]) = _block_reports(dens, domain, params, shots[block], betas)
+            members = order[block]
+            dens, feasible[members, iv] = _block_posterior(counts[members], params, domain)
+            (estimates[members, iv], deltas[members, iv], kappas[members, iv],
+             ratios[members, iv]) = _block_reports(dens, domain, params, shots[members], betas)
     rows = []
     infeasible: list[str] = []
     for ir, record in enumerate(records):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, outcome_dprobs, outcome_probs
+from .model import ModelParams, is_real, outcome_dprobs, outcome_probs
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -30,8 +30,9 @@ VISIBILITY_CLAMP = 1e-14
 
 def conjugate_exponent(beta: float) -> float:
     """Hoelder conjugate alpha = beta / (beta - 1); requires beta > 1."""
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 1.0):
+    if not (is_real(beta) and math.isfinite(beta) and beta > 1.0):
         raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
+    beta = float(beta)
     return beta / (beta - 1.0)
 
 

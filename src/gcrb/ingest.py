@@ -3,9 +3,9 @@
 Counts tables are plain CSV with the exact header ``phase_rad,c0,c1,c2,c3``
 plus an optional trailing ``acquisition_id`` column: decimal point, newline
 delimited, no thousands separators.  Numbers are ASCII: counts are plain
-digit strings and phases decimal literals with an optional exponent.  Phases
-are stored as given; folding into an analysis domain is always an explicit,
-separate step.
+digit strings no larger than 2**53 and phases decimal literals with an
+optional exponent.  Phases are stored as given; folding into an analysis
+domain is always an explicit, separate step.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ ID_COLUMN = "acquisition_id"
 # which the schema forbids
 _COUNT = re.compile(r"[0-9]+")
 _PHASE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# counts are analyzed as float64, which holds every integer up to 2**53
+# exactly and no larger one
+_MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,16 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
                 problems.append((lineno, f"phase_rad is not a finite number: {row[0]!r}"))
             counts = []
             for name, cell in zip(COUNTS_COLUMNS[1:], row[1:5]):
-                if not _COUNT.fullmatch(cell.strip()):
+                digits = cell.strip()
+                if not _COUNT.fullmatch(digits):
                     problems.append((lineno, f"{name} must be a non-negative integer: {cell!r}"))
                     continue
-                counts.append(int(cell))
+                # the length test keeps int() off digit strings beyond its limit
+                if len(digits.lstrip("0")) > len(str(_MAX_COUNT)) or int(digits) > _MAX_COUNT:
+                    problems.append((lineno, f"{name} exceeds 2**53, the largest count "
+                                             "held exactly"))
+                    continue
+                counts.append(int(digits))
             if len(problems) > problems_before:
                 continue
             records.append(

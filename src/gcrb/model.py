@@ -18,6 +18,7 @@ The model is evaluated on whole phase arrays: :func:`outcome_probs` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ N_SETTINGS = 4
 MODEL_NAME = "noon2-4setting"
 
 
+def is_real(value) -> bool:
+    """A real number, numpy scalars included; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Interferometer parameters entering the outcome probabilities."""
@@ -37,8 +43,9 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         v = self.visibility
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+        if not (is_real(v) and math.isfinite(v) and 0.0 <= v <= 1.0):
             raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
+        object.__setattr__(self, "visibility", float(v))
 
 
 @dataclass(frozen=True)

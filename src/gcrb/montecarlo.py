@@ -20,10 +20,12 @@ A moment is flagged through a statistical window of half-width
                            violates.
 
 Experiments derive their RNG streams from (seed, experiment index), so
-campaigns are reproducible and embarrassingly parallel.  They are analyzed in
-fixed-size blocks, one posterior and one moment evaluation per block; the
-results do not depend on the block size, and `run_experiment` recomputes any
-single experiment as a block of one.
+campaigns are reproducible and embarrassingly parallel.  A tally does not
+depend on v_est, so a campaign's tallies are drawn once and shared by every
+v_est of a sweep.  They are analyzed in fixed-size blocks, one posterior and
+one moment evaluation per block; the results do not depend on the block
+size, and `run_experiment` recomputes any single experiment, drawn from its
+own stream, as a block of one.
 """
 
 from __future__ import annotations
@@ -160,11 +162,10 @@ def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
 
 @dataclass(frozen=True)
 class _Reference:
-    """Per-campaign constants: the sampling distribution of the true model
-    and, per order, the bound, window and Gaussian centre of the flagging rule."""
+    """Per-campaign constants: the experimenter's model and, per order, the
+    bound, window and Gaussian centre of the flagging rule."""
 
     params: ModelParams
-    true_probs: np.ndarray
     bounds: tuple[BoundValue, ...]
     floors: np.ndarray
     windows: np.ndarray
@@ -197,7 +198,6 @@ def _reference(config: CampaignConfig) -> _Reference:
         centers.append(gaussian_abs_moment(b, sigma_post))
     return _Reference(
         params=params,
-        true_probs=outcome_probs(config.phase_true, ModelParams(config.v_true)),
         bounds=bounds,
         floors=np.array([bv.bound_on_delta_beta for bv in bounds]),
         windows=np.array(windows),
@@ -241,20 +241,36 @@ def _evaluate(config: CampaignConfig, start: int, counts: np.ndarray) -> _Block:
     return _Block(start, counts, feasible, estimates, deltas, flags)
 
 
+def _draw(seed: int, phase_true: float, v_true: float, shots: int, rows: range) -> np.ndarray:
+    """(len(rows), 4) tallies of the given experiments, each drawn with v_true
+    from its own (seed, index) stream."""
+    probs = outcome_probs(phase_true, ModelParams(v_true))
+    return np.array([experiment_rng(seed, i).multinomial(shots, probs) for i in rows])
+
+
+@lru_cache(maxsize=8)
+def _campaign_tallies(
+    seed: int, phase_true: float, v_true: float, shots: int, n_experiments: int
+) -> np.ndarray:
+    """The read-only tallies of a whole campaign.  They do not depend on
+    v_est, so a v_est sweep draws them once."""
+    counts = _draw(seed, phase_true, v_true, shots, range(n_experiments))
+    counts.setflags(write=False)
+    return counts
+
+
 def _run_block(config: CampaignConfig, rows: slice) -> _Block:
-    """Sample experiments rows.start .. rows.stop - 1 with v_true, each from its
-    own (seed, index) stream, and evaluate them."""
-    ref = _reference(config)
-    counts = np.array([
-        experiment_rng(config.seed, i).multinomial(config.shots, ref.true_probs)
-        for i in range(rows.start, rows.stop)
-    ])
+    """Sample experiments rows.start .. rows.stop - 1 and evaluate them."""
+    counts = _draw(config.seed, config.phase_true, config.v_true, config.shots,
+                   range(rows.start, rows.stop))
     return _evaluate(config, rows.start, counts)
 
 
 def _campaign_blocks(config: CampaignConfig):
+    tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
+                                config.shots, config.n_experiments)
     for rows in _block_slices(config.n_experiments, config.domain):
-        yield _run_block(config, rows)
+        yield _evaluate(config, rows.start, tallies[rows])
 
 
 def _records(config: CampaignConfig, block: _Block) -> list[ExperimentRecord]:

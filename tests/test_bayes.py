@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gcrb.bayes import (
     DEFAULT_DOMAIN,
+    _block_moments,
     _block_posterior,
     PhaseDomain,
     PosteriorGrid,
@@ -18,7 +19,7 @@ from gcrb.bayes import (
     saturation_report,
 )
 from gcrb.errors import InfeasibleDataError, UndefinedRatioError
-from gcrb.model import ModelParams, OutcomeTally
+from gcrb.model import ModelParams, OutcomeTally, outcome_probs
 from gcrb.montecarlo import experiment_rng, sample_tally
 
 PI = math.pi
@@ -107,6 +108,48 @@ def test_block_posterior_masks_infeasible_rows():
         assert np.array_equal(dens[row], single.densities)
 
 
+def test_block_rows_with_disjoint_supports_match_blocks_of_one():
+    # narrow posteriors at 0.2 and 1.3, one pinned at the edge phase 0 and
+    # one infeasible row, whose flat placeholder makes the block's live span
+    # the whole grid: each row has the bits of its block of one
+    rng = np.random.default_rng(3)
+    params = ModelParams(0.95)
+    tallies = [rng.multinomial(10 ** 6, outcome_probs(phase, params)) for phase in (0.2, 1.3, 0.0)]
+    counts = np.array(tallies + [[1e308] * 4], dtype=float)
+    betas = (1.5, 2.0, 3.0, 4.0)
+    with np.errstate(over="ignore"):
+        dens, feasible = _block_posterior(counts, params, DEFAULT_DOMAIN)
+        centers, deltas = _block_moments(dens, DEFAULT_DOMAIN, betas)
+        assert feasible.tolist() == [True, True, True, False]
+        for row in range(4):
+            alone, alone_feasible = _block_posterior(counts[row:row + 1], params, DEFAULT_DOMAIN)
+            alone_center, alone_deltas = _block_moments(alone, DEFAULT_DOMAIN, betas)
+            assert alone_feasible[0] == feasible[row]
+            assert np.array_equal(alone[0], dens[row])
+            assert alone_center[0] == centers[row]
+            assert np.array_equal(alone_deltas[0], deltas[row])
+
+
+def test_densities_beyond_the_floor_are_exactly_zero():
+    # a wide and a narrow posterior share one block, so the narrow row has
+    # nodes beyond its floor inside the block's live span
+    params = ModelParams(0.95)
+    logp = np.log(outcome_probs(DEFAULT_DOMAIN.grid(), params))
+    rng = np.random.default_rng(6)
+    counts = np.array([rng.multinomial(m, outcome_probs(phase, params))
+                       for m, phase in ((2000, PI / 8.0), (10 ** 5, 0.5))])
+    dens, _ = _block_posterior(counts, params, DEFAULT_DOMAIN)
+    single = posterior(OutcomeTally(tuple(int(c) for c in counts[1])), params)
+    for row, values in zip(counts, (dens[0], dens[1], single.densities)):
+        log_post = row @ logp
+        log_post -= log_post.max()
+        # beyond the floor exactly 0; inside it, clear of the rounding at the
+        # boundary, every node keeps its mass
+        assert (log_post < -100.0).any()
+        assert not values[log_post < -100.0].any()
+        assert (values[log_post > -99.9] > 0.0).all()
+
+
 def test_tabulated_prior_restricts_support():
     domain = DEFAULT_DOMAIN
     prior = np.zeros(domain.grid_points)
@@ -154,6 +197,12 @@ def test_absolute_moment_validates_order():
     post = uniform_posterior()
     with pytest.raises(ValueError):
         moment_set(post, (2.0, 0.5), shots=1)
+    # a bool is not an order; numpy reals, integers included, are
+    for bad in ([True], [np.True_]):
+        with pytest.raises(ValueError):
+            moment_set(post, bad, shots=1)
+    assert moment_set(post, np.array([2, 3]), shots=1).deltas == moment_set(
+        post, (2.0, 3.0), shots=1).deltas
 
 
 def test_grid_refinement_convergence():
@@ -191,6 +240,9 @@ def test_gaussian_abs_moment_values():
     assert gaussian_abs_moment(3.0, 0.0) == 0.0
     with pytest.raises(ValueError):
         gaussian_abs_moment(3.0, -1.0)
+    assert gaussian_abs_moment(np.int64(4), 1.0) == gaussian_abs_moment(4.0, 1.0)
+    with pytest.raises(ValueError):
+        gaussian_abs_moment(True, 1.0)
 
 
 def test_kappa_values():

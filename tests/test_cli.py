@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gcrb.cli import main, parse_value_list
@@ -196,17 +197,46 @@ def test_analyze_empty_file(tmp_path):
 
 def test_analyze_parse_error_exit_code(tmp_path, capsys):
     counts = tmp_path / "bad.csv"
-    counts.write_text("phase_rad,c0,c1,c2,c3\n0.0,1,-2,3,4\n", encoding="utf-8")
-    code = main(["analyze", str(counts), "--v-est", "0.95", "--out", str(tmp_path / "r.csv")])
-    assert code == 2
-    assert "line 2" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+    # a negative count, and a count no float64 holds (it used to overflow)
+    for row in ("0.0,1,-2,3,4", f"0.0,{10 ** 400},2,3,4"):
+        counts.write_text(f"phase_rad,c0,c1,c2,c3\n{row}\n", encoding="utf-8")
+        code = main(["analyze", str(counts), "--v-est", "0.95", "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def test_analyze_missing_file_exit_code(tmp_path):
     code = main(["analyze", str(tmp_path / "nope.csv"), "--v-est", "0.95",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 2
+
+
+def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
+    # blocks are filled in label order, so a shuffled file puts each record
+    # in other blockmates' company; its output rows keep their bytes
+    rng = np.random.default_rng(4)
+    labels = np.repeat(rng.uniform(0.0, PI / 2.0, 10), 2)
+    shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, labels.size)).astype(int)
+    records = []
+    for phase, m in zip(labels, shots):
+        tally = sample_tally(float(phase), 0.95, int(m), rng)
+        records.append(CountsRecord(float(phase), tally.counts))
+    perm = rng.permutation(len(records))
+    per_record = 2 * 2  # v_est values x orders
+    outputs = []
+    for name, rows in (("a", records), ("b", [records[i] for i in perm])):
+        counts = tmp_path / f"{name}.csv"
+        write_counts(rows, counts)
+        out = tmp_path / f"{name}.out.csv"
+        assert main(["analyze", str(counts), "--v-est", "0.95,0.99", "--beta", "2,3",
+                     "--out", str(out)]) == 0
+        lines = read(out).splitlines()[1:]
+        outputs.append([lines[i:i + per_record] for i in range(0, len(lines), per_record)])
+    original, shuffled = outputs
+    assert len(original) == len(records)
+    for k, i in enumerate(perm):
+        assert shuffled[k] == original[i]
 
 
 def test_analyze_rerun_byte_identical(tmp_path):

@@ -42,12 +42,14 @@ def direct_generalized_sum(alpha, phi, v):
 
 def test_conjugate_examples():
     assert conjugate_exponent(2.0) == 2.0
+    assert conjugate_exponent(np.int64(2)) == 2.0
+    assert conjugate_exponent(np.float32(1.5)) == 3.0
     assert conjugate_exponent(3.0) == pytest.approx(1.5, abs=1e-15)
     assert conjugate_exponent(1.5) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_conjugate_rejects_bad_orders():
-    for bad in (1.0, 0.5, -2.0, float("nan"), float("inf")):
+    for bad in (1.0, 0.5, -2.0, float("nan"), float("inf"), True, np.True_):
         with pytest.raises(ValueError):
             conjugate_exponent(bad)
 

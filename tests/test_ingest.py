@@ -87,6 +87,18 @@ def test_digit_separators_and_non_ascii_digits_rejected():
     assert records == [CountsRecord(-1.5e-3, (12, 0, 7, 3)), CountsRecord(0.25, (1, 2, 3, 4))]
 
 
+def test_count_beyond_float64_precision_rejected():
+    # counts are analyzed as float64, which holds integers exactly up to 2**53
+    top = 2 ** 53
+    records = parse_text(f"phase_rad,c0,c1,c2,c3\n0.1,{top},0,0,{top:025d}\n")
+    assert records[0].counts == (top, 0, 0, top)
+    huge = "1" + "0" * 5000
+    with pytest.raises(CountsParseError) as err:
+        parse_text(f"phase_rad,c0,c1,c2,c3\n0.1,{top + 1},0,0,0\n0.2,1,{10 ** 400},2,{huge}\n")
+    assert [(n, msg.split()[0]) for n, msg in err.value.line_errors] == [
+        (2, "c0"), (3, "c1"), (3, "c3")]
+
+
 record_strategy = st.builds(
     CountsRecord,
     phase_label=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),

@@ -25,9 +25,11 @@ def test_setting_table():
 def test_params_domain():
     assert ModelParams(0.0).visibility == 0.0
     assert ModelParams(1.0).visibility == 1.0
-    for bad in (-0.01, 1.01, float("nan"), float("inf")):
+    for bad in (-0.01, 1.01, float("nan"), float("inf"), True, np.True_):
         with pytest.raises(ValueError):
             ModelParams(bad)
+    assert ModelParams(np.int64(1)) == ModelParams(1.0)
+    assert ModelParams(np.float32(0.5)).visibility == 0.5
 
 
 def test_tally_validation():

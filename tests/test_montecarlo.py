@@ -147,6 +147,20 @@ def test_campaign_blocks_match_single_experiments():
         assert record.infeasible == alone.infeasible is False
 
 
+def test_sweep_shares_one_draw_of_the_tallies():
+    # tallies do not depend on v_est: a sweep draws them once, and its counts
+    # equal those of campaigns that draw their own
+    base = small_config(n_experiments=30, seed=9)
+    mc._campaign_tallies.cache_clear()
+    shared = [violation_fractions(base.with_v_est(v)) for v in (0.95, 0.97, 0.99)]
+    assert mc._campaign_tallies.cache_info().misses == 1
+    for v, stats in zip((0.95, 0.97, 0.99), shared):
+        mc._campaign_tallies.cache_clear()
+        fresh = violation_fractions(base.with_v_est(v))
+        assert fresh.violation_counts == stats.violation_counts
+        assert fresh.infeasible_count == stats.infeasible_count
+
+
 def test_zero_information_campaign_is_undefined():
     # v_est = 0 carries no Fisher information: the violation windows, and so
     # Sigma_beta, are undefined
