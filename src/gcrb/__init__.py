@@ -50,9 +50,8 @@ from .model import (
 )
 from .montecarlo import (
     CampaignConfig,
-    ExperimentRecord,
+    ExperimentTable,
     ViolationStats,
-    empirical_bias,
     experiment_rng,
     run_campaign,
     run_experiment,
@@ -69,7 +68,7 @@ __all__ = [
     "CountsRecord",
     "DEFAULT_DOMAIN",
     "EstimationError",
-    "ExperimentRecord",
+    "ExperimentTable",
     "InfeasibleDataError",
     "MODEL_NAME",
     "ModelParams",
@@ -82,7 +81,6 @@ __all__ = [
     "ViolationStats",
     "conjugate_exponent",
     "crb_bound",
-    "empirical_bias",
     "estimate",
     "experiment_rng",
     "fisher",

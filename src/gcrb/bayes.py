@@ -222,8 +222,8 @@ def _block_posterior(
         prior = np.asarray(prior, dtype=float)
         if prior.shape != (domain.grid_points,):
             raise ValueError("tabulated prior does not match the domain grid")
-        if np.any(prior < 0.0) or not np.any(prior > 0.0):
-            raise ValueError("prior weights must be non-negative and not all zero")
+        if not (np.isfinite(prior).all() and (prior >= 0.0).all() and (prior > 0.0).any()):
+            raise ValueError("prior weights must be finite, non-negative and not all zero")
         with np.errstate(divide="ignore"):
             dens += np.log(prior)
     peak = dens.max(axis=1)

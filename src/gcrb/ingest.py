@@ -20,7 +20,7 @@ from typing import TextIO
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
-from .model import N_SETTINGS, OutcomeTally
+from .model import MAX_COUNT, OutcomeTally, check_counts
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
@@ -29,9 +29,6 @@ ID_COLUMN = "acquisition_id"
 # which the schema forbids
 _COUNT = re.compile(r"[0-9]+")
 _PHASE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# counts are analyzed as float64, which holds every integer up to 2**53
-# exactly and no larger one
-_MAX_COUNT = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -45,13 +42,7 @@ class CountsRecord:
     def __post_init__(self) -> None:
         if not math.isfinite(self.phase_label):
             raise ValueError("phase label must be finite")
-        counts = tuple(self.counts)
-        if len(counts) != N_SETTINGS:
-            raise ValueError(f"record needs {N_SETTINGS} counts, got {len(counts)}")
-        for c in counts:
-            if c != int(c) or c < 0:
-                raise ValueError(f"counts must be non-negative integers, got {c!r}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "counts", check_counts(self.counts))
 
 
 def _open_text(source: TextIO | str | Path):
@@ -99,7 +90,7 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
                     problems.append((lineno, f"{name} must be a non-negative integer: {cell!r}"))
                     continue
                 # the length test keeps int() off digit strings beyond its limit
-                if len(digits.lstrip("0")) > len(str(_MAX_COUNT)) or int(digits) > _MAX_COUNT:
+                if len(digits.lstrip("0")) > len(str(MAX_COUNT)) or int(digits) > MAX_COUNT:
                     problems.append((lineno, f"{name} exceeds 2**53, the largest count "
                                              "held exactly"))
                     continue

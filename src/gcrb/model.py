@@ -29,10 +29,27 @@ N_SETTINGS = 4
 # recorded in every CLI manifest
 MODEL_NAME = "noon2-4setting"
 
+# counts are analyzed as float64, which holds every integer up to 2**53
+# exactly and no larger one
+MAX_COUNT = 2 ** 53
+
 
 def is_real(value) -> bool:
     """A real number, numpy scalars included; bools are not numbers here."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_counts(counts) -> tuple[int, int, int, int]:
+    """The four setting counts as ints.  Raises ValueError unless they are
+    integers in [0, MAX_COUNT]."""
+    counts = tuple(counts)
+    if len(counts) != N_SETTINGS:
+        raise ValueError(f"need {N_SETTINGS} counts, got {len(counts)}")
+    for c in counts:
+        # the range test comes first: it keeps int() off nan and inf
+        if not (is_real(c) and 0 <= c <= MAX_COUNT and c == int(c)):
+            raise ValueError(f"counts must be integers in [0, 2**53], got {c!r}")
+    return tuple(int(c) for c in counts)
 
 
 @dataclass(frozen=True)
@@ -55,13 +72,7 @@ class OutcomeTally:
     counts: tuple[int, int, int, int]
 
     def __post_init__(self) -> None:
-        counts = tuple(self.counts)
-        if len(counts) != N_SETTINGS:
-            raise ValueError(f"tally needs {N_SETTINGS} counts, got {len(counts)}")
-        for c in counts:
-            if c != int(c) or c < 0:
-                raise ValueError(f"counts must be non-negative integers, got {c!r}")
-        object.__setattr__(self, "counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "counts", check_counts(self.counts))
 
     @property
     def total(self) -> int:

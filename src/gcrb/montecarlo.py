@@ -24,21 +24,23 @@ campaigns are reproducible and embarrassingly parallel.  A tally does not
 depend on v_est, so a campaign's tallies are drawn once and shared by every
 v_est of a sweep.  They are analyzed in fixed-size blocks, one posterior and
 one moment evaluation per block; the results do not depend on the block
-size, and `run_experiment` recomputes any single experiment, drawn from its
-own stream, as a block of one.
+size.  `run_campaign` returns the experiments as one `ExperimentTable` of
+columns, which `violation_fractions` reduces, and `run_experiment`
+recomputes any single experiment, drawn from its own stream, as a one-row
+table.  The estimator bias is an expression on the table:
+``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .bayes import (
     DEFAULT_DOMAIN,
-    MomentSet,
     PhaseDomain,
     _block_moments,
     _block_posterior,
@@ -46,7 +48,7 @@ from .bayes import (
     gaussian_abs_moment,
 )
 from .errors import UndefinedRatioError
-from .fisher import BoundValue, crb_bound, fisher
+from .fisher import crb_bound, fisher
 from .model import ModelParams, OutcomeTally, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
@@ -102,15 +104,19 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class ExperimentRecord:
-    """Outcome of one synthetic experiment."""
+class ExperimentTable:
+    """Synthetic experiments as columns, one row per experiment.
 
-    index: int
-    tally: OutcomeTally
-    moments: MomentSet | None
-    bounds: tuple[BoundValue, ...]
-    violations: dict[float, bool]
-    infeasible: bool = False
+    An infeasible row, whose counts are impossible under v_est, has ``nan``
+    phi_hat and deltas and every order flagged.
+    """
+
+    index: np.ndarray      # (E,) experiment indices
+    counts: np.ndarray     # (E, 4) tallies
+    feasible: np.ndarray   # (E,)
+    phi_hat: np.ndarray    # (E,) posterior means
+    deltas: np.ndarray     # (E, n_beta) absolute moments Delta_beta
+    flags: np.ndarray      # (E, n_beta) violation flags
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def sample_tally(
         raise ValueError("shots must be a non-negative integer")
     probs = outcome_probs(phase_true, ModelParams(v_true))
     counts = rng.multinomial(int(shots), probs)
-    return OutcomeTally(tuple(int(c) for c in counts))
+    return OutcomeTally(counts)
 
 
 def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
@@ -166,7 +172,6 @@ class _Reference:
     bound, window and Gaussian centre of the flagging rule."""
 
     params: ModelParams
-    bounds: tuple[BoundValue, ...]
     floors: np.ndarray
     windows: np.ndarray
     centers: np.ndarray
@@ -181,7 +186,6 @@ def _reference(config: CampaignConfig) -> _Reference:
     Fisher information vanishes there, which leaves the windows undefined.
     """
     params = ModelParams(config.v_est)
-    bounds = tuple(crb_bound(b, config.phase_true, params, config.shots) for b in config.beta_list)
     info = fisher(config.phase_true, params)
     if not info > 0.0:
         raise UndefinedRatioError(
@@ -189,8 +193,9 @@ def _reference(config: CampaignConfig) -> _Reference:
             f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
         )
     sigma_post = 1.0 / math.sqrt(config.shots * info)
-    windows, centers = [], []
+    floors, windows, centers = [], [], []
     for b in config.beta_list:
+        floors.append(crb_bound(b, config.phase_true, params, config.shots).bound_on_delta_beta)
         window = config.sigma_window * sigma_beta(b, config.shots, info)
         if config.window_scale == "standard-error":
             window /= math.sqrt(config.shots)
@@ -198,8 +203,7 @@ def _reference(config: CampaignConfig) -> _Reference:
         centers.append(gaussian_abs_moment(b, sigma_post))
     return _Reference(
         params=params,
-        bounds=bounds,
-        floors=np.array([bv.bound_on_delta_beta for bv in bounds]),
+        floors=np.array(floors),
         windows=np.array(windows),
         centers=np.array(centers),
     )
@@ -218,27 +222,20 @@ def _flag_violations(deltas: np.ndarray, ref: _Reference, rule: str) -> np.ndarr
     return below | off_center
 
 
-@dataclass(frozen=True)
-class _Block:
-    """A block of consecutive experiments, one row each."""
-
-    start: int
-    counts: np.ndarray       # (E, 4) tallies
-    feasible: np.ndarray     # (E,)
-    estimates: np.ndarray    # (E,)
-    deltas: np.ndarray       # (E, n_beta)
-    flags: np.ndarray        # (E, n_beta); every order of an infeasible row
-
-
-def _evaluate(config: CampaignConfig, start: int, counts: np.ndarray) -> _Block:
-    """Analyze a block of tallies with v_est and flag their violations."""
+def _evaluate(config: CampaignConfig, rows: range | slice, counts: np.ndarray) -> ExperimentTable:
+    """Analyze the tallies of experiments rows.start .. rows.stop - 1 as one
+    block with v_est and flag their violations."""
     ref = _reference(config)
     dens, feasible = _block_posterior(counts, ref.params, config.domain)
-    estimates, deltas = _block_moments(dens, config.domain, config.beta_list)
+    phi_hat, deltas = _block_moments(dens, config.domain, config.beta_list)
     # an infeasible row is maximal evidence of model mismatch: counts
     # impossible under v_est
     flags = _flag_violations(deltas, ref, config.violation_rule) | ~feasible[:, np.newaxis]
-    return _Block(start, counts, feasible, estimates, deltas, flags)
+    # its moments would be those of the flat placeholder density
+    phi_hat[~feasible] = math.nan
+    deltas[~feasible] = math.nan
+    return ExperimentTable(np.arange(rows.start, rows.stop), counts, feasible, phi_hat,
+                           deltas, flags)
 
 
 def _draw(seed: int, phase_true: float, v_true: float, shots: int, rows: range) -> np.ndarray:
@@ -259,77 +256,31 @@ def _campaign_tallies(
     return counts
 
 
-def _run_block(config: CampaignConfig, rows: slice) -> _Block:
-    """Sample experiments rows.start .. rows.stop - 1 and evaluate them."""
-    counts = _draw(config.seed, config.phase_true, config.v_true, config.shots,
-                   range(rows.start, rows.stop))
-    return _evaluate(config, rows.start, counts)
-
-
-def _campaign_blocks(config: CampaignConfig):
-    tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
-                                config.shots, config.n_experiments)
-    for rows in _block_slices(config.n_experiments, config.domain):
-        yield _evaluate(config, rows.start, tallies[rows])
-
-
-def _records(config: CampaignConfig, block: _Block) -> list[ExperimentRecord]:
-    bounds = _reference(config).bounds
-    records = []
-    for e, counts in enumerate(block.counts.tolist()):
-        feasible = bool(block.feasible[e])
-        moments = MomentSet(
-            estimate=float(block.estimates[e]),
-            deltas=dict(zip(config.beta_list, block.deltas[e].tolist())),
-            shots=config.shots,
-        ) if feasible else None
-        records.append(ExperimentRecord(
-            index=block.start + e,
-            tally=OutcomeTally(tuple(counts)),
-            moments=moments,
-            bounds=bounds,
-            violations=dict(zip(config.beta_list, block.flags[e].tolist())),
-            infeasible=not feasible,
-        ))
-    return records
-
-
-def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentRecord:
+def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentTable:
     """Sample one experiment with v_true, analyze it with v_est, flag violations.
 
-    Deterministic given (config.seed, experiment_index).
+    Returns a one-row table, deterministic given (config.seed, experiment_index).
     """
-    block = _run_block(config, slice(experiment_index, experiment_index + 1))
-    return _records(config, block)[0]
+    rows = range(experiment_index, experiment_index + 1)
+    counts = _draw(config.seed, config.phase_true, config.v_true, config.shots, rows)
+    return _evaluate(config, rows, counts)
 
 
-def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
-    """All experiment records for one campaign."""
-    return [record for block in _campaign_blocks(config) for record in _records(config, block)]
+def run_campaign(config: CampaignConfig) -> ExperimentTable:
+    """Every experiment of one campaign, in index order."""
+    tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
+                                config.shots, config.n_experiments)
+    blocks = [_evaluate(config, rows, tallies[rows])
+              for rows in _block_slices(config.n_experiments, config.domain)]
+    return ExperimentTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                             for f in fields(ExperimentTable)))
 
 
 def violation_fractions(config: CampaignConfig) -> ViolationStats:
     """Sigma_beta over n_experiments independent experiments."""
-    counts = np.zeros(len(config.beta_list), dtype=np.int64)
-    infeasible = 0
-    for block in _campaign_blocks(config):
-        counts += block.flags.sum(axis=0)
-        infeasible += int((~block.feasible).sum())
+    table = run_campaign(config)
     return ViolationStats(
         n_experiments=config.n_experiments,
-        violation_counts=dict(zip(config.beta_list, counts.tolist())),
-        infeasible_count=infeasible,
+        violation_counts=dict(zip(config.beta_list, table.flags.sum(axis=0).tolist())),
+        infeasible_count=int((~table.feasible).sum()),
     )
-
-
-def empirical_bias(records, phase_true: float) -> tuple[float, float]:
-    """Mean of (phi_hat - phase_true) across experiments and its standard error.
-
-    Infeasible records carry no estimate and are skipped.
-    """
-    estimates = np.array([r.moments.estimate for r in records if r.moments is not None])
-    if estimates.size < 2:
-        raise ValueError("empirical bias needs at least two feasible experiments")
-    bias = float(estimates.mean() - phase_true)
-    stderr = float(estimates.std(ddof=1) / math.sqrt(estimates.size))
-    return bias, stderr

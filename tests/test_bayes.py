@@ -159,6 +159,19 @@ def test_tabulated_prior_restricts_support():
     assert post.densities[2000:].max() == 0.0
 
 
+def test_invalid_prior_weights_rejected():
+    # a nan or inf weight would make every row's peak non-finite and read as
+    # infeasible counts; it is a bad prior instead
+    tally, params = OutcomeTally((5, 3, 2, 4)), ModelParams(0.9)
+    for bad in (math.nan, math.inf, -1.0):
+        prior = np.ones(DEFAULT_DOMAIN.grid_points)
+        prior[5] = bad
+        with pytest.raises(ValueError, match="prior weights"):
+            posterior(tally, params, prior=prior)
+    with pytest.raises(ValueError, match="prior weights"):
+        posterior(tally, params, prior=np.zeros(DEFAULT_DOMAIN.grid_points))
+
+
 def test_estimate_of_symmetric_peak():
     post = gaussian_posterior(0.01, center=PI / 8.0)
     assert abs(estimate(post) - PI / 8.0) <= DEFAULT_DOMAIN.spacing

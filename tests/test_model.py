@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gcrb.bayes import posterior
 from gcrb.fisher import generalized_fisher
+from gcrb.ingest import CountsRecord
 from gcrb.model import ModelParams, OutcomeTally, outcome_dprobs, outcome_probs
 
 PI = math.pi
@@ -41,6 +42,15 @@ def test_tally_validation():
         OutcomeTally((1, -2, 3, 4))
     with pytest.raises(ValueError):
         OutcomeTally((1.5, 0, 0, 0))
+    # counts are analyzed as float64, which holds every integer up to 2**53
+    # exactly: larger, non-finite and non-numeric counts are rejected
+    assert OutcomeTally((2 ** 53, 0, 0, np.int64(7))).counts == (2 ** 53, 0, 0, 7)
+    assert OutcomeTally((np.float64(3.0), 0, 0, 0)).counts == (3, 0, 0, 0)
+    for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, True, "5"):
+        with pytest.raises(ValueError):
+            OutcomeTally((bad, 0, 0, 0))
+        with pytest.raises(ValueError):
+            CountsRecord(0.1, (0, 0, bad, 0))
 
 
 def test_outcome_prob_values():

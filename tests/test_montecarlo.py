@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import gcrb.montecarlo as mc
-from gcrb.bayes import MomentSet, gaussian_abs_moment
+from gcrb.bayes import gaussian_abs_moment
 from gcrb.errors import UndefinedRatioError
-from gcrb.fisher import fisher
+from gcrb.fisher import crb_bound, fisher
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
-    empirical_bias,
+    ExperimentTable,
     experiment_rng,
     run_campaign,
     run_experiment,
@@ -20,6 +21,22 @@ from gcrb.montecarlo import (
 )
 
 PI = math.pi
+
+
+def assert_row_identical(table, i, row):
+    """Row i of table equals the one-row table row bit for bit, nan included."""
+    for f in dataclasses.fields(ExperimentTable):
+        got, want = getattr(table, f.name)[i], getattr(row, f.name)[0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (f.name, i)
+
+
+def bias_and_stderr(table, phase_true):
+    """Mean of (phi_hat - phase_true) over the feasible experiments and its
+    standard error."""
+    estimates = table.phi_hat[table.feasible]
+    bias = float(estimates.mean() - phase_true)
+    stderr = float(estimates.std(ddof=1) / math.sqrt(estimates.size))
+    return bias, stderr
 
 
 def small_config(**overrides):
@@ -90,61 +107,56 @@ def test_run_experiment_is_deterministic():
     config = small_config()
     first = run_experiment(config, 7)
     second = run_experiment(config, 7)
-    assert first.tally == second.tally
-    assert first.moments.deltas == second.moments.deltas
-    assert first.violations == second.violations
+    assert first.index.tolist() == [7]
+    assert_row_identical(first, 0, second)
 
 
 def test_run_experiment_flags_are_recomputable():
     config = small_config(v_est=0.99)
-    record = run_experiment(config, 3)
-    info = fisher(config.phase_true, ModelParams(config.v_est))
+    row = run_experiment(config, 3)
+    params = ModelParams(config.v_est)
+    info = fisher(config.phase_true, params)
     sigma_post = 1.0 / math.sqrt(config.shots * info)
-    for b, bound in zip(config.beta_list, record.bounds):
+    for k, b in enumerate(config.beta_list):
+        bound = crb_bound(b, config.phase_true, params, config.shots)
         window = config.sigma_window * sigma_beta(b, config.shots, info) / math.sqrt(config.shots)
         center = gaussian_abs_moment(b, sigma_post)
-        delta = record.moments.deltas[b]
+        delta = row.deltas[0, k]
         expected = delta + window < bound.bound_on_delta_beta or abs(delta - center) > window
-        assert record.violations[b] == expected
+        assert row.flags[0, k] == expected
 
 
 def test_infeasible_experiment_counts_as_violation():
     # one row of a block gets counts so large that their likelihood underflows
     # to zero at every grid node; only that row is infeasible and flagged
-    config = small_config(v_est=0.99)
-    rows = slice(0, 8)
-    clean = mc._run_block(config, rows)
+    config = small_config(v_est=0.99, n_experiments=8)
+    clean = run_campaign(config)
     counts = clean.counts.astype(float)
     counts[3] = 1e308
     with np.errstate(over="ignore"):
-        block = mc._evaluate(config, rows.start, counts)
-    assert block.feasible.tolist() == [i != 3 for i in range(8)]
-    assert block.flags[3].all()
-    keep = block.feasible
-    assert np.array_equal(block.estimates[keep], clean.estimates[keep])
-    assert np.array_equal(block.deltas[keep], clean.deltas[keep])
-    assert np.array_equal(block.flags[keep], clean.flags[keep])
-    record = mc._records(config, block)[3]
-    assert record.index == 3
-    assert record.infeasible
-    assert record.moments is None
-    assert all(record.violations.values())
+        table = mc._evaluate(config, slice(0, 8), counts)
+    assert table.index.tolist() == list(range(8))
+    assert table.feasible.tolist() == [i != 3 for i in range(8)]
+    assert np.isnan(table.phi_hat[3])
+    assert np.isnan(table.deltas[3]).all()
+    assert table.flags[3].all()
+    keep = table.feasible
+    for name in ("phi_hat", "deltas", "flags"):
+        got, want = getattr(table, name)[keep], getattr(clean, name)[keep]
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_campaign_blocks_match_single_experiments():
     # 37 experiments span several blocks and end in a partial one; each
-    # record equals its recomputation from (seed, index) alone
+    # row equals its recomputation from (seed, index) alone
     config = small_config(v_est=1.0, n_experiments=37, seed=8)
-    records = run_campaign(config)
-    assert [r.index for r in records] == list(range(37))
-    flagged = [any(r.violations.values()) for r in records]
-    assert any(flagged) and not all(flagged)
-    for i, record in enumerate(records):
-        alone = run_experiment(config, i)
-        assert record.tally == alone.tally
-        assert record.moments == alone.moments
-        assert record.violations == alone.violations
-        assert record.infeasible == alone.infeasible is False
+    table = run_campaign(config)
+    assert table.index.tolist() == list(range(37))
+    assert table.feasible.all()
+    flagged = table.flags.any(axis=1)
+    assert flagged.any() and not flagged.all()
+    for i in range(37):
+        assert_row_identical(table, i, run_experiment(config, i))
 
 
 def test_sweep_shares_one_draw_of_the_tallies():
@@ -180,31 +192,9 @@ def test_violation_fractions_deterministic_and_exact():
         assert frac == count / config.n_experiments
 
 
-def test_empirical_bias_of_identical_estimates():
-    records = [
-        mc.ExperimentRecord(
-            index=i,
-            tally=None,
-            moments=MomentSet(estimate=0.4, deltas={}, shots=1),
-            bounds=(),
-            violations={},
-        )
-        for i in range(5)
-    ]
-    bias, stderr = empirical_bias(records, 0.4)
-    assert bias == 0.0
-    assert stderr == 0.0
-
-
-def test_empirical_bias_requires_two_records():
-    with pytest.raises(ValueError):
-        empirical_bias([], 0.1)
-
-
 def test_campaign_unbiased_at_true_visibility():
     config = small_config(n_experiments=100, seed=2)
-    records = run_campaign(config)
-    bias, stderr = empirical_bias(records, config.phase_true)
+    bias, stderr = bias_and_stderr(run_campaign(config), config.phase_true)
     assert abs(bias) < 3.0 * stderr + 1e-12
 
 
@@ -212,8 +202,7 @@ def test_campaign_biased_under_miscalibration():
     config = small_config(
         phase_true=3.0 * PI / 16.0, v_true=0.95, v_est=0.90, n_experiments=100, seed=2
     )
-    records = run_campaign(config)
-    bias, stderr = empirical_bias(records, config.phase_true)
+    bias, stderr = bias_and_stderr(run_campaign(config), config.phase_true)
     assert abs(bias) > 3.0 * stderr
 
 
