@@ -10,14 +10,11 @@ __version__ = "0.1.0"
 
 from .bayes import (
     DEFAULT_DOMAIN,
-    MomentSet,
     PhaseDomain,
     PosteriorGrid,
     SaturationReport,
-    estimate,
     gaussian_abs_moment,
     kappa,
-    moment_set,
     posterior,
     saturation_report,
 )
@@ -72,7 +69,6 @@ __all__ = [
     "InfeasibleDataError",
     "MODEL_NAME",
     "ModelParams",
-    "MomentSet",
     "OutcomeTally",
     "PhaseDomain",
     "PosteriorGrid",
@@ -81,14 +77,12 @@ __all__ = [
     "ViolationStats",
     "conjugate_exponent",
     "crb_bound",
-    "estimate",
     "experiment_rng",
     "fisher",
     "fold_phase",
     "gaussian_abs_moment",
     "generalized_fisher",
     "kappa",
-    "moment_set",
     "outcome_dprobs",
     "outcome_probs",
     "parse_counts",

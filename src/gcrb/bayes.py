@@ -14,9 +14,11 @@ beta.  The panels surrounding the kink are therefore integrated in closed form
 against a local cubic fit of the density, with Euler-Maclaurin edge terms
 where the refined window meets the plain rule; see `_block_moments`.
 
-Posteriors and moments are computed for blocks of experiments at once, one
-row per tally (`_block_posterior`, `_block_moments`, `_block_reports`); the
-single-posterior functions are blocks of one.
+Posteriors and moments are computed for blocks of tallies at once, one row
+each.  `_evaluate_counts`, shared by `simulate` and `analyze`, takes an
+(E, 4) counts table to feasibility, phi_hat and Delta_beta; `_block_reports`
+adds kappa_beta and Gaussianity ratios.  `saturation_report` is the
+single-posterior routine.
 
 Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get density
 exactly 0, so the `PosteriorGrid.densities` of a `posterior` are exactly 0
@@ -51,6 +53,10 @@ _KINK_PANELS = 4
 # 1e-39, below half an ulp of Delta_4 for any posterior wider than a tenth of
 # a grid spacing
 _LOG_FLOOR = -100.0
+
+# evenly spaced grid nodes on which _peak_nodes locates each row's
+# likelihood peak; PhaseDomain guarantees at least this many
+_KEY_NODES = 64
 
 # doubles per (block rows x grid points) temporary: large enough to amortise
 # the per-call overhead over several experiments, small enough to keep the
@@ -152,23 +158,6 @@ class PosteriorGrid:
         dens.setflags(write=False)
         object.__setattr__(self, "densities", dens)
 
-    @classmethod
-    def from_unnormalized(cls, domain: PhaseDomain, values: np.ndarray) -> "PosteriorGrid":
-        values = np.asarray(values, dtype=float)
-        norm = float(_trapezoid(values, domain.spacing))
-        if not (norm > 0.0 and math.isfinite(norm)):
-            raise ValueError("cannot normalize a vanishing density")
-        return cls(domain, values / norm)
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Posterior mean phi_hat plus absolute central moments Delta_beta."""
-
-    estimate: float
-    deltas: dict[float, float]
-    shots: int
-
 
 @dataclass(frozen=True)
 class SaturationReport:
@@ -266,19 +255,6 @@ def posterior(
     return PosteriorGrid(domain, dens[0])
 
 
-def _estimates(dens: np.ndarray, domain: PhaseDomain, span: slice) -> np.ndarray:
-    """Posterior means, one per row of densities that are zero outside span."""
-    weighted = _zero_outside(np.empty_like(dens), span)
-    np.multiply(domain.grid()[span], dens[:, span], out=weighted[:, span])
-    return _trapezoid(weighted, domain.spacing)
-
-
-def estimate(post: PosteriorGrid) -> float:
-    """Posterior mean of the phase."""
-    dens = post.densities[np.newaxis]
-    return float(_estimates(dens, post.domain, _span(dens != 0.0))[0])
-
-
 def _check_orders(betas) -> tuple[float, ...]:
     betas = tuple(betas)
     for b in betas:
@@ -306,7 +282,10 @@ def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.nda
     grid, h, n = domain.grid(), domain.spacing, domain.grid_points
     rows = np.arange(dens.shape[0])[:, np.newaxis]
     span = _span(dens != 0.0)
-    centers = _estimates(dens, domain, span)
+    # one workspace, zero outside the span, for phi * p and then each kernel
+    work = _zero_outside(np.empty_like(dens), span)
+    np.multiply(grid[span], dens[:, span], out=work[:, span])
+    centers = _trapezoid(work, h)
     abs_t = np.subtract(grid[span], centers[:, np.newaxis])
     np.abs(abs_t, out=abs_t)
 
@@ -350,30 +329,62 @@ def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.nda
     edge_terms = (h * h / 12.0 * slope * edge_sign).sum(axis=-1)
 
     deltas = np.empty((len(betas), dens.shape[0]))
-    kernel = _zero_outside(np.empty_like(dens), span)
     for i, b in enumerate(betas):
         # the same kernel values enter the plain rule and the window panels
         # it gives back
-        np.power(abs_t, b, out=kernel[:, span])
-        kernel[:, span] *= dens[:, span]
-        k_nodes = kernel[rows, nodes]
+        np.power(abs_t, b, out=work[:, span])
+        work[:, span] *= dens[:, span]
+        k_nodes = work[rows, nodes]
         replaced = np.where(in_window, k_nodes[:, :-1] + k_nodes[:, 1:], 0.0).sum(axis=-1)
-        deltas[i] = _trapezoid(kernel, h) - h * 0.5 * replaced
+        deltas[i] = _trapezoid(work, h) - h * 0.5 * replaced
     deltas += window
     deltas += edge_terms
     return centers, deltas.T
 
 
-def moment_set(post: PosteriorGrid, betas, shots: int) -> MomentSet:
-    """phi_hat and Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x)
-    for each requested order, sharing one kink window."""
-    betas = _check_orders(betas)
-    centers, deltas = _block_moments(post.densities[np.newaxis], post.domain, betas)
-    return MomentSet(
-        estimate=float(centers[0]),
-        deltas=dict(zip(betas, deltas[0].tolist())),
-        shots=int(shots),
-    )
+def _peak_nodes(counts: np.ndarray, logp: np.ndarray) -> np.ndarray:
+    """Index of each row's log-likelihood maximum over _KEY_NODES evenly
+    spaced grid nodes, grid_points // _KEY_NODES apart; zero counts
+    contribute 0 (0 * log 0 = 0), as in the posterior."""
+    coarse = logp[:, ::logp.shape[1] // _KEY_NODES][:, :_KEY_NODES]
+    dead = np.isneginf(coarse)
+    loglik = counts @ np.where(dead, 0.0, coarse)
+    # only an outcome that was counted rules out the nodes where it is impossible
+    loglik[(counts > 0) @ dead] = -np.inf
+    return loglik.argmax(axis=1)
+
+
+def _evaluate_counts(
+    counts: np.ndarray,
+    params: ModelParams,
+    domain: PhaseDomain,
+    betas,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """feasible (E,), phi_hat (E,) and Delta_beta (E, len(betas)) for each row
+    of an (E, 4) counts table under params; an infeasible row, whose counts
+    are impossible at every grid node, has ``nan`` phi_hat and deltas.
+
+    Rows fill the blocks of `_block_slices` in order of their log-likelihood
+    peak (`_peak_nodes`), so rows with nearby posteriors share a block and
+    keep its live span short; results go back by row.  A row's results are
+    the same bits in any block, so the order affects only the speed.  The
+    orders must be validated by the caller.
+    """
+    counts = np.asarray(counts, dtype=float)
+    n = counts.shape[0]
+    feasible = np.zeros(n, dtype=bool)
+    phi_hat = np.full(n, math.nan)
+    deltas = np.full((n, len(betas)), math.nan)
+    order = np.argsort(_peak_nodes(counts, _log_prob_grid(domain, params)), kind="stable")
+    for block in _block_slices(n, domain):
+        rows = order[block]
+        dens, ok = _block_posterior(counts[rows], params, domain)
+        centers, moments = _block_moments(dens, domain, betas)
+        feasible[rows] = ok
+        # an infeasible row's moments would be those of its flat placeholder
+        phi_hat[rows[ok]] = centers[ok]
+        deltas[rows[ok]] = moments[ok]
+    return feasible, phi_hat, deltas
 
 
 def gaussian_abs_moment(beta: float, sigma):
@@ -383,9 +394,7 @@ def gaussian_abs_moment(beta: float, sigma):
     beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  An
     array of sigmas gives an array.
     """
-    if not (is_real(beta) and math.isfinite(beta) and beta >= 1.0):
-        raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
-    beta = float(beta)
+    (beta,) = _check_orders((beta,))
     sigmas = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
         raise ValueError(f"standard deviation must be >= 0, got {sigma!r}")
@@ -409,34 +418,40 @@ def kappa(delta_beta, f_alpha, shots, beta: float):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _moment_orders(betas) -> tuple[float, ...]:
+    """The moment orders a report on betas needs: the validated orders
+    themselves and 2, the Gaussianity ratios' reference, ascending."""
+    return tuple(sorted(set(_check_orders(betas)) | {2.0}))
+
+
 def _block_reports(
-    dens: np.ndarray,
-    domain: PhaseDomain,
-    params: ModelParams,
+    phi_hat: np.ndarray,
+    moments: np.ndarray,
     shots: np.ndarray,
+    params: ModelParams,
     betas,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """phi_hat (E,) plus Delta_beta, kappa_beta and Gaussianity ratios, each
-    (E, len(betas)), for a block of posteriors with the given shot counts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta_beta, kappa_beta and Gaussianity ratios, each (E, len(betas)),
+    from the phi_hat (E,) and the moments (E, len(_moment_orders(betas))) of
+    posteriors with the given shot counts.
 
     f_alpha is taken at each row's phi_hat, from one model evaluation for all
-    rows and orders.  kappa is ``nan`` when there are no shots or f_alpha is
-    undefined (beta = 1) or vanishes; the Gaussianity ratio is ``nan`` when
-    Delta_2 = 0.
+    rows and orders; rows with ``nan`` phi_hat (infeasible counts) are left
+    out of it and get ``nan`` throughout.  kappa is ``nan`` when there are no
+    shots or f_alpha is undefined (beta = 1) or vanishes; the Gaussianity
+    ratio is ``nan`` when Delta_2 = 0.
     """
-    betas = _check_orders(betas)
-    orders = tuple(sorted(set(betas) | {2.0}))
-    centers, moments = _block_moments(dens, domain, orders)
+    orders = _moment_orders(betas)
     deltas = moments[:, [orders.index(b) for b in betas]]
     d2 = moments[:, orders.index(2.0)]
     spread = d2 > 0.0
     sigma = np.sqrt(d2[spread])
-    shots = np.asarray(shots)
+    feasible = ~np.isnan(phi_hat)
     bounded = [i for i, b in enumerate(betas) if b > 1.0]
-    infos = np.zeros((len(betas), dens.shape[0]))
+    infos = np.zeros((len(betas), phi_hat.shape[0]))
     if bounded:
         alphas = tuple(conjugate_exponent(betas[i]) for i in bounded)
-        infos[bounded] = generalized_fisher(alphas, centers, params)
+        infos[np.ix_(bounded, feasible)] = generalized_fisher(alphas, phi_hat[feasible], params)
     kappas = np.full(deltas.shape, math.nan)
     ratios = np.full(deltas.shape, math.nan)
     for i, b in enumerate(betas):
@@ -444,7 +459,7 @@ def _block_reports(
         if b > 1.0 and ok.any():
             kappas[ok, i] = kappa(deltas[ok, i], infos[i, ok], shots[ok], b)
         ratios[spread, i] = deltas[spread, i] / gaussian_abs_moment(b, sigma)
-    return centers, deltas, kappas, ratios
+    return deltas, kappas, ratios
 
 
 def saturation_report(
@@ -453,16 +468,17 @@ def saturation_report(
     shots: int,
     betas=(1.5, 2.0, 3.0, 4.0),
 ) -> SaturationReport:
-    """phi_hat, Delta_beta, kappa_beta and the Gaussianity ratio per order.
+    """phi_hat, Delta_beta, kappa_beta and the Gaussianity ratio per order of
+    one posterior; every order shares one kink window.
 
     f_alpha is taken at phi_hat, from one model evaluation for all orders.
     kappa is ``nan`` when there are no shots or f_alpha is undefined (beta = 1)
     or vanishes; the Gaussianity ratio is ``nan`` when Delta_2 = 0.
     """
     betas = tuple(betas)
-    center, deltas, kappas, ratios = _block_reports(
-        post.densities[np.newaxis], post.domain, params, np.array([shots]), betas
-    )
+    center, moments = _block_moments(post.densities[np.newaxis], post.domain,
+                                     _moment_orders(betas))
+    deltas, kappas, ratios = _block_reports(center, moments, np.array([shots]), params, betas)
     keys = [float(b) for b in betas]
     return SaturationReport(
         float(center[0]),

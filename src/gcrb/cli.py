@@ -5,6 +5,9 @@ Subcommands
     bounds     f_alpha and the order-beta lower bounds over phases (CSV)
     analyze    per-row moments, kappa ratios and Gaussianity for a counts CSV
 
+`simulate` and `analyze` share one counts evaluator, ``nan`` on infeasible
+rows (`gcrb.bayes._evaluate_counts`).
+
 Every output CSV is written atomically and is accompanied by
 ``<out>.manifest.json`` recording the command, the fully resolved
 configuration, the seed and the tool version.  Reruns with the same manifest
@@ -26,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import PhaseDomain, _block_posterior, _block_reports, _block_slices
+from .bayes import PhaseDomain, _block_reports, _evaluate_counts, _moment_orders
 from .errors import EstimationError, UndefinedRatioError
 from .fisher import BoundValue, conjugate_exponent, generalized_fisher
 from .ingest import fold_phase, parse_counts
@@ -231,33 +234,22 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     counts = np.array([r.counts for r in records], dtype=float).reshape(-1, 4)
     shots = np.array([sum(r.counts) for r in records], dtype=float)
-    shape = (len(records), len(v_est_values))
-    feasible = np.zeros(shape, dtype=bool)
-    estimates = np.full(shape, math.nan)
-    deltas, kappas, ratios = (np.full(shape + (len(betas),), math.nan) for _ in range(3))
-    # blocks are filled in phase-label order: rows set to near phases have
-    # posteriors on near grid columns, which keeps each block's live span
-    # short; results go back by record index
-    order = np.argsort([r.phase_label for r in records], kind="stable")
-    # v_est outermost, so that each log-likelihood table is built once
-    for iv, v_est in enumerate(v_est_values):
+    orders = _moment_orders(betas)
+    # v_est outermost, so that each log-likelihood table is built once;
+    # infeasible rows come back as nan, which formats as "nan"
+    columns = []
+    for v_est in v_est_values:
         params = ModelParams(v_est)
-        for block in _block_slices(len(records), domain):
-            members = order[block]
-            dens, feasible[members, iv] = _block_posterior(counts[members], params, domain)
-            (estimates[members, iv], deltas[members, iv], kappas[members, iv],
-             ratios[members, iv]) = _block_reports(dens, domain, params, shots[members], betas)
+        feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, orders)
+        reports = _block_reports(phi_hat, moments, shots, params, betas)
+        columns.append((feasible, phi_hat, *reports))
+    # each (records, v_est, ...)
+    feasible, estimates, deltas, kappas, ratios = (np.stack(c, axis=1) for c in zip(*columns))
     rows = []
-    infeasible: list[str] = []
     for ir, record in enumerate(records):
         label = _fmt(float(fold_phase(record.phase_label, domain) if args.fold
                            else record.phase_label))
         for iv, v_est in enumerate(v_est_values):
-            if not feasible[ir, iv]:
-                infeasible.append(f"phase_rad={record.phase_label!r} v_est={v_est!r}")
-                rows.extend((label, _fmt(float(v_est)), _fmt(b), "nan", "nan", "nan", "nan")
-                            for b in betas)
-                continue
             phi_hat = _fmt(float(estimates[ir, iv]))
             rows.extend(
                 (label, _fmt(float(v_est)), _fmt(b), phi_hat, _fmt(d), _fmt(k), _fmt(g))
@@ -275,8 +267,9 @@ def cmd_analyze(args) -> int:
     }
     _emit(out, ("phase_label", "v_est", "beta", "phi_hat", "delta_beta", "kappa_beta", "gauss_ratio"),
           rows, _manifest("analyze", None, config, [out.name]))
-    for note in infeasible:
-        print(f"warning: infeasible row flagged: {note}", file=sys.stderr)
+    for ir, iv in zip(*np.nonzero(~feasible)):
+        print(f"warning: infeasible row flagged: phase_rad={records[ir].phase_label!r} "
+              f"v_est={v_est_values[iv]!r}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -22,39 +22,40 @@ A moment is flagged through a statistical window of half-width
 Experiments derive their RNG streams from (seed, experiment index), so
 campaigns are reproducible and embarrassingly parallel.  A tally does not
 depend on v_est, so a campaign's tallies are drawn once and shared by every
-v_est of a sweep.  They are analyzed in fixed-size blocks, one posterior and
-one moment evaluation per block; the results do not depend on the block
-size.  `run_campaign` returns the experiments as one `ExperimentTable` of
-columns, which `violation_fractions` reduces, and `run_experiment`
-recomputes any single experiment, drawn from its own stream, as a one-row
-table.  The estimator bias is an expression on the table:
+v_est of a sweep.  They go through the counts evaluator that `analyze` also
+uses (`gcrb.bayes._evaluate_counts`; its results do not depend on the block
+size or on which rows share a block) and are flagged by array comparison.
+`run_campaign` returns the experiments as one `ExperimentTable` of columns,
+which `violation_fractions` reduces, and `run_experiment` recomputes any
+single experiment, drawn from its own stream, as a one-row table.  The
+estimator bias is an expression on the table:
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .bayes import (
-    DEFAULT_DOMAIN,
-    PhaseDomain,
-    _block_moments,
-    _block_posterior,
-    _block_slices,
-    gaussian_abs_moment,
-)
+from .bayes import DEFAULT_DOMAIN, PhaseDomain, _evaluate_counts, gaussian_abs_moment
 from .errors import UndefinedRatioError
 from .fisher import crb_bound, fisher
-from .model import ModelParams, OutcomeTally, outcome_probs
+from .model import ModelParams, OutcomeTally, is_real, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
 
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
+
+
+def _is_whole(value) -> bool:
+    """An integer-valued real, numpy scalars included; bools, nan and inf are
+    not."""
+    return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -74,30 +75,31 @@ class CampaignConfig:
     window_scale: str = "standard-error"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_true):
-            raise ValueError("phase_true must be finite")
+        if not (is_real(self.phase_true) and math.isfinite(self.phase_true)):
+            raise ValueError(f"phase_true must be a finite real, got {self.phase_true!r}")
         for name in ("v_true", "v_est"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
+            if not (is_real(v) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.shots != int(self.shots) or self.shots < 1:
-            raise ValueError("shots must be a positive integer")
-        if self.n_experiments != int(self.n_experiments) or self.n_experiments < 1:
-            raise ValueError("n_experiments must be a positive integer")
-        if any(not (math.isfinite(b) and b > 1.0) for b in self.beta_list):
+        for name in ("shots", "n_experiments"):
+            if not (_is_whole(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ValueError(f"{name} must be a positive integer")
+        if any(not (is_real(b) and math.isfinite(b) and b > 1.0) for b in self.beta_list):
             raise ValueError("every moment order must be a finite real > 1")
-        if self.seed != int(self.seed) or not 0 <= self.seed < 2 ** 64:
+        if not (_is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.violation_rule not in VIOLATION_RULES:
             raise ValueError(f"violation_rule must be one of {VIOLATION_RULES}")
         if self.window_scale not in WINDOW_SCALES:
             raise ValueError(f"window_scale must be one of {WINDOW_SCALES}")
-        if not (math.isfinite(self.sigma_window) and self.sigma_window >= 0.0):
+        if not (is_real(self.sigma_window) and math.isfinite(self.sigma_window)
+                and self.sigma_window >= 0.0):
             raise ValueError("sigma_window must be >= 0")
+        for name in ("phase_true", "v_true", "v_est", "sigma_window"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("shots", "n_experiments", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "beta_list", tuple(float(b) for b in self.beta_list))
-        object.__setattr__(self, "shots", int(self.shots))
-        object.__setattr__(self, "n_experiments", int(self.n_experiments))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def with_v_est(self, v_est: float) -> "CampaignConfig":
         return replace(self, v_est=v_est)
@@ -146,7 +148,7 @@ def sample_tally(
     rng: np.random.Generator,
 ) -> OutcomeTally:
     """M i.i.d. categorical draws over the settings, returned as a tally."""
-    if shots != int(shots) or shots < 0:
+    if not (_is_whole(shots) and shots >= 0):
         raise ValueError("shots must be a non-negative integer")
     probs = outcome_probs(phase_true, ModelParams(v_true))
     counts = rng.multinomial(int(shots), probs)
@@ -222,20 +224,16 @@ def _flag_violations(deltas: np.ndarray, ref: _Reference, rule: str) -> np.ndarr
     return below | off_center
 
 
-def _evaluate(config: CampaignConfig, rows: range | slice, counts: np.ndarray) -> ExperimentTable:
-    """Analyze the tallies of experiments rows.start .. rows.stop - 1 as one
-    block with v_est and flag their violations."""
+def _evaluate(config: CampaignConfig, index: np.ndarray, counts: np.ndarray) -> ExperimentTable:
+    """Analyze the tallies of the experiments index with v_est and flag
+    their violations."""
     ref = _reference(config)
-    dens, feasible = _block_posterior(counts, ref.params, config.domain)
-    phi_hat, deltas = _block_moments(dens, config.domain, config.beta_list)
+    feasible, phi_hat, deltas = _evaluate_counts(counts, ref.params, config.domain,
+                                                 config.beta_list)
     # an infeasible row is maximal evidence of model mismatch: counts
     # impossible under v_est
     flags = _flag_violations(deltas, ref, config.violation_rule) | ~feasible[:, np.newaxis]
-    # its moments would be those of the flat placeholder density
-    phi_hat[~feasible] = math.nan
-    deltas[~feasible] = math.nan
-    return ExperimentTable(np.arange(rows.start, rows.stop), counts, feasible, phi_hat,
-                           deltas, flags)
+    return ExperimentTable(index, counts, feasible, phi_hat, deltas, flags)
 
 
 def _draw(seed: int, phase_true: float, v_true: float, shots: int, rows: range) -> np.ndarray:
@@ -263,17 +261,14 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
     """
     rows = range(experiment_index, experiment_index + 1)
     counts = _draw(config.seed, config.phase_true, config.v_true, config.shots, rows)
-    return _evaluate(config, rows, counts)
+    return _evaluate(config, np.arange(rows.start, rows.stop), counts)
 
 
 def run_campaign(config: CampaignConfig) -> ExperimentTable:
     """Every experiment of one campaign, in index order."""
     tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
                                 config.shots, config.n_experiments)
-    blocks = [_evaluate(config, rows, tallies[rows])
-              for rows in _block_slices(config.n_experiments, config.domain)]
-    return ExperimentTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                             for f in fields(ExperimentTable)))
+    return _evaluate(config, np.arange(config.n_experiments), tallies)
 
 
 def violation_fractions(config: CampaignConfig) -> ViolationStats:

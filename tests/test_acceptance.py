@@ -14,8 +14,8 @@ from gcrb.bayes import (
     DEFAULT_DOMAIN,
     gaussian_abs_moment,
     kappa,
-    moment_set,
     posterior,
+    saturation_report,
 )
 from gcrb.fisher import conjugate_exponent, crb_bound, fisher
 from gcrb.ingest import CountsRecord, counts_to_text, parse_counts, to_tally
@@ -102,7 +102,7 @@ def test_criterion_2_posterior_oracle_equivalence():
         tally = OutcomeTally(tuple(int(c) for c in rng.multinomial(shots, probs)))
 
         post = posterior(tally, ModelParams(v), DEFAULT_DOMAIN)
-        ms = moment_set(post, BETAS, max(shots, 1))
+        ms = saturation_report(post, ModelParams(v), max(shots, 1), BETAS)
         est_o, deltas_o = oracle_posterior_moments(
             tally, v, DEFAULT_DOMAIN, 10 * DEFAULT_DOMAIN.grid_points, BETAS
         )
@@ -125,7 +125,7 @@ def truth_campaign():
     for i in range(n_exp):
         tally = sample_tally(phi_star, 0.95, shots, experiment_rng(seed, i))
         post = posterior(tally, params, DEFAULT_DOMAIN)
-        ms = moment_set(post, (2.0, 3.0, 4.0), shots)
+        ms = saturation_report(post, params, shots, (2.0, 3.0, 4.0))
         estimates.append(ms.estimate)
         kappas.append(kappa(ms.deltas[2.0], info, shots, 2.0))
         sigma = math.sqrt(ms.deltas[2.0])
@@ -238,7 +238,7 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
         for record in parsed:
             tally = to_tally(record)
             post = posterior(tally, params, DEFAULT_DOMAIN)
-            ms = moment_set(post, (2.0, 3.0), shots)
+            ms = saturation_report(post, params, shots, (2.0, 3.0))
             info = fisher(ms.estimate, params)
             flags = {}
             for b in (2.0, 3.0):
@@ -287,8 +287,9 @@ def test_criterion_7_property_suites():
     ok_lyapunov = True
     for _ in range(50):
         counts = tuple(int(c) for c in rng.integers(0, 500, 4))
-        post = posterior(OutcomeTally(counts), ModelParams(float(rng.uniform(0.9, 1.0))))
-        deltas = moment_set(post, BETAS, max(sum(counts), 1)).deltas
+        params = ModelParams(float(rng.uniform(0.9, 1.0)))
+        post = posterior(OutcomeTally(counts), params)
+        deltas = saturation_report(post, params, max(sum(counts), 1), BETAS).deltas
         roots = [deltas[b] ** (1.0 / b) for b in BETAS]
         ok_lyapunov &= all(hi >= lo * (1 - 1e-9) for lo, hi in zip(roots, roots[1:]))
     checks["lyapunov"] = ok_lyapunov

@@ -9,12 +9,15 @@ from gcrb.bayes import (
     DEFAULT_DOMAIN,
     _block_moments,
     _block_posterior,
+    _block_reports,
+    _evaluate_counts,
+    _log_prob_grid,
+    _moment_orders,
+    _peak_nodes,
     PhaseDomain,
     PosteriorGrid,
-    estimate,
     gaussian_abs_moment,
     kappa,
-    moment_set,
     posterior,
     saturation_report,
 )
@@ -24,16 +27,30 @@ from gcrb.montecarlo import experiment_rng, sample_tally
 
 PI = math.pi
 L = PI / 2.0
+BETAS = (1.5, 2.0, 3.0, 4.0)
+
+
+def normalized_posterior(domain, values):
+    """The posterior of non-negative weights, scaled by their trapezoidal
+    integral to unit mass."""
+    h = domain.spacing
+    return PosteriorGrid(domain, values / (h * (values.sum() - 0.5 * (values[0] + values[-1]))))
 
 
 def gaussian_posterior(sigma, center=PI / 4.0, domain=DEFAULT_DOMAIN):
     grid = domain.grid()
     values = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
-    return PosteriorGrid.from_unnormalized(domain, values)
+    return normalized_posterior(domain, values)
 
 
 def uniform_posterior(domain=DEFAULT_DOMAIN):
-    return PosteriorGrid.from_unnormalized(domain, np.ones(domain.grid_points))
+    return normalized_posterior(domain, np.ones(domain.grid_points))
+
+
+def moments(post, betas, shots=1):
+    """phi_hat and Delta_beta of one posterior from the single-posterior
+    routine."""
+    return saturation_report(post, ModelParams(0.95), shots, betas)
 
 
 def test_phase_domain_validation():
@@ -63,7 +80,7 @@ def test_posterior_densities_are_immutable():
 def test_empty_tally_gives_flat_posterior():
     post = posterior(OutcomeTally((0, 0, 0, 0)), ModelParams(0.95))
     np.testing.assert_allclose(post.densities, 2.0 / PI, rtol=1e-12)
-    assert estimate(post) == pytest.approx(PI / 4.0, rel=1e-9)
+    assert moments(post, (2.0,)).estimate == pytest.approx(PI / 4.0, rel=1e-9)
 
 
 def test_concentrated_tally_peaks_at_boundary():
@@ -130,6 +147,58 @@ def test_block_rows_with_disjoint_supports_match_blocks_of_one():
             assert np.array_equal(alone_deltas[0], deltas[row])
 
 
+def test_evaluator_rows_match_one_row_calls():
+    # shuffled rows at scattered phases with M from 1e3 to 1e6, plus an
+    # empty tally, analyzed at v = 1, where some outcomes are impossible at
+    # some nodes: the evaluator picks each row's blockmates from the counts,
+    # and every row keeps the bits of its one-row call
+    rng = np.random.default_rng(37)
+    shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, 37)).astype(int)
+    phases = rng.uniform(0.0, L, 37)
+    tallies = [rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
+               for m, phase in zip(shots, phases)]
+    counts = np.array(tallies + [[0, 0, 0, 0]], dtype=float)[rng.permutation(38)]
+    params = ModelParams(1.0)
+    feasible, phi_hat, deltas = _evaluate_counts(counts, params, DEFAULT_DOMAIN, BETAS)
+    assert feasible.all()
+    for row in range(38):
+        alone = _evaluate_counts(counts[row:row + 1], params, DEFAULT_DOMAIN, BETAS)
+        for got, want in zip((feasible, phi_hat, deltas), alone):
+            assert got[row:row + 1].tobytes() == want.tobytes(), row
+
+
+def test_peak_nodes_locate_the_posterior():
+    # the block-filling key is the likelihood peak on 64 evenly spaced
+    # nodes: within a node of the true phase for sharp tallies, and defined
+    # for an empty tally at v = 1 (0 * log 0 = 0)
+    rng = np.random.default_rng(64)
+    phases = rng.uniform(0.05, L - 0.05, 20)
+    counts = np.array([rng.multinomial(10 ** 5, outcome_probs(phase, ModelParams(1.0)))
+                       for phase in phases] + [[0, 0, 0, 0]], dtype=float)
+    nodes = _peak_nodes(counts, _log_prob_grid(DEFAULT_DOMAIN, ModelParams(1.0)))
+    step = DEFAULT_DOMAIN.grid_points // 64 * DEFAULT_DOMAIN.spacing
+    assert np.all(np.abs(nodes[:-1] * step - phases) <= step)
+    assert 0 <= nodes[-1] < 64
+
+
+def test_block_reports_leave_infeasible_rows_nan():
+    # an infeasible row's nan phi_hat stays out of the f_alpha evaluation
+    # (a nan phase is rejected there); its cells are nan and its
+    # blockmate's equal their one-row report
+    params = ModelParams(0.95)
+    counts = np.array([[900, 400, 100, 600], [1e308] * 4])
+    orders = _moment_orders(BETAS)
+    with np.errstate(over="ignore"):
+        feasible, phi_hat, moments = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
+    assert feasible.tolist() == [True, False]
+    shots = np.array([2000.0, 2000.0])
+    columns = _block_reports(phi_hat, moments, shots, params, BETAS)
+    alone = _block_reports(phi_hat[:1], moments[:1], shots[:1], params, BETAS)
+    for got, want in zip(columns, alone):
+        assert np.isnan(got[1]).all()
+        assert got[:1].tobytes() == want.tobytes()
+
+
 def test_densities_beyond_the_floor_are_exactly_zero():
     # a wide and a narrow posterior share one block, so the narrow row has
     # nodes beyond its floor inside the block's live span
@@ -174,18 +243,18 @@ def test_invalid_prior_weights_rejected():
 
 def test_estimate_of_symmetric_peak():
     post = gaussian_posterior(0.01, center=PI / 8.0)
-    assert abs(estimate(post) - PI / 8.0) <= DEFAULT_DOMAIN.spacing
+    assert abs(moments(post, (2.0,)).estimate - PI / 8.0) <= DEFAULT_DOMAIN.spacing
 
 
 def test_estimate_of_simulated_experiment_is_consistent():
     tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(1, 0))
     post = posterior(tally, ModelParams(0.95))
     f_max = 2.0 * 0.95 ** 2 / (1.0 - 0.95 ** 2 / 2.0)
-    assert abs(estimate(post) - PI / 8.0) <= 3.0 / math.sqrt(2000.0 * f_max)
+    assert abs(moments(post, (2.0,)).estimate - PI / 8.0) <= 3.0 / math.sqrt(2000.0 * f_max)
 
 
 def test_uniform_moments():
-    deltas = moment_set(uniform_posterior(), (2.0, 1.0), shots=1).deltas
+    deltas = moments(uniform_posterior(), (2.0, 1.0)).deltas
     assert deltas[2.0] == pytest.approx(L ** 2 / 12.0, rel=1e-6)
     assert deltas[1.0] == pytest.approx(L / 4.0, rel=1e-6)
 
@@ -193,29 +262,27 @@ def test_uniform_moments():
 def test_gaussian_third_moment():
     post = gaussian_posterior(0.01)
     want = 2.0 * math.sqrt(2.0 / PI) * 0.01 ** 3
-    assert moment_set(post, (3.0,), shots=1).deltas[3.0] == pytest.approx(want, rel=1e-4)
+    assert moments(post, (3.0,)).deltas[3.0] == pytest.approx(want, rel=1e-4)
 
 
 def test_moment_set_matches_absolute_moment():
     # each order computed alone agrees with the set sharing one kink window
     post = gaussian_posterior(0.013, center=0.4)
-    ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), shots=2000)
-    assert ms.shots == 2000
+    ms = moments(post, BETAS, shots=2000)
     for b, value in ms.deltas.items():
-        assert value == pytest.approx(moment_set(post, (b,), shots=1).deltas[b], rel=1e-12)
-    assert ms.estimate == pytest.approx(estimate(post), rel=1e-12)
+        assert value == pytest.approx(moments(post, (b,)).deltas[b], rel=1e-12)
+    assert ms.estimate == pytest.approx(moments(post, (2.0,)).estimate, rel=1e-12)
 
 
 def test_absolute_moment_validates_order():
     post = uniform_posterior()
     with pytest.raises(ValueError):
-        moment_set(post, (2.0, 0.5), shots=1)
+        moments(post, (2.0, 0.5))
     # a bool is not an order; numpy reals, integers included, are
     for bad in ([True], [np.True_]):
         with pytest.raises(ValueError):
-            moment_set(post, bad, shots=1)
-    assert moment_set(post, np.array([2, 3]), shots=1).deltas == moment_set(
-        post, (2.0, 3.0), shots=1).deltas
+            moments(post, bad)
+    assert moments(post, np.array([2, 3])).deltas == moments(post, (2.0, 3.0)).deltas
 
 
 def test_grid_refinement_convergence():
@@ -225,7 +292,7 @@ def test_grid_refinement_convergence():
     for points in (4096, 8192):
         domain = PhaseDomain(0.0, L, points)
         post = posterior(tally, ModelParams(0.95), domain)
-        ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), shots=18000)
+        ms = moments(post, BETAS, shots=18000)
         results[points] = ms
     coarse, fine = results[4096], results[8192]
     assert abs(coarse.estimate - fine.estimate) <= 1e-6 * abs(fine.estimate)
@@ -240,7 +307,7 @@ def test_grid_refinement_convergence():
 @settings(max_examples=60, deadline=None)
 def test_lyapunov_moment_ordering(counts, v):
     post = posterior(OutcomeTally(counts), ModelParams(v))
-    ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), shots=max(sum(counts), 1))
+    ms = moments(post, BETAS, shots=max(sum(counts), 1))
     roots = [ms.deltas[b] ** (1.0 / b) for b in (1.5, 2.0, 3.0, 4.0)]
     for lower, higher in zip(roots, roots[1:]):
         assert higher >= lower * (1.0 - 1e-9)
@@ -279,7 +346,7 @@ def test_degenerate_posterior_rejected():
     # a posterior without spread has no Gaussian reference: its ratios are nan
     values = np.zeros(DEFAULT_DOMAIN.grid_points)
     values[2048] = 1.0
-    post = PosteriorGrid.from_unnormalized(DEFAULT_DOMAIN, values)
+    post = normalized_posterior(DEFAULT_DOMAIN, values)
     report = saturation_report(post, ModelParams(0.95), 2000, (2.0, 3.0, 4.0))
     assert report.deltas[2.0] <= 0.0
     assert all(math.isnan(r) for r in report.gauss_ratios.values())
@@ -289,9 +356,10 @@ def test_saturation_report_shape():
     tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(9, 4))
     post = posterior(tally, ModelParams(0.95))
     report = saturation_report(post, ModelParams(0.95), 2000)
-    ms = moment_set(post, (1.5, 2.0, 3.0, 4.0), 2000)
-    assert report.estimate == ms.estimate
-    assert report.deltas == ms.deltas
+    # each order's Delta_beta and phi_hat do not depend on the other orders
+    single = [saturation_report(post, ModelParams(0.95), 2000, (b,)) for b in BETAS]
+    assert all(s.estimate == report.estimate for s in single)
+    assert report.deltas == {b: s.deltas[b] for b, s in zip(BETAS, single)}
     assert set(report.kappas) == {1.5, 2.0, 3.0, 4.0}
     assert report.kappas[2.0] == pytest.approx(1.0, rel=0.2)
     assert report.gauss_ratios[2.0] == pytest.approx(1.0, rel=1e-12)

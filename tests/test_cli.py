@@ -212,16 +212,22 @@ def test_analyze_missing_file_exit_code(tmp_path):
     assert code == 2
 
 
-def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
-    # blocks are filled in label order, so a shuffled file puts each record
-    # in other blockmates' company; its output rows keep their bytes
-    rng = np.random.default_rng(4)
+def spread_records(rng):
+    """Twenty counts rows, two per set phase, with M from 1e3 to 1e6."""
     labels = np.repeat(rng.uniform(0.0, PI / 2.0, 10), 2)
     shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, labels.size)).astype(int)
     records = []
     for phase, m in zip(labels, shots):
         tally = sample_tally(float(phase), 0.95, int(m), rng)
         records.append(CountsRecord(float(phase), tally.counts))
+    return records
+
+
+def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
+    # a shuffled file puts each record in other blockmates' company; its
+    # output rows keep their bytes
+    rng = np.random.default_rng(4)
+    records = spread_records(rng)
     perm = rng.permutation(len(records))
     per_record = 2 * 2  # v_est values x orders
     outputs = []
@@ -237,6 +243,23 @@ def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
     assert len(original) == len(records)
     for k, i in enumerate(perm):
         assert shuffled[k] == original[i]
+
+
+def test_analyze_cells_do_not_depend_on_the_labels(tmp_path):
+    # blocks are filled in order of each row's likelihood peak, taken from
+    # the counts: the same counts labelled all 0.0 give the same cells
+    records = spread_records(np.random.default_rng(5))
+    cells = []
+    for name, rows in (("true", records),
+                       ("zero", [CountsRecord(0.0, r.counts) for r in records])):
+        counts = tmp_path / f"{name}.csv"
+        write_counts(rows, counts)
+        out = tmp_path / f"{name}.out.csv"
+        assert main(["analyze", str(counts), "--v-est", "0.95,1.0", "--out", str(out)]) == 0
+        cells.append([{k: row[k] for k in ("phi_hat", "delta_beta", "kappa_beta", "gauss_ratio")}
+                      for row in rows_of(out)])
+    assert len(cells[0]) == len(records) * 2 * 4
+    assert cells[0] == cells[1]
 
 
 def test_analyze_rerun_byte_identical(tmp_path):

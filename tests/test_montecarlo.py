@@ -63,11 +63,33 @@ def test_config_validation():
         small_config(seed=-1)
     with pytest.raises(ValueError):
         small_config(violation_rule="whatever")
+    # a bool is not a number of shots, experiments or a seed, nor a phase or
+    # a visibility; a string is not a phase
+    for bad in (dict(shots=True), dict(n_experiments=True), dict(seed=True),
+                dict(v_true=True), dict(v_est=True), dict(phase_true=True),
+                dict(phase_true="0.3"), dict(shots=2000.5), dict(shots=math.inf),
+                dict(sigma_window=True)):
+        with pytest.raises(ValueError):
+            small_config(**bad)
+    # numpy scalars are accepted and stored as Python floats and ints
+    config = small_config(phase_true=np.float32(0.5), v_true=np.float64(0.95), v_est=1,
+                          shots=np.int64(2000), n_experiments=np.float64(40.0),
+                          seed=np.uint64(5), sigma_window=np.int32(3))
+    for name, kind in (("phase_true", float), ("v_true", float), ("v_est", float),
+                       ("sigma_window", float), ("shots", int), ("n_experiments", int),
+                       ("seed", int)):
+        assert type(getattr(config, name)) is kind, name
+    assert (config.shots, config.n_experiments, config.seed) == (2000, 40, 5)
 
 
 def test_sample_tally_zero_shots():
     tally = sample_tally(0.3, 0.9, 0, experiment_rng(0, 0))
     assert tally.counts == (0, 0, 0, 0)
+    assert sample_tally(0.3, 0.9, np.int64(0), experiment_rng(0, 0)).counts == (0, 0, 0, 0)
+    # a bool is not a number of shots (True used to draw one)
+    for bad in (True, False, 2.5, -1):
+        with pytest.raises(ValueError):
+            sample_tally(0.3, 0.9, bad, experiment_rng(0, 0))
 
 
 def test_sample_tally_never_draws_impossible_outcome():
@@ -134,7 +156,7 @@ def test_infeasible_experiment_counts_as_violation():
     counts = clean.counts.astype(float)
     counts[3] = 1e308
     with np.errstate(over="ignore"):
-        table = mc._evaluate(config, slice(0, 8), counts)
+        table = mc._evaluate(config, np.arange(8), counts)
     assert table.index.tolist() == list(range(8))
     assert table.feasible.tolist() == [i != 3 for i in range(8)]
     assert np.isnan(table.phi_hat[3])
