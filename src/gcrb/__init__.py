@@ -25,11 +25,10 @@ from .errors import (
     UndefinedRatioError,
 )
 from .fisher import (
-    BoundValue,
     conjugate_exponent,
-    crb_bound,
     fisher,
     generalized_fisher,
+    order_bound,
 )
 from .ingest import (
     CountsRecord,
@@ -59,7 +58,6 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "BoundValue",
     "CampaignConfig",
     "CountsParseError",
     "CountsRecord",
@@ -76,13 +74,13 @@ __all__ = [
     "UndefinedRatioError",
     "ViolationStats",
     "conjugate_exponent",
-    "crb_bound",
     "experiment_rng",
     "fisher",
     "fold_phase",
     "gaussian_abs_moment",
     "generalized_fisher",
     "kappa",
+    "order_bound",
     "outcome_dprobs",
     "outcome_probs",
     "parse_counts",

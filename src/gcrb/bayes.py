@@ -17,8 +17,8 @@ where the refined window meets the plain rule; see `_block_moments`.
 Posteriors and moments are computed for blocks of tallies at once, one row
 each.  `_evaluate_counts`, shared by `simulate` and `analyze`, takes an
 (E, 4) counts table to feasibility, phi_hat and Delta_beta; `_block_reports`
-adds kappa_beta and Gaussianity ratios.  `saturation_report` is the
-single-posterior routine.
+adds kappa_beta and Gaussianity ratios, and `_report_counts` chains the two
+for `analyze`.  `saturation_report` is the single-posterior routine.
 
 Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get density
 exactly 0, so the `PosteriorGrid.densities` of a `posterior` are exactly 0
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InfeasibleDataError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher
-from .model import PI, ModelParams, OutcomeTally, is_real, outcome_probs
+from .model import PI, ModelParams, OutcomeTally, is_real, is_whole, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
 
@@ -77,7 +77,7 @@ class PhaseDomain:
             raise ValueError("domain endpoints must be finite")
         if not self.lower < self.upper:
             raise ValueError("domain lower bound must be below the upper bound")
-        if self.upper - self.lower > PI + 1e-12:
+        if self.width > PI + 1e-12:
             raise ValueError("domain may not exceed one model period (pi)")
         if self.grid_points != int(self.grid_points) or self.grid_points < 64:
             raise ValueError("grid_points must be an integer >= 64")
@@ -89,7 +89,7 @@ class PhaseDomain:
 
     @property
     def spacing(self) -> float:
-        return (self.upper - self.lower) / (self.grid_points - 1)
+        return self.width / (self.grid_points - 1)
 
     def grid(self) -> np.ndarray:
         """The grid nodes; read-only and shared by every caller."""
@@ -407,8 +407,8 @@ def kappa(delta_beta, f_alpha, shots, beta: float):
     Values below 1 indicate a violated order-beta bound.  Arrays of moments,
     informations and shots give an array.
     """
-    if np.any(np.asarray(shots) < 1):
-        raise ValueError("shots must be a positive integer")
+    if not (is_whole(shots) and np.all(np.asarray(shots) >= 1)):
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     if np.any(np.asarray(f_alpha) <= 0.0):
         raise UndefinedRatioError(
             "saturation ratio undefined: generalized Fisher information vanishes"
@@ -460,6 +460,21 @@ def _block_reports(
             kappas[ok, i] = kappa(deltas[ok, i], infos[i, ok], shots[ok], b)
         ratios[spread, i] = deltas[spread, i] / gaussian_abs_moment(b, sigma)
     return deltas, kappas, ratios
+
+
+def _report_counts(
+    counts: np.ndarray,
+    shots: np.ndarray,
+    params: ModelParams,
+    domain: PhaseDomain,
+    betas,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """feasible (E,), phi_hat (E,) and Delta_beta, kappa_beta and Gaussianity
+    ratios, each (E, len(betas)), for each row of an (E, 4) counts table with
+    the given shot counts under params; an infeasible row is ``nan``
+    throughout.  Validates the orders."""
+    feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
+    return (feasible, phi_hat, *_block_reports(phi_hat, moments, shots, params, betas))
 
 
 def saturation_report(

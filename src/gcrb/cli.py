@@ -6,7 +6,10 @@ Subcommands
     analyze    per-row moments, kappa ratios and Gaussianity for a counts CSV
 
 `simulate` and `analyze` share one counts evaluator, ``nan`` on infeasible
-rows (`gcrb.bayes._evaluate_counts`).
+rows (`gcrb.bayes._evaluate_counts`); `analyze` reaches it through
+`gcrb.bayes._report_counts`, which adds the kappa and Gaussianity columns.
+`bounds` computes every f_alpha from one `generalized_fisher` call and the
+bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
 Every output CSV is written atomically and is accompanied by
 ``<out>.manifest.json`` recording the command, the fully resolved
@@ -29,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import PhaseDomain, _block_reports, _evaluate_counts, _moment_orders
+from .bayes import PhaseDomain, _report_counts
 from .errors import EstimationError, UndefinedRatioError
-from .fisher import BoundValue, conjugate_exponent, generalized_fisher
+from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
 from .montecarlo import (
@@ -196,21 +199,18 @@ def cmd_bounds(args) -> int:
     betas = tuple(parse_value_list(args.beta))
     params = ModelParams(args.v_est)
     alphas = tuple(conjugate_exponent(b) for b in betas)
-    # f_alpha for every (order, phase) from one model evaluation
-    infos = generalized_fisher(alphas, phases, params).T.tolist()
+    # f_alpha for every (order, phase) from one model evaluation, and the
+    # bounds from it, each (orders, phases); a vanishing f_alpha gives inf
+    infos = generalized_fisher(alphas, phases, params)
+    bounds = order_bound(np.array(betas)[:, np.newaxis], infos, args.shots)
+    with np.errstate(divide="ignore"):
+        rescaled = infos ** (-1.0 / np.array(alphas)[:, np.newaxis])
     rows = []
-    for phase, row_infos in zip(phases, infos):
-        for b, f_alpha in zip(betas, row_infos):
-            bv = BoundValue.from_information(b, f_alpha, args.shots)
-            rescaled = math.inf if bv.f_alpha == 0.0 else bv.f_alpha ** (-1.0 / bv.alpha)
-            rows.append((
-                _fmt(float(phase)),
-                _fmt(bv.beta),
-                _fmt(bv.alpha),
-                _fmt(bv.f_alpha),
-                _fmt(bv.bound_on_delta_beta),
-                _fmt(rescaled),
-            ))
+    for phase, *cells in zip(phases, infos.T.tolist(), bounds.T.tolist(), rescaled.T.tolist()):
+        rows.extend(
+            (_fmt(float(phase)), _fmt(float(b)), _fmt(a), _fmt(f), _fmt(bound), _fmt(r))
+            for b, a, f, bound, r in zip(betas, alphas, *cells)
+        )
     out = Path(args.out)
     config = {
         "phase": phases,
@@ -234,15 +234,10 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     counts = np.array([r.counts for r in records], dtype=float).reshape(-1, 4)
     shots = np.array([sum(r.counts) for r in records], dtype=float)
-    orders = _moment_orders(betas)
     # v_est outermost, so that each log-likelihood table is built once;
     # infeasible rows come back as nan, which formats as "nan"
-    columns = []
-    for v_est in v_est_values:
-        params = ModelParams(v_est)
-        feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, orders)
-        reports = _block_reports(phi_hat, moments, shots, params, betas)
-        columns.append((feasible, phi_hat, *reports))
+    columns = [_report_counts(counts, shots, ModelParams(v_est), domain, betas)
+               for v_est in v_est_values]
     # each (records, v_est, ...)
     feasible, estimates, deltas, kappas, ratios = (np.stack(c, axis=1) for c in zip(*columns))
     rows = []

@@ -8,16 +8,18 @@ central moment of an unbiased estimate from M independent repetitions obeys
 where f_alpha = sum_theta p(theta|phi) * |d/dphi log p(theta|phi)|**alpha is
 the alpha-th absolute moment of the score.  beta = alpha = 2 recovers the
 familiar 1/(M*F) variance bound with F the Fisher information.
+
+`generalized_fisher` gives f_alpha for arrays of orders and phases from one
+model evaluation, and `order_bound` turns arrays of f_alpha into the bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, is_real, outcome_dprobs, outcome_probs
+from .model import ModelParams, is_real, is_whole, outcome_dprobs, outcome_probs
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -34,43 +36,6 @@ def conjugate_exponent(beta: float) -> float:
         raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
     beta = float(beta)
     return beta / (beta - 1.0)
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    """Lower bound on Delta_beta from f_alpha and the number of shots."""
-
-    beta: float
-    alpha: float
-    f_alpha: float
-    bound_on_delta_beta: float
-    shots: int
-
-    def __post_init__(self) -> None:
-        if self.f_alpha < 0.0:
-            raise ValueError("generalized Fisher information cannot be negative")
-        if self.shots < 1:
-            raise ValueError("shots must be a positive integer")
-
-    @classmethod
-    def from_information(cls, beta: float, f_alpha: float, shots: int) -> "BoundValue":
-        """M**(-beta/2) * f_alpha**(-beta/alpha), or the +inf marker when
-        f_alpha vanishes (unbounded uncertainty)."""
-        if shots != int(shots) or shots < 1:
-            raise ValueError(f"shots must be a positive integer, got {shots!r}")
-        shots = int(shots)
-        alpha = conjugate_exponent(beta)
-        if f_alpha == 0.0:
-            bound = math.inf
-        else:
-            bound = shots ** (-beta / 2.0) * f_alpha ** (-beta / alpha)
-        return cls(
-            beta=float(beta),
-            alpha=alpha,
-            f_alpha=f_alpha,
-            bound_on_delta_beta=bound,
-            shots=shots,
-        )
 
 
 def generalized_fisher(alpha, phases, params: ModelParams):
@@ -105,11 +70,24 @@ def fisher(phases, params: ModelParams):
     return generalized_fisher(2.0, phases, params)
 
 
-def crb_bound(beta: float, phase: float, params: ModelParams, shots: int) -> BoundValue:
-    """Order-beta lower bound on the absolute moment Delta_beta at one phase.
+def order_bound(beta, f_alpha, shots):
+    """Lower bound M**(-beta/2) * f_alpha**(-beta/alpha) on Delta_beta from
+    M = shots repetitions, or the +inf marker where f_alpha vanishes
+    (unbounded uncertainty).
 
-    Vanishing f_alpha signals unbounded uncertainty; the bound is then the
-    +inf marker rather than an error.
+    Orders, informations and shot counts broadcast against each other;
+    scalars give a float.
     """
-    f_alpha = generalized_fisher(conjugate_exponent(beta), phase, params)
-    return BoundValue.from_information(beta, f_alpha, shots)
+    betas = np.asarray(beta, dtype=float)
+    if not ((betas > 1.0) & (betas < math.inf)).all():
+        raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
+    infos = np.asarray(f_alpha, dtype=float)
+    if not (np.isfinite(infos) & (infos >= 0.0)).all():
+        raise ValueError(
+            f"generalized Fisher information must be finite and >= 0, got {f_alpha!r}")
+    if not (is_whole(shots) and np.all(np.asarray(shots) >= 1)):
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    alphas = betas / (betas - 1.0)
+    with np.errstate(divide="ignore"):
+        bound = np.asarray(shots, dtype=float) ** (-betas / 2.0) * infos ** (-betas / alphas)
+    return float(bound) if bound.ndim == 0 else bound

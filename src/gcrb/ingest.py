@@ -149,10 +149,9 @@ def to_tally(record: CountsRecord) -> OutcomeTally:
 def fold_phase(phase: float, domain: PhaseDomain) -> float:
     """Map a nominal phase into [domain.lower, domain.upper) by width-modular
     reduction.  Never applied implicitly."""
-    width = domain.upper - domain.lower
-    folded = domain.lower + math.fmod(phase - domain.lower, width)
+    folded = domain.lower + math.fmod(phase - domain.lower, domain.width)
     if folded < domain.lower:
-        folded += width
+        folded += domain.width
     # a remainder within rounding of one width lands on upper, which is
     # congruent to lower
     return domain.lower if folded >= domain.upper else folded

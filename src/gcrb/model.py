@@ -39,6 +39,15 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_whole(value) -> bool:
+    """An integer-valued real, numpy scalars included, or a numeric array of
+    them; bools, nan and inf are not."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf" and bool(np.all(np.isfinite(value)
+                                                         & (value == np.floor(value))))
+    return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+
+
 def check_counts(counts) -> tuple[int, int, int, int]:
     """The four setting counts as ints.  Raises ValueError unless they are
     integers in [0, MAX_COUNT]."""

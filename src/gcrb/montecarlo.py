@@ -24,7 +24,9 @@ campaigns are reproducible and embarrassingly parallel.  A tally does not
 depend on v_est, so a campaign's tallies are drawn once and shared by every
 v_est of a sweep.  They go through the counts evaluator that `analyze` also
 uses (`gcrb.bayes._evaluate_counts`; its results do not depend on the block
-size or on which rows share a block) and are flagged by array comparison.
+size or on which rows share a block) and are flagged by array comparison
+against the per-order bounds, windows and Gaussian centres of the rule, all
+taken from one `generalized_fisher` call at (phase_true, v_est).
 `run_campaign` returns the experiments as one `ExperimentTable` of columns,
 which `violation_fractions` reduces, and `run_experiment` recomputes any
 single experiment, drawn from its own stream, as a one-row table.  The
@@ -35,7 +37,6 @@ estimator bias is an expression on the table:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -43,19 +44,13 @@ import numpy as np
 
 from .bayes import DEFAULT_DOMAIN, PhaseDomain, _evaluate_counts, gaussian_abs_moment
 from .errors import UndefinedRatioError
-from .fisher import crb_bound, fisher
-from .model import ModelParams, OutcomeTally, is_real, outcome_probs
+from .fisher import conjugate_exponent, generalized_fisher, order_bound
+from .model import ModelParams, OutcomeTally, is_real, is_whole, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
 
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
-
-
-def _is_whole(value) -> bool:
-    """An integer-valued real, numpy scalars included; bools, nan and inf are
-    not."""
-    return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -82,11 +77,11 @@ class CampaignConfig:
             if not (is_real(v) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         for name in ("shots", "n_experiments"):
-            if not (_is_whole(getattr(self, name)) and getattr(self, name) >= 1):
+            if not (is_whole(getattr(self, name)) and getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be a positive integer")
         if any(not (is_real(b) and math.isfinite(b) and b > 1.0) for b in self.beta_list):
             raise ValueError("every moment order must be a finite real > 1")
-        if not (_is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
+        if not (is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.violation_rule not in VIOLATION_RULES:
             raise ValueError(f"violation_rule must be one of {VIOLATION_RULES}")
@@ -148,7 +143,7 @@ def sample_tally(
     rng: np.random.Generator,
 ) -> OutcomeTally:
     """M i.i.d. categorical draws over the settings, returned as a tally."""
-    if not (_is_whole(shots) and shots >= 0):
+    if not (is_whole(shots) and shots >= 0):
         raise ValueError("shots must be a non-negative integer")
     probs = outcome_probs(phase_true, ModelParams(v_true))
     counts = rng.multinomial(int(shots), probs)
@@ -160,7 +155,7 @@ def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
     posterior of width sigma = 1/sqrt(M * F)."""
     if not fisher_info > 0.0:
         raise ValueError("sigma_beta undefined for vanishing Fisher information")
-    if shots < 1:
+    if not (is_whole(shots) and shots >= 1):
         raise ValueError("shots must be a positive integer")
     sigma = 1.0 / math.sqrt(shots * fisher_info)
     variance = gaussian_abs_moment(2.0 * beta, sigma) - gaussian_abs_moment(beta, sigma) ** 2
@@ -168,57 +163,49 @@ def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
     return math.sqrt(max(variance, 0.0))
 
 
-@dataclass(frozen=True)
-class _Reference:
-    """Per-campaign constants: the experimenter's model and, per order, the
-    bound, window and Gaussian centre of the flagging rule."""
-
-    params: ModelParams
-    floors: np.ndarray
-    windows: np.ndarray
-    centers: np.ndarray
-
-
 @lru_cache(maxsize=64)
-def _reference(config: CampaignConfig) -> _Reference:
-    """Constants of a campaign, the same for every experiment.
+def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounds, windows and Gaussian centres of a campaign's flagging
+    rule, one per order and the same for every experiment.
 
-    Bounds, windows and centres use the experimenter's model, i.e. f_alpha
-    evaluated at (phase_true, v_est).  Raises UndefinedRatioError when the
-    Fisher information vanishes there, which leaves the windows undefined.
+    They use the experimenter's model: f_alpha of every order and the Fisher
+    information F = f_2 come from one model evaluation at (phase_true, v_est).
+    Raises UndefinedRatioError when F vanishes there, which leaves the windows
+    undefined.
     """
-    params = ModelParams(config.v_est)
-    info = fisher(config.phase_true, params)
+    alphas = tuple(conjugate_exponent(b) for b in config.beta_list)
+    *infos, info = generalized_fisher(alphas + (2.0,), config.phase_true,
+                                      ModelParams(config.v_est)).tolist()
     if not info > 0.0:
         raise UndefinedRatioError(
             f"violation windows undefined: Fisher information vanishes at "
             f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
         )
+    floors = order_bound(np.array(config.beta_list), np.array(infos), config.shots)
+    windows = np.array([config.sigma_window * sigma_beta(b, config.shots, info)
+                        for b in config.beta_list])
+    if config.window_scale == "standard-error":
+        windows /= math.sqrt(config.shots)
     sigma_post = 1.0 / math.sqrt(config.shots * info)
-    floors, windows, centers = [], [], []
-    for b in config.beta_list:
-        floors.append(crb_bound(b, config.phase_true, params, config.shots).bound_on_delta_beta)
-        window = config.sigma_window * sigma_beta(b, config.shots, info)
-        if config.window_scale == "standard-error":
-            window /= math.sqrt(config.shots)
-        windows.append(window)
-        centers.append(gaussian_abs_moment(b, sigma_post))
-    return _Reference(
-        params=params,
-        floors=np.array(floors),
-        windows=np.array(windows),
-        centers=np.array(centers),
-    )
+    centers = np.array([gaussian_abs_moment(b, sigma_post) for b in config.beta_list])
+    return floors, windows, centers
 
 
-def _flag_violations(deltas: np.ndarray, ref: _Reference, rule: str) -> np.ndarray:
-    """Violation flags of (E, n_beta) moments against the per-order constants."""
+def _flag_violations(
+    deltas: np.ndarray,
+    floors: np.ndarray,
+    windows: np.ndarray,
+    centers: np.ndarray,
+    rule: str,
+) -> np.ndarray:
+    """Violation flags of (E, n_beta) moments against the bounds, windows and
+    Gaussian centres of the rule, which broadcast against the moments."""
     if rule == "two-sided-bound":
-        return np.abs(deltas - ref.floors) > ref.windows
-    below = deltas + ref.windows < ref.floors
+        return np.abs(deltas - floors) > windows
+    below = deltas + windows < floors
     if rule == "below-bound":
         return below
-    off_center = np.abs(deltas - ref.centers) > ref.windows
+    off_center = np.abs(deltas - centers) > windows
     if rule == "gaussian-consistency":
         return off_center
     return below | off_center
@@ -227,12 +214,12 @@ def _flag_violations(deltas: np.ndarray, ref: _Reference, rule: str) -> np.ndarr
 def _evaluate(config: CampaignConfig, index: np.ndarray, counts: np.ndarray) -> ExperimentTable:
     """Analyze the tallies of the experiments index with v_est and flag
     their violations."""
-    ref = _reference(config)
-    feasible, phi_hat, deltas = _evaluate_counts(counts, ref.params, config.domain,
-                                                 config.beta_list)
+    rule = _reference(config)
+    feasible, phi_hat, deltas = _evaluate_counts(counts, ModelParams(config.v_est),
+                                                 config.domain, config.beta_list)
     # an infeasible row is maximal evidence of model mismatch: counts
     # impossible under v_est
-    flags = _flag_violations(deltas, ref, config.violation_rule) | ~feasible[:, np.newaxis]
+    flags = _flag_violations(deltas, *rule, config.violation_rule) | ~feasible[:, np.newaxis]
     return ExperimentTable(index, counts, feasible, phi_hat, deltas, flags)
 
 

@@ -17,7 +17,7 @@ from gcrb.bayes import (
     posterior,
     saturation_report,
 )
-from gcrb.fisher import conjugate_exponent, crb_bound, fisher
+from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
 from gcrb.ingest import CountsRecord, counts_to_text, parse_counts, to_tally
 from gcrb.model import ModelParams, OutcomeTally, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
@@ -242,7 +242,8 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
             info = fisher(ms.estimate, params)
             flags = {}
             for b in (2.0, 3.0):
-                bound = crb_bound(b, ms.estimate, params, shots).bound_on_delta_beta
+                f_alpha = generalized_fisher(conjugate_exponent(b), ms.estimate, params)
+                bound = order_bound(b, f_alpha, shots)
                 window = 3.0 * sigma_beta(b, shots, info) / math.sqrt(shots)
                 flags[b] = ms.deltas[b] + window < bound
             # order-3 bound violated while the standard bound is fulfilled

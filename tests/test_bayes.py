@@ -22,8 +22,9 @@ from gcrb.bayes import (
     saturation_report,
 )
 from gcrb.errors import InfeasibleDataError, UndefinedRatioError
+from gcrb.fisher import order_bound
 from gcrb.model import ModelParams, OutcomeTally, outcome_probs
-from gcrb.montecarlo import experiment_rng, sample_tally
+from gcrb.montecarlo import experiment_rng, sample_tally, sigma_beta
 
 PI = math.pi
 L = PI / 2.0
@@ -330,6 +331,23 @@ def test_kappa_values():
     assert kappa(2.0 / (2000.0 * 1.805), 1.805, 2000, 2.0) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(UndefinedRatioError):
         kappa(1e-4, 0.0, 2000, 2.0)
+    # analyze passes float shot counts
+    assert kappa(1e-4, np.array([1.805]), np.array([2000.0]), 2.0).tolist() == [
+        kappa(1e-4, 1.805, 2000, 2.0)]
+    for shots in (0, 1.5, np.array([2000.0, 0.5])):
+        with pytest.raises(ValueError):
+            kappa(1e-4, 1.805, shots, 2.0)
+
+
+def test_bool_shot_counts_are_rejected():
+    with pytest.raises(ValueError):
+        kappa(1e-3, 1.8, True, 2.0)
+    with pytest.raises(ValueError):
+        kappa(np.array([1e-3]), np.array([1.8]), np.array([True]), 2.0)
+    with pytest.raises(ValueError):
+        sigma_beta(2.0, True, 1.0)
+    with pytest.raises(ValueError):
+        order_bound(2.0, 1.8, True)
 
 
 def test_gaussianity_ratios():

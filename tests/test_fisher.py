@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcrb.bayes import kappa
 from gcrb.fisher import (
-    BoundValue,
     conjugate_exponent,
-    crb_bound,
     fisher,
     generalized_fisher,
+    order_bound,
 )
 from gcrb.model import ModelParams
 
@@ -144,29 +144,53 @@ def test_extremal_phases_on_grid():
     assert min(abs(arg_valley - x) for x in (0.0, PI / 4.0, PI / 2.0)) <= 1.1e-3
 
 
-def test_crb_bound_examples():
+def test_order_bound_examples():
     params = ModelParams(0.95)
-    bound = crb_bound(2.0, PI / 4.0, params, 2000)
-    assert bound.bound_on_delta_beta == pytest.approx(1.0 / (2000.0 * 1.805), rel=1e-12)
-    assert bound.bound_on_delta_beta == pytest.approx(2.770e-4, rel=1e-3)
-    assert bound.alpha == 2.0
-    assert bound.shots == 2000
+    alpha = conjugate_exponent(2.0)
+    assert alpha == 2.0
+    bound = order_bound(2.0, generalized_fisher(alpha, PI / 4.0, params), 2000)
+    assert bound == pytest.approx(1.0 / (2000.0 * 1.805), rel=1e-12)
+    assert bound == pytest.approx(2.770e-4, rel=1e-3)
 
-    flat = crb_bound(2.0, 0.3, ModelParams(0.0), 500)
-    assert flat.f_alpha == 0.0
-    assert math.isinf(flat.bound_on_delta_beta)
+    flat = generalized_fisher(alpha, 0.3, ModelParams(0.0))
+    assert flat == 0.0
+    assert math.isinf(order_bound(2.0, flat, 500))
 
-    third = crb_bound(3.0, PI / 8.0, params, 2000)
-    f32 = direct_generalized_sum(1.5, PI / 8.0, 0.95)
-    assert third.f_alpha == pytest.approx(f32, rel=1e-12)
-    assert third.bound_on_delta_beta == pytest.approx(2000.0 ** -1.5 * f32 ** -2.0, rel=1e-12)
+    f32 = generalized_fisher(conjugate_exponent(3.0), PI / 8.0, params)
+    assert f32 == pytest.approx(direct_generalized_sum(1.5, PI / 8.0, 0.95), rel=1e-12)
+    third = order_bound(3.0, f32, 2000)
+    assert third == pytest.approx(2000.0 ** -1.5 * f32 ** -2.0, rel=1e-12)
 
 
-def test_crb_bound_validates_shots():
+def test_order_bound_validates_shots():
     with pytest.raises(ValueError):
-        crb_bound(2.0, 0.1, ModelParams(0.9), 0)
+        order_bound(2.0, generalized_fisher(2.0, 0.1, ModelParams(0.9)), 0)
 
 
-def test_bound_value_invariant():
+def test_order_bound_validates_orders_and_informations():
     with pytest.raises(ValueError):
-        BoundValue(beta=2.0, alpha=2.0, f_alpha=-1.0, bound_on_delta_beta=1.0, shots=10)
+        order_bound(2.0, -1.0, 10)
+    for beta in (1.0, 0.5, math.inf, math.nan, np.array([2.0, 1.0])):
+        with pytest.raises(ValueError):
+            order_bound(beta, 1.0, 10)
+    for f_alpha in (math.inf, math.nan, np.array([1.0, -1e-300])):
+        with pytest.raises(ValueError):
+            order_bound(2.0, f_alpha, 10)
+
+
+def test_kappa_is_the_moment_over_the_order_bound():
+    delta = 1.234e-3
+    betas = (1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0)
+    infos = (1e-6, 1e-3, 0.5, 1.805, 3.29, 100.0, 1e6)
+    for shots in (1, 7, 2000, 10 ** 6, 10 ** 9):
+        # orders down a column broadcast against informations along a row
+        bounds = order_bound(np.array(betas)[:, np.newaxis], np.array(infos + (0.0,)), shots)
+        assert bounds.shape == (len(betas), len(infos) + 1)
+        assert np.isinf(bounds[:, -1]).all()
+        for i, beta in enumerate(betas):
+            for j, f_alpha in enumerate(infos):
+                bound = order_bound(beta, f_alpha, shots)
+                assert isinstance(bound, float)
+                assert bounds[i, j] == bound
+                assert kappa(delta, f_alpha, shots, beta) == pytest.approx(delta / bound,
+                                                                           rel=1e-15)

@@ -7,7 +7,7 @@ import pytest
 import gcrb.montecarlo as mc
 from gcrb.bayes import gaussian_abs_moment
 from gcrb.errors import UndefinedRatioError
-from gcrb.fisher import crb_bound, fisher
+from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
@@ -140,11 +140,12 @@ def test_run_experiment_flags_are_recomputable():
     info = fisher(config.phase_true, params)
     sigma_post = 1.0 / math.sqrt(config.shots * info)
     for k, b in enumerate(config.beta_list):
-        bound = crb_bound(b, config.phase_true, params, config.shots)
+        f_alpha = generalized_fisher(conjugate_exponent(b), config.phase_true, params)
+        bound = order_bound(b, f_alpha, config.shots)
         window = config.sigma_window * sigma_beta(b, config.shots, info) / math.sqrt(config.shots)
         center = gaussian_abs_moment(b, sigma_post)
         delta = row.deltas[0, k]
-        expected = delta + window < bound.bound_on_delta_beta or abs(delta - center) > window
+        expected = delta + window < bound or abs(delta - center) > window
         assert row.flags[0, k] == expected
 
 
