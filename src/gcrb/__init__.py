@@ -34,7 +34,6 @@ from .ingest import (
     CountsRecord,
     fold_phase,
     parse_counts,
-    to_tally,
     write_counts,
 )
 from .model import (
@@ -90,7 +89,6 @@ __all__ = [
     "sample_tally",
     "saturation_report",
     "sigma_beta",
-    "to_tally",
     "violation_fractions",
     "write_counts",
 ]

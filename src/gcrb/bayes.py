@@ -19,6 +19,9 @@ each.  `_evaluate_counts`, shared by `simulate` and `analyze`, takes an
 (E, 4) counts table to feasibility, phi_hat and Delta_beta; `_block_reports`
 adds kappa_beta and Gaussianity ratios, and `_report_counts` chains the two
 for `analyze`.  `saturation_report` is the single-posterior routine.
+`gaussian_abs_moment` and `kappa` broadcast over orders, so the reports are
+array expressions over the (E, n_beta) columns; kappa is Delta_beta over
+`gcrb.fisher.order_bound`.
 
 Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get density
 exactly 0, so the `PosteriorGrid.densities` of a `posterior` are exactly 0
@@ -39,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InfeasibleDataError, UndefinedRatioError
-from .fisher import conjugate_exponent, generalized_fisher
-from .model import PI, ModelParams, OutcomeTally, is_real, is_whole, outcome_probs
+from .fisher import conjugate_exponent, generalized_fisher, order_bound
+from .model import PI, ModelParams, OutcomeTally, is_real, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
 
@@ -73,8 +76,11 @@ class PhaseDomain:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("domain endpoints must be finite")
+        for name in ("lower", "upper"):
+            end = getattr(self, name)
+            if not (is_real(end) and math.isfinite(end)):
+                raise ValueError(f"domain endpoints must be finite reals, got {end!r}")
+            object.__setattr__(self, name, float(end))
         if not self.lower < self.upper:
             raise ValueError("domain lower bound must be below the upper bound")
         if self.width > PI + 1e-12:
@@ -255,12 +261,13 @@ def posterior(
     return PosteriorGrid(domain, dens[0])
 
 
-def _check_orders(betas) -> tuple[float, ...]:
-    betas = tuple(betas)
-    for b in betas:
-        if not (is_real(b) and math.isfinite(b) and b >= 1.0):
-            raise ValueError(f"moment order must be a finite real >= 1, got {b!r}")
-    return tuple(float(b) for b in betas)
+def _check_orders(beta) -> np.ndarray:
+    """One moment order or an array of them as floats; each must be a finite
+    real >= 1 (numpy reals included, bools not)."""
+    betas = np.asarray(beta)
+    if not (betas.dtype.kind in "iuf" and ((betas >= 1.0) & (betas < math.inf)).all()):
+        raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
+    return betas.astype(float)
 
 
 def _block_moments(dens: np.ndarray, domain: PhaseDomain, betas) -> tuple[np.ndarray, np.ndarray]:
@@ -387,41 +394,43 @@ def _evaluate_counts(
     return feasible, phi_hat, deltas
 
 
-def gaussian_abs_moment(beta: float, sigma):
+def gaussian_abs_moment(beta, sigma):
     """Absolute central moment of a Gaussian with standard deviation sigma.
 
     E|X - mu|**beta = sigma**beta * 2**(beta/2) * Gamma((beta+1)/2) / sqrt(pi);
-    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  An
-    array of sigmas gives an array.
+    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  Orders
+    broadcast against sigmas; scalars give a float.
     """
-    (beta,) = _check_orders((beta,))
+    betas = _check_orders(beta)
     sigmas = np.asarray(sigma, dtype=float)
     if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
-        raise ValueError(f"standard deviation must be >= 0, got {sigma!r}")
-    return sigma ** beta * 2.0 ** (beta / 2.0) * math.gamma((beta + 1.0) / 2.0) / math.sqrt(PI)
+        raise ValueError(f"standard deviation must be finite and >= 0, got {sigma!r}")
+    gammas = np.array([math.gamma((b + 1.0) / 2.0) for b in betas.flat]).reshape(betas.shape)
+    value = sigmas ** betas * 2.0 ** (betas / 2.0) * gammas / math.sqrt(PI)
+    return float(value) if value.ndim == 0 else value
 
 
-def kappa(delta_beta, f_alpha, shots, beta: float):
-    """Saturation ratio kappa_beta = Delta_beta * M**(beta/2) * f_alpha**(beta/alpha).
+def kappa(delta_beta, f_alpha, shots, beta):
+    """Saturation ratio kappa_beta = Delta_beta / order_bound(beta, f_alpha,
+    shots) = Delta_beta * M**(beta/2) * f_alpha**(beta/alpha).
 
-    Values below 1 indicate a violated order-beta bound.  Arrays of moments,
-    informations and shots give an array.
+    Values below 1 indicate a violated order-beta bound.  Moments, orders,
+    informations and shots broadcast; scalars give a float.  Raises
+    UndefinedRatioError where f_alpha vanishes.
     """
-    if not (is_whole(shots) and np.all(np.asarray(shots) >= 1)):
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     if np.any(np.asarray(f_alpha) <= 0.0):
         raise UndefinedRatioError(
             "saturation ratio undefined: generalized Fisher information vanishes"
         )
-    alpha = conjugate_exponent(beta)
-    value = delta_beta * shots ** (beta / 2.0) * f_alpha ** (beta / alpha)
-    return float(value) if np.ndim(value) == 0 else value
+    value = np.asarray(delta_beta, dtype=float) / order_bound(beta, f_alpha, shots)
+    return float(value) if value.ndim == 0 else value
 
 
-def _moment_orders(betas) -> tuple[float, ...]:
+def _moment_orders(betas) -> np.ndarray:
     """The moment orders a report on betas needs: the validated orders
     themselves and 2, the Gaussianity ratios' reference, ascending."""
-    return tuple(sorted(set(_check_orders(betas)) | {2.0}))
+    # np.union1d, through np.unique, would import numpy.ma (half a megabyte)
+    return np.array(sorted({*_check_orders(betas).tolist(), 2.0}))
 
 
 def _block_reports(
@@ -441,24 +450,22 @@ def _block_reports(
     shots or f_alpha is undefined (beta = 1) or vanishes; the Gaussianity
     ratio is ``nan`` when Delta_2 = 0.
     """
+    betas = _check_orders(betas)
     orders = _moment_orders(betas)
-    deltas = moments[:, [orders.index(b) for b in betas]]
-    d2 = moments[:, orders.index(2.0)]
-    spread = d2 > 0.0
-    sigma = np.sqrt(d2[spread])
+    deltas = moments[:, np.searchsorted(orders, betas)]
+    d2 = moments[:, np.searchsorted(orders, 2.0)]
     feasible = ~np.isnan(phi_hat)
-    bounded = [i for i, b in enumerate(betas) if b > 1.0]
-    infos = np.zeros((len(betas), phi_hat.shape[0]))
-    if bounded:
-        alphas = tuple(conjugate_exponent(betas[i]) for i in bounded)
-        infos[np.ix_(bounded, feasible)] = generalized_fisher(alphas, phi_hat[feasible], params)
+    bounded = betas > 1.0
+    # (E, len(betas)); 0 marks no information: beta = 1 and infeasible rows
+    infos = np.zeros(deltas.shape)
+    infos[np.ix_(feasible, bounded)] = generalized_fisher(
+        conjugate_exponent(betas[bounded]), phi_hat[feasible], params).T
+    rows, cols = np.nonzero((shots[:, np.newaxis] > 0) & (infos > 0.0))
     kappas = np.full(deltas.shape, math.nan)
+    kappas[rows, cols] = kappa(deltas[rows, cols], infos[rows, cols], shots[rows], betas[cols])
+    spread = d2 > 0.0
     ratios = np.full(deltas.shape, math.nan)
-    for i, b in enumerate(betas):
-        ok = (shots > 0) & (infos[i] > 0.0)
-        if b > 1.0 and ok.any():
-            kappas[ok, i] = kappa(deltas[ok, i], infos[i, ok], shots[ok], b)
-        ratios[spread, i] = deltas[spread, i] / gaussian_abs_moment(b, sigma)
+    ratios[spread] = deltas[spread] / gaussian_abs_moment(betas, np.sqrt(d2[spread])[:, np.newaxis])
     return deltas, kappas, ratios
 
 

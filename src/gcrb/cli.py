@@ -198,7 +198,7 @@ def cmd_bounds(args) -> int:
     phases = tuple(parse_value_list(args.phase_true))
     betas = tuple(parse_value_list(args.beta))
     params = ModelParams(args.v_est)
-    alphas = tuple(conjugate_exponent(b) for b in betas)
+    alphas = tuple(conjugate_exponent(betas).tolist())
     # f_alpha for every (order, phase) from one model evaluation, and the
     # bounds from it, each (orders, phases); a vanishing f_alpha gives inf
     infos = generalized_fisher(alphas, phases, params)

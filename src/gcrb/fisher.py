@@ -9,8 +9,10 @@ where f_alpha = sum_theta p(theta|phi) * |d/dphi log p(theta|phi)|**alpha is
 the alpha-th absolute moment of the score.  beta = alpha = 2 recovers the
 familiar 1/(M*F) variance bound with F the Fisher information.
 
-`generalized_fisher` gives f_alpha for arrays of orders and phases from one
-model evaluation, and `order_bound` turns arrays of f_alpha into the bounds.
+Every function here broadcasts over orders: `conjugate_exponent` maps an
+array of orders beta to their alphas, `generalized_fisher` gives f_alpha for
+arrays of orders and phases from one model evaluation, and `order_bound`
+turns arrays of f_alpha into the bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 
-from .model import ModelParams, is_real, is_whole, outcome_dprobs, outcome_probs
+from .model import ModelParams, is_whole, outcome_dprobs, outcome_probs
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -30,12 +32,18 @@ from .model import ModelParams, is_real, is_whole, outcome_dprobs, outcome_probs
 VISIBILITY_CLAMP = 1e-14
 
 
-def conjugate_exponent(beta: float) -> float:
-    """Hoelder conjugate alpha = beta / (beta - 1); requires beta > 1."""
-    if not (is_real(beta) and math.isfinite(beta) and beta > 1.0):
+def conjugate_exponent(beta):
+    """Hoelder conjugate alpha = beta / (beta - 1) of one order or an array of
+    orders, each a finite real > 1 (numpy reals included, bools not); a
+    scalar gives a float and an array an array of the same shape.  This is
+    the one check of bound orders.
+    """
+    betas = np.asarray(beta)
+    if not (betas.dtype.kind in "iuf" and ((betas > 1.0) & (betas < math.inf)).all()):
         raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
-    beta = float(beta)
-    return beta / (beta - 1.0)
+    betas = betas.astype(float)
+    alphas = betas / (betas - 1.0)
+    return float(alphas) if alphas.ndim == 0 else alphas
 
 
 def generalized_fisher(alpha, phases, params: ModelParams):
@@ -78,16 +86,14 @@ def order_bound(beta, f_alpha, shots):
     Orders, informations and shot counts broadcast against each other;
     scalars give a float.
     """
+    alphas = conjugate_exponent(beta)
     betas = np.asarray(beta, dtype=float)
-    if not ((betas > 1.0) & (betas < math.inf)).all():
-        raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
     infos = np.asarray(f_alpha, dtype=float)
     if not (np.isfinite(infos) & (infos >= 0.0)).all():
         raise ValueError(
             f"generalized Fisher information must be finite and >= 0, got {f_alpha!r}")
     if not (is_whole(shots) and np.all(np.asarray(shots) >= 1)):
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    alphas = betas / (betas - 1.0)
     with np.errstate(divide="ignore"):
         bound = np.asarray(shots, dtype=float) ** (-betas / 2.0) * infos ** (-betas / alphas)
     return float(bound) if bound.ndim == 0 else bound

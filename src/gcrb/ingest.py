@@ -11,7 +11,6 @@ domain is always an explicit, separate step.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from typing import TextIO
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
-from .model import MAX_COUNT, OutcomeTally, check_counts
+from .model import MAX_COUNT, check_counts
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
@@ -133,17 +132,6 @@ def write_counts(records, dest: TextIO | str | Path) -> None:
     finally:
         if owned:
             stream.close()
-
-
-def counts_to_text(records) -> str:
-    buf = io.StringIO()
-    write_counts(records, buf)
-    return buf.getvalue()
-
-
-def to_tally(record: CountsRecord) -> OutcomeTally:
-    """Drop the metadata; keep the sufficient statistic."""
-    return OutcomeTally(record.counts)
 
 
 def fold_phase(phase: float, domain: PhaseDomain) -> float:

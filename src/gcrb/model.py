@@ -83,11 +83,6 @@ class OutcomeTally:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", check_counts(self.counts))
 
-    @property
-    def total(self) -> int:
-        """Number of recorded events M."""
-        return sum(self.counts)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float)
 

@@ -79,8 +79,8 @@ class CampaignConfig:
         for name in ("shots", "n_experiments"):
             if not (is_whole(getattr(self, name)) and getattr(self, name) >= 1):
                 raise ValueError(f"{name} must be a positive integer")
-        if any(not (is_real(b) and math.isfinite(b) and b > 1.0) for b in self.beta_list):
-            raise ValueError("every moment order must be a finite real > 1")
+        # every order needs a conjugate one: a finite real > 1
+        conjugate_exponent(self.beta_list)
         if not (is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.violation_rule not in VIOLATION_RULES:
@@ -150,17 +150,20 @@ def sample_tally(
     return OutcomeTally(counts)
 
 
-def sigma_beta(beta: float, shots: int, fisher_info: float) -> float:
+def sigma_beta(beta, shots: int, fisher_info: float):
     """Standard deviation of |phi - phi_hat|**beta under the asymptotic Gaussian
-    posterior of width sigma = 1/sqrt(M * F)."""
+    posterior of width sigma = 1/sqrt(M * F), for one order or an array of
+    orders; a scalar order gives a float."""
     if not fisher_info > 0.0:
         raise ValueError("sigma_beta undefined for vanishing Fisher information")
     if not (is_whole(shots) and shots >= 1):
         raise ValueError("shots must be a positive integer")
     sigma = 1.0 / math.sqrt(shots * fisher_info)
-    variance = gaussian_abs_moment(2.0 * beta, sigma) - gaussian_abs_moment(beta, sigma) ** 2
+    mean = gaussian_abs_moment(beta, sigma)
+    variance = gaussian_abs_moment(2.0 * np.asarray(beta), sigma) - mean ** 2
     # clip the tiny negative excursions float cancellation can produce
-    return math.sqrt(max(variance, 0.0))
+    value = np.sqrt(np.maximum(variance, 0.0))
+    return float(value) if value.ndim == 0 else value
 
 
 @lru_cache(maxsize=64)
@@ -173,21 +176,20 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Raises UndefinedRatioError when F vanishes there, which leaves the windows
     undefined.
     """
-    alphas = tuple(conjugate_exponent(b) for b in config.beta_list)
-    *infos, info = generalized_fisher(alphas + (2.0,), config.phase_true,
-                                      ModelParams(config.v_est)).tolist()
+    betas = np.array(config.beta_list)
+    infos = generalized_fisher(np.append(conjugate_exponent(betas), 2.0),
+                               config.phase_true, ModelParams(config.v_est))
+    info = float(infos[-1])
     if not info > 0.0:
         raise UndefinedRatioError(
             f"violation windows undefined: Fisher information vanishes at "
             f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
         )
-    floors = order_bound(np.array(config.beta_list), np.array(infos), config.shots)
-    windows = np.array([config.sigma_window * sigma_beta(b, config.shots, info)
-                        for b in config.beta_list])
+    floors = order_bound(betas, infos[:-1], config.shots)
+    windows = config.sigma_window * sigma_beta(betas, config.shots, info)
     if config.window_scale == "standard-error":
         windows /= math.sqrt(config.shots)
-    sigma_post = 1.0 / math.sqrt(config.shots * info)
-    centers = np.array([gaussian_abs_moment(b, sigma_post) for b in config.beta_list])
+    centers = gaussian_abs_moment(betas, 1.0 / math.sqrt(config.shots * info))
     return floors, windows, centers
 
 

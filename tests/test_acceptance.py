@@ -18,7 +18,7 @@ from gcrb.bayes import (
     saturation_report,
 )
 from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
-from gcrb.ingest import CountsRecord, counts_to_text, parse_counts, to_tally
+from gcrb.ingest import CountsRecord, parse_counts, write_counts
 from gcrb.model import ModelParams, OutcomeTally, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
@@ -227,7 +227,7 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
         tally = sample_tally(folded, v_true, shots, experiment_rng(seed, 0))
         records.append(CountsRecord(phase_label=2.8, counts=tally.counts))
     path = tmp_path / "synthetic.csv"
-    path.write_text(counts_to_text(records), encoding="utf-8")
+    write_counts(records, path)
     parsed = parse_counts(path)
     assert parsed == records
 
@@ -236,7 +236,7 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
         params = ModelParams(v_est)
         signature = 0
         for record in parsed:
-            tally = to_tally(record)
+            tally = OutcomeTally(record.counts)
             post = posterior(tally, params, DEFAULT_DOMAIN)
             ms = saturation_report(post, params, shots, (2.0, 3.0))
             info = fisher(ms.estimate, params)
@@ -313,7 +313,9 @@ def test_criterion_7_property_suites():
         CountsRecord(0.125, (1, 2, 3, 4), "r1"),
         CountsRecord(2.8, (9990, 3, 17, 0), "r2"),
     ]
-    checks["csv-round-trip"] = parse_counts(io.StringIO(counts_to_text(records))) == records
+    buf = io.StringIO()
+    write_counts(records, buf)
+    checks["csv-round-trip"] = parse_counts(io.StringIO(buf.getvalue())) == records
 
     ok = all(checks.values())
     report("7", ok, ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))

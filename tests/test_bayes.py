@@ -65,6 +65,16 @@ def test_phase_domain_validation():
     assert d.spacing == pytest.approx(L / 4095.0, rel=1e-15)
 
 
+def test_phase_domain_endpoints_are_real_and_stored_as_floats():
+    # a bool is not an endpoint; numpy reals are, and are stored as floats
+    for ends in ((False, True), (0.0, True), (np.False_, 1.0), ("0", 1.0)):
+        with pytest.raises(ValueError):
+            PhaseDomain(*ends)
+    d = PhaseDomain(np.int64(0), np.float32(0.5))
+    assert (type(d.lower), type(d.upper)) == (float, float)
+    assert (d.lower, d.upper) == (0.0, 0.5)
+
+
 def test_posterior_grid_rejects_bad_density():
     with pytest.raises(ValueError):
         PosteriorGrid(DEFAULT_DOMAIN, np.full(DEFAULT_DOMAIN.grid_points, 0.5))
@@ -324,6 +334,18 @@ def test_gaussian_abs_moment_values():
     assert gaussian_abs_moment(np.int64(4), 1.0) == gaussian_abs_moment(4.0, 1.0)
     with pytest.raises(ValueError):
         gaussian_abs_moment(True, 1.0)
+
+
+def test_gaussian_abs_moment_broadcasts():
+    # a list of sigmas gives an array, and a non-finite sigma is rejected as such
+    assert gaussian_abs_moment(2.0, [0.1, 0.2]).tolist() == [
+        gaussian_abs_moment(2.0, 0.1), gaussian_abs_moment(2.0, 0.2)]
+    with pytest.raises(ValueError, match="finite"):
+        gaussian_abs_moment(2.0, math.inf)
+    # orders broadcast against sigmas
+    table = gaussian_abs_moment(np.array([2.0, 3.0, 4.0]), np.array([[0.5], [1.0]]))
+    assert table.shape == (2, 3)
+    assert table[1].tolist() == [gaussian_abs_moment(b, 1.0) for b in (2.0, 3.0, 4.0)]
 
 
 def test_kappa_values():

@@ -54,6 +54,17 @@ def test_conjugate_rejects_bad_orders():
             conjugate_exponent(bad)
 
 
+def test_conjugate_exponent_broadcasts():
+    betas = (1.5, 2.0, 3.0, 4.0)
+    alphas = conjugate_exponent(np.array(betas))
+    assert alphas.tolist() == [conjugate_exponent(b) for b in betas]
+    assert conjugate_exponent(np.array([[2.0], [3.0]])).shape == (2, 1)
+    assert conjugate_exponent([2, 3]).tolist() == [2.0, 1.5]
+    for bad in (np.array([True, True]), np.array([2.0, 1.0]), [2.0, math.nan], "2"):
+        with pytest.raises(ValueError):
+            conjugate_exponent(bad)
+
+
 @given(beta=st.floats(min_value=1.0, max_value=10.0, exclude_min=True))
 @settings(max_examples=300, deadline=None)
 def test_conjugacy_identity(beta):
@@ -187,6 +198,9 @@ def test_kappa_is_the_moment_over_the_order_bound():
         bounds = order_bound(np.array(betas)[:, np.newaxis], np.array(infos + (0.0,)), shots)
         assert bounds.shape == (len(betas), len(infos) + 1)
         assert np.isinf(bounds[:, -1]).all()
+        # kappa broadcasts the same way and is the moment over the bound
+        kappas = kappa(delta, np.array(infos), shots, np.array(betas)[:, np.newaxis])
+        assert kappas.tolist() == (delta / bounds[:, :-1]).tolist()
         for i, beta in enumerate(betas):
             for j, f_alpha in enumerate(infos):
                 bound = order_bound(beta, f_alpha, shots)

@@ -9,12 +9,11 @@ from gcrb.bayes import DEFAULT_DOMAIN, PhaseDomain
 from gcrb.errors import CountsParseError
 from gcrb.ingest import (
     CountsRecord,
-    counts_to_text,
     fold_phase,
     parse_counts,
-    to_tally,
     write_counts,
 )
+from gcrb.model import OutcomeTally
 
 PI = math.pi
 
@@ -113,7 +112,9 @@ record_strategy = st.builds(
 @given(records=st.lists(record_strategy, max_size=20))
 @settings(max_examples=100, deadline=None)
 def test_round_trip(records):
-    assert parse_text(counts_to_text(records)) == records
+    buf = io.StringIO()
+    write_counts(records, buf)
+    assert parse_text(buf.getvalue()) == records
 
 
 def test_round_trip_via_file(tmp_path):
@@ -127,10 +128,11 @@ def test_round_trip_via_file(tmp_path):
 
 
 def test_to_tally():
-    assert to_tally(CountsRecord(0.0, (500, 250, 0, 250))).total == 1000
-    assert to_tally(CountsRecord(0.3, (0, 0, 0, 0))).total == 0
-    big = to_tally(CountsRecord(2.8, (2600, 2500, 2400, 2500)))
-    assert big.total == 10000
+    # a record's counts are its tally; the metadata are dropped
+    assert sum(OutcomeTally(CountsRecord(0.0, (500, 250, 0, 250)).counts).counts) == 1000
+    assert sum(OutcomeTally(CountsRecord(0.3, (0, 0, 0, 0)).counts).counts) == 0
+    big = OutcomeTally(CountsRecord(2.8, (2600, 2500, 2400, 2500)).counts)
+    assert sum(big.counts) == 10000
 
 
 def test_fold_phase():

@@ -35,7 +35,7 @@ def test_params_domain():
 
 def test_tally_validation():
     t = OutcomeTally((1, 2, 3, 4))
-    assert t.total == 10
+    assert sum(t.counts) == 10
     with pytest.raises(ValueError):
         OutcomeTally((1, 2, 3))
     with pytest.raises(ValueError):

@@ -96,7 +96,7 @@ def test_sample_tally_never_draws_impossible_outcome():
     # at phi = 0 and v = 1 the third setting has probability zero
     tally = sample_tally(0.0, 1.0, 1000, experiment_rng(1, 0))
     assert tally.counts[2] == 0
-    assert tally.total == 1000
+    assert sum(tally.counts) == 1000
 
 
 def test_sample_tally_frequency_concentration():
@@ -119,6 +119,9 @@ def test_sigma_beta_closed_forms():
     assert sigma_beta(3.0, shots, info) == pytest.approx(
         math.sqrt(15.0 - 8.0 / PI) * sigma ** 3, rel=1e-12
     )
+    # orders broadcast
+    assert sigma_beta(np.array([2.0, 3.0]), shots, info).tolist() == [
+        sigma_beta(2.0, shots, info), sigma_beta(3.0, shots, info)]
     # degenerate limit: the window collapses as the posterior sharpens
     assert sigma_beta(2.0, 10 ** 12, info) < sigma_beta(2.0, shots, info) * 1e-8
     with pytest.raises(ValueError):
@@ -147,6 +150,49 @@ def test_run_experiment_flags_are_recomputable():
         delta = row.deltas[0, k]
         expected = delta + window < bound or abs(delta - center) > window
         assert row.flags[0, k] == expected
+
+
+# hand-built rule inputs, all binary fractions so that every comparison is
+# exact: three orders with bounds, windows and Gaussian centres, the third
+# centre below its bound, and three experiments, the last sitting exactly on
+# its third window's edges
+ORACLE_DELTAS = np.array([[0.75, 1.25, 0.625],
+                          [1.0, 2.25, 1.0],
+                          [1.25, 2.75, 0.75]])
+ORACLE_FLOORS = np.array([1.0, 2.0, 1.0])
+ORACLE_WINDOWS = np.array([0.125, 0.5, 0.25])
+ORACLE_CENTERS = np.array([1.25, 2.0, 0.5])
+ORACLE_FLAGS = {
+    "below-bound": [[True, True, True],
+                    [False, False, False],
+                    [False, False, False]],
+    "two-sided-bound": [[True, True, True],
+                        [False, False, False],
+                        [True, True, False]],
+    "gaussian-consistency": [[True, True, False],
+                             [True, False, True],
+                             [False, True, False]],
+    "composite": [[True, True, True],
+                  [True, False, True],
+                  [False, True, False]],
+}
+
+
+@pytest.mark.parametrize("rule", mc.VIOLATION_RULES)
+def test_flag_violations_oracle(rule):
+    flags = mc._flag_violations(ORACLE_DELTAS, ORACLE_FLOORS, ORACLE_WINDOWS,
+                                ORACLE_CENTERS, rule)
+    assert flags.tolist() == ORACLE_FLAGS[rule]
+
+
+def test_posterior_sd_windows_are_standard_error_windows_times_sqrt_shots():
+    config = small_config(v_est=0.99, beta_list=(1.5, 2.0, 3.0, 4.0))
+    floors, windows, centers = mc._reference(config)
+    sd_floors, sd_windows, sd_centers = mc._reference(
+        dataclasses.replace(config, window_scale="posterior-sd"))
+    assert sd_floors.tolist() == floors.tolist()
+    assert sd_centers.tolist() == centers.tolist()
+    assert sd_windows == pytest.approx(windows * math.sqrt(config.shots), rel=1e-15)
 
 
 def test_infeasible_experiment_counts_as_violation():
