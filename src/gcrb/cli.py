@@ -11,6 +11,14 @@ rows (`gcrb.bayes._evaluate_counts`); `analyze` reaches it through
 `bounds` computes every f_alpha from one `generalized_fisher` call and the
 bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
+`simulate` and `analyze` validate every v_est value, then evaluate the values
+on forked worker processes (`_map_in_order`), one per CPU in the affinity
+mask and at most one per value, and write the rows and warnings in value
+order; the output bytes do not depend on the worker count, and one CPU
+(``taskset -c 0``) runs them in-process.  On Python >= 3.12 the fork may emit
+a DeprecationWarning, because OpenBLAS threads make the process
+multi-threaded.
+
 Every output CSV is written atomically and is accompanied by
 ``<out>.manifest.json`` recording the command, the fully resolved
 configuration, the seed and the tool version.  Reruns with the same manifest
@@ -27,6 +35,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +142,53 @@ def _manifest(command: str, seed, config: dict, outputs: list[str]) -> dict:
     }
 
 
+def _map_in_order(func, values) -> list:
+    """``[func(v) for v in values]``, computed on forked worker processes, one
+    per CPU in this process's affinity mask and at most one per value.
+
+    It runs in-process when one worker would do, or where the platform lacks
+    `os.sched_getaffinity` or the fork start method.  func and the values must
+    pickle; the first exception in value order is not guaranteed to be the one
+    raised, so callers validate their values first.
+    """
+    try:
+        workers = min(len(values), len(os.sched_getaffinity(0)))
+    except AttributeError:
+        workers = 1
+    if workers > 1:
+        # imported here: multiprocessing.pool adds ~25 ms to every start-up
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                results = pool.map(func, values, chunksize=1)
+            except BaseException:
+                pool.terminate()
+                pool.join()
+                raise
+            pool.close()
+            pool.join()
+            return results
+    return [func(v) for v in values]
+
+
+def _campaign_stats(config: CampaignConfig):
+    """The campaign's ViolationStats, or None when Sigma_beta is undefined at
+    its v_est (no Fisher information at phase_true); such a v_est flags its
+    own rows and the sweep goes on."""
+    try:
+        return violation_fractions(config)
+    except UndefinedRatioError:
+        return None
+
+
+def _counts_report(counts, shots, domain, betas, params):
+    """`_report_counts` with params last, for `partial`; a worker finds it by
+    this module's name even where `_report_counts` is wrapped."""
+    return _report_counts(counts, shots, params, domain, betas)
+
+
 def cmd_simulate(args) -> int:
     domain = parse_domain(args.domain, args.grid_points)
     v_est_values = parse_value_list(args.v_est)
@@ -150,14 +206,13 @@ def cmd_simulate(args) -> int:
         violation_rule=args.violation_rule,
         window_scale=args.window_scale,
     )
+    # every config is validated here, so that a bad v_est gives the same
+    # error whichever worker would have met it first
+    configs = [base.with_v_est(v_est) for v_est in v_est_values]
     rows = []
     undefined: list[float] = []
-    for v_est in v_est_values:
-        try:
-            stats = violation_fractions(base.with_v_est(v_est))
-        except UndefinedRatioError:
-            # no Fisher information at phase_true: Sigma_beta is undefined for
-            # this v_est alone, so flag its rows and keep the sweep going
+    for v_est, stats in zip(v_est_values, _map_in_order(_campaign_stats, configs)):
+        if stats is None:
             undefined.append(v_est)
             rows.extend((_fmt(float(v_est)), _fmt(float(b)), "nan", "nan",
                          _fmt(base.n_experiments)) for b in betas)
@@ -234,10 +289,10 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     counts = np.array([r.counts for r in records], dtype=float).reshape(-1, 4)
     shots = np.array([sum(r.counts) for r in records], dtype=float)
-    # v_est outermost, so that each log-likelihood table is built once;
+    # one report per v_est, so that each log-likelihood table is built once;
     # infeasible rows come back as nan, which formats as "nan"
-    columns = [_report_counts(counts, shots, ModelParams(v_est), domain, betas)
-               for v_est in v_est_values]
+    params = [ModelParams(v_est) for v_est in v_est_values]
+    columns = _map_in_order(partial(_counts_report, counts, shots, domain, betas), params)
     # each (records, v_est, ...)
     feasible, estimates, deltas, kappas, ratios = (np.stack(c, axis=1) for c in zip(*columns))
     rows = []

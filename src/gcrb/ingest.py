@@ -19,7 +19,7 @@ from typing import TextIO
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
-from .model import MAX_COUNT, check_counts
+from .model import MAX_COUNT, check_counts, is_real
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
@@ -39,8 +39,9 @@ class CountsRecord:
     acquisition_id: str = ""
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.phase_label):
-            raise ValueError("phase label must be finite")
+        if not (is_real(self.phase_label) and math.isfinite(self.phase_label)):
+            raise ValueError(f"phase label must be a finite real, got {self.phase_label!r}")
+        object.__setattr__(self, "phase_label", float(self.phase_label))
         object.__setattr__(self, "counts", check_counts(self.counts))
 
 

@@ -20,9 +20,11 @@ A moment is flagged through a statistical window of half-width
                            violates.
 
 Experiments derive their RNG streams from (seed, experiment index), so
-campaigns are reproducible and embarrassingly parallel.  A tally does not
-depend on v_est, so a campaign's tallies are drawn once and shared by every
-v_est of a sweep.  They go through the counts evaluator that `analyze` also
+campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
+v_est values of a sweep as separate campaigns on forked workers, with the
+same bytes as in one process.  A tally does not depend on v_est, so a
+campaign's tallies are drawn once per process and shared by every v_est it
+evaluates.  They go through the counts evaluator that `analyze` also
 uses (`gcrb.bayes._evaluate_counts`; its results do not depend on the block
 size or on which rows share a block) and are flagged by array comparison
 against the per-order bounds, windows and Gaussian centres of the rule, all

@@ -1,14 +1,20 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gcrb.cli import main, parse_value_list
+from gcrb.cli import _map_in_order, main, parse_value_list
 from gcrb.ingest import CountsRecord, write_counts
 from gcrb.montecarlo import experiment_rng, sample_tally
 
 PI = math.pi
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read(path):
@@ -282,3 +288,83 @@ def test_missing_subcommand_exit_code():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 1
+
+
+# --- v_est values on forked workers -----------------------------------------
+
+def use_cpus(monkeypatch, cpus):
+    """Make the affinity mask hold `cpus` CPUs, and so the pool that many
+    workers at most."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def run_cli(monkeypatch, capsys, tmp_path, cpus, argv):
+    """Exit code, output bytes and stderr of one CLI run on `cpus` CPUs; no
+    worker may outlive it."""
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / f"cpus{cpus}" / "out.csv"
+    code = main([*argv, "--out", str(out)])
+    assert multiprocessing.active_children() == []
+    files = [p.read_bytes() if p.exists() else None
+             for p in (out, out.with_name(out.name + ".manifest.json"))]
+    return code, files, capsys.readouterr().err
+
+
+def pid_of(value):
+    return os.getpid()
+
+
+def reject_two(value):
+    if value == 2:
+        raise ValueError("two")
+    return value
+
+
+def test_map_in_order_forks_one_worker_per_cpu(monkeypatch):
+    use_cpus(monkeypatch, 1)
+    assert _map_in_order(pid_of, [0, 1, 2]) == [os.getpid()] * 3
+    use_cpus(monkeypatch, 2)
+    pids = _map_in_order(pid_of, [0, 1, 2, 3])
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+    assert _map_in_order(reject_two, [0, 1, 3]) == [0, 1, 3]
+    with pytest.raises(ValueError, match="two"):
+        _map_in_order(reject_two, [1, 2, 3])
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
+    argv = ["simulate", "--v-est", "0,0.95,1.0", "--experiments", "20", "--seed", "5"]
+    one, two = (run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2))
+    assert one == two
+    code, (csv_bytes, manifest), err = one
+    assert code == 0 and csv_bytes.count(b"\n") == 1 + 3 * 4 and manifest is not None
+    assert "v_est=0.0" in err
+
+
+def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
+    counts = tmp_path / "counts.csv"
+    write_counts(spread_records(np.random.default_rng(6)), counts)
+    argv = ["analyze", str(counts), "--v-est", "0.95,0.97,0.99,1.0", "--beta", "2,3"]
+    one, two = (run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2))
+    assert one == two
+    code, (csv_bytes, _), _ = one
+    assert code == 0 and csv_bytes.count(b"\n") == 1 + 20 * 4 * 2
+
+
+def test_first_bad_v_est_is_reported_whatever_the_worker_count(monkeypatch, capsys, tmp_path):
+    for cpus in (1, 2):
+        code, files, err = run_cli(monkeypatch, capsys, tmp_path, cpus,
+                                   ["simulate", "--v-est", "0.95,2.0,1.5", "--experiments", "5"])
+        assert code == 1 and files == [None, None]
+        assert err == "gcrb: error: v_est must lie in [0, 1], got 2.0\n"
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, gcrb.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

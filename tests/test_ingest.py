@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,15 @@ def test_to_tally():
     assert sum(OutcomeTally(CountsRecord(0.3, (0, 0, 0, 0)).counts).counts) == 0
     big = OutcomeTally(CountsRecord(2.8, (2600, 2500, 2400, 2500)).counts)
     assert sum(big.counts) == 10000
+
+
+def test_phase_labels_are_finite_reals_stored_as_floats():
+    for label in (np.float64(0.3), np.int64(1), 2):
+        record = CountsRecord(label, (1, 2, 3, 4))
+        assert type(record.phase_label) is float and record.phase_label == float(label)
+    for label in (True, np.True_, "0.3", None, math.nan, math.inf):
+        with pytest.raises(ValueError, match="phase label"):
+            CountsRecord(label, (1, 2, 3, 4))
 
 
 def test_fold_phase():
