@@ -33,7 +33,7 @@ def main() -> int:
         target = fold_phase(phase, DEFAULT_DOMAIN) if args.fold else phase
         rng = experiment_rng(args.seed, i)
         tally = sample_tally(target, args.v_true, args.shots, rng)
-        records.append(CountsRecord(phase_label=phase, counts=tally.counts,
+        records.append(CountsRecord(phase_label=phase, counts=tally,
                                     acquisition_id=f"synthetic-{i:04d}"))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_counts(records, args.out)

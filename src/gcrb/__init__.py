@@ -4,24 +4,23 @@ The package simulates (or ingests) four-setting two-photon interferometry
 data, reconstructs grid posteriors, computes absolute central moments and
 generalized Fisher informations, and measures how often each order-beta lower
 bound is broken, which flags miscalibration bias in the sensor model.
+`report_counts` analyzes a table of counts, one posterior per row, for the
+library and for `gcrb analyze` alike.
 """
 
 __version__ = "0.1.0"
 
 from .bayes import (
     DEFAULT_DOMAIN,
+    CountsReport,
     PhaseDomain,
-    PosteriorGrid,
-    SaturationReport,
     gaussian_abs_moment,
     kappa,
-    posterior,
-    saturation_report,
+    report_counts,
 )
 from .errors import (
     CountsParseError,
     EstimationError,
-    InfeasibleDataError,
     UndefinedRatioError,
 )
 from .fisher import (
@@ -39,7 +38,6 @@ from .ingest import (
 from .model import (
     MODEL_NAME,
     ModelParams,
-    OutcomeTally,
     outcome_dprobs,
     outcome_probs,
 )
@@ -60,16 +58,13 @@ __all__ = [
     "CampaignConfig",
     "CountsParseError",
     "CountsRecord",
+    "CountsReport",
     "DEFAULT_DOMAIN",
     "EstimationError",
     "ExperimentTable",
-    "InfeasibleDataError",
     "MODEL_NAME",
     "ModelParams",
-    "OutcomeTally",
     "PhaseDomain",
-    "PosteriorGrid",
-    "SaturationReport",
     "UndefinedRatioError",
     "ViolationStats",
     "conjugate_exponent",
@@ -83,11 +78,10 @@ __all__ = [
     "outcome_dprobs",
     "outcome_probs",
     "parse_counts",
-    "posterior",
+    "report_counts",
     "run_campaign",
     "run_experiment",
     "sample_tally",
-    "saturation_report",
     "sigma_beta",
     "violation_fractions",
     "write_counts",

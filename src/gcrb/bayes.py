@@ -1,8 +1,9 @@
 """Grid posterior over the phase and its absolute central moments.
 
-The posterior is reconstructed on a uniform grid by Bayes' rule,
+The posterior is reconstructed on a uniform grid over the prior support by
+Bayes' rule with a flat prior,
 
-    p(phi | x)  propto  prior(phi) * prod_theta p(theta | phi)^counts(theta),
+    p(phi | x)  propto  prod_theta p(theta | phi)^counts(theta),
 
 normalized by trapezoidal quadrature.  Likelihoods for realistic shot counts
 underflow double precision, so everything is assembled in the log domain with
@@ -14,18 +15,18 @@ beta.  The panels surrounding the kink are therefore integrated in closed form
 against a local cubic fit of the density, with Euler-Maclaurin edge terms
 where the refined window meets the plain rule; see `_block_moments`.
 
-Posteriors and moments are computed for blocks of tallies at once, one row
-each.  `_evaluate_counts`, shared by `simulate` and `analyze`, takes an
-(E, 4) counts table to feasibility, phi_hat and Delta_beta; `_block_reports`
-adds kappa_beta and Gaussianity ratios, and `_report_counts` chains the two
-for `analyze`.  `saturation_report` is the single-posterior routine.
-`gaussian_abs_moment` and `kappa` broadcast over orders, so the reports are
-array expressions over the (E, n_beta) columns; kappa is Delta_beta over
-`gcrb.fisher.order_bound`.
+`report_counts` is the analysis routine of the library and of `gcrb analyze`:
+it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
+kappa_beta and Gaussianity ratios, one row per counts row.  It chains
+`_evaluate_counts`, which `simulate` shares and which gives feasibility,
+phi_hat and Delta_beta, with `_block_reports`, which adds the kappa and
+Gaussianity columns.  `gaussian_abs_moment` and `kappa` broadcast over orders,
+so the reports are array expressions over the (E, n_beta) columns; kappa is
+Delta_beta over `gcrb.fisher.order_bound`.
 
-Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get density
-exactly 0, so the `PosteriorGrid.densities` of a `posterior` are exactly 0
-beyond the floor.
+Posteriors and moments are computed for blocks of rows at once
+(`_block_posterior`, `_block_moments`).  Nodes more than 100 nats below their
+row's peak (`_LOG_FLOOR`) get density exactly 0.
 The elementwise work of a block (exp, the normalising divide, phi * p,
 |t|**beta and the kernel products) runs only on its live span: the columns
 from the first to the last where any row is above the floor.  Every sum
@@ -36,16 +37,20 @@ same bits whatever block it shares, and do not depend on the block size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleDataError, UndefinedRatioError
+from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import PI, ModelParams, OutcomeTally, is_real, outcome_probs
+from .model import N_SETTINGS, PI, ModelParams, is_real, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
+
+# moment orders analyzed when none are given
+DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
 
 # panels refined on each side of the moment-kernel kink
 _KINK_PANELS = 4
@@ -141,46 +146,13 @@ def _trapezoid(values: np.ndarray, spacing: float):
 
 
 def _check_densities(dens: np.ndarray, spacing: float) -> None:
-    """The PosteriorGrid contract, row by row: finite, non-negative, unit mass."""
+    """The posterior contract, row by row: finite, non-negative, unit mass."""
     if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
         raise ValueError("densities must be finite and non-negative")
     integrals = np.atleast_1d(_trapezoid(dens, spacing))
     off = np.abs(integrals - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"posterior integrates to {float(integrals[off][0])!r}, not 1")
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorGrid:
-    """Normalized posterior density sampled on a PhaseDomain grid."""
-
-    domain: PhaseDomain
-    densities: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        dens = np.asarray(self.densities, dtype=float)
-        if dens.shape != (self.domain.grid_points,):
-            raise ValueError("density vector does not match the domain grid")
-        _check_densities(dens, self.domain.spacing)
-        dens = dens.copy()
-        dens.setflags(write=False)
-        object.__setattr__(self, "densities", dens)
-
-
-@dataclass(frozen=True)
-class SaturationReport:
-    """Per-posterior analysis: phi_hat plus, for each order beta, Delta_beta,
-    the saturation ratio kappa_beta and the Gaussianity ratio
-    Delta_beta / Delta_beta(Gaussian at sigma = sqrt(Delta_2)).
-
-    ``nan`` marks a kappa without data or information and a Gaussianity ratio
-    of a posterior without spread.
-    """
-
-    estimate: float
-    deltas: dict[float, float]
-    kappas: dict[float, float]
-    gauss_ratios: dict[float, float]
 
 
 @lru_cache(maxsize=16)
@@ -196,7 +168,6 @@ def _block_posterior(
     counts: np.ndarray,
     params: ModelParams,
     domain: PhaseDomain,
-    prior: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior densities of a block of tallies, one row per (4,) count row.
 
@@ -215,14 +186,6 @@ def _block_posterior(
             np.matmul(c, logp, out=row)
         elif active.any():
             np.matmul(c[active], logp[active], out=row)
-    if prior is not None:
-        prior = np.asarray(prior, dtype=float)
-        if prior.shape != (domain.grid_points,):
-            raise ValueError("tabulated prior does not match the domain grid")
-        if not (np.isfinite(prior).all() and (prior >= 0.0).all() and (prior > 0.0).any()):
-            raise ValueError("prior weights must be finite, non-negative and not all zero")
-        with np.errstate(divide="ignore"):
-            dens += np.log(prior)
     peak = dens.max(axis=1)
     feasible = np.isfinite(peak)
     dens[~feasible] = 0.0
@@ -240,27 +203,6 @@ def _block_posterior(
     np.divide(values, _trapezoid(dens, domain.spacing)[:, np.newaxis], out=values)
     _check_densities(dens, domain.spacing)
     return dens, feasible
-
-
-def posterior(
-    tally: OutcomeTally,
-    params: ModelParams,
-    domain: PhaseDomain = DEFAULT_DOMAIN,
-    prior: np.ndarray | None = None,
-) -> PosteriorGrid:
-    """Posterior density of the phase given a tally.
-
-    ``prior`` is either None (flat) or a tabulated non-negative weight vector
-    on the domain grid; it does not need to be normalized.  Raises
-    InfeasibleDataError when the data have zero likelihood at every grid node
-    under the assumed visibility.
-    """
-    dens, feasible = _block_posterior(tally.as_array()[np.newaxis], params, domain, prior)
-    if not feasible[0]:
-        raise InfeasibleDataError(
-            "counts are impossible at every grid phase under the assumed visibility"
-        )
-    return PosteriorGrid(domain, dens[0])
 
 
 def _check_orders(beta) -> np.ndarray:
@@ -471,42 +413,39 @@ def _block_reports(
     return deltas, kappas, ratios
 
 
-def _report_counts(
-    counts: np.ndarray,
-    shots: np.ndarray,
-    params: ModelParams,
-    domain: PhaseDomain,
-    betas,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """feasible (E,), phi_hat (E,) and Delta_beta, kappa_beta and Gaussianity
-    ratios, each (E, len(betas)), for each row of an (E, 4) counts table with
-    the given shot counts under params; an infeasible row is ``nan``
-    throughout.  Validates the orders."""
-    feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
-    return (feasible, phi_hat, *_block_reports(phi_hat, moments, shots, params, betas))
+class CountsReport(NamedTuple):
+    """The analysis of an (E, 4) counts table, one row per counts row.
 
-
-def saturation_report(
-    post: PosteriorGrid,
-    params: ModelParams,
-    shots: int,
-    betas=(1.5, 2.0, 3.0, 4.0),
-) -> SaturationReport:
-    """phi_hat, Delta_beta, kappa_beta and the Gaussianity ratio per order of
-    one posterior; every order shares one kink window.
-
-    f_alpha is taken at phi_hat, from one model evaluation for all orders.
-    kappa is ``nan`` when there are no shots or f_alpha is undefined (beta = 1)
-    or vanishes; the Gaussianity ratio is ``nan`` when Delta_2 = 0.
+    An infeasible row, whose counts are impossible at every grid node, is
+    ``nan`` throughout.  ``nan`` also marks a kappa without shots or
+    information and a Gaussianity ratio of a posterior without spread.
     """
-    betas = tuple(betas)
-    center, moments = _block_moments(post.densities[np.newaxis], post.domain,
-                                     _moment_orders(betas))
-    deltas, kappas, ratios = _block_reports(center, moments, np.array([shots]), params, betas)
-    keys = [float(b) for b in betas]
-    return SaturationReport(
-        float(center[0]),
-        dict(zip(keys, deltas[0].tolist())),
-        dict(zip(keys, kappas[0].tolist())),
-        dict(zip(keys, ratios[0].tolist())),
-    )
+
+    feasible: np.ndarray      # (E,)
+    phi_hat: np.ndarray       # (E,) posterior means
+    deltas: np.ndarray        # (E, n_beta) absolute moments Delta_beta
+    kappas: np.ndarray        # (E, n_beta) saturation ratios kappa_beta
+    gauss_ratios: np.ndarray  # (E, n_beta) Delta_beta / Delta_beta(Gaussian)
+
+
+def report_counts(
+    counts,
+    params: ModelParams,
+    domain: PhaseDomain = DEFAULT_DOMAIN,
+    betas=DEFAULT_BETAS,
+) -> CountsReport:
+    """phi_hat and, for each order beta, Delta_beta, the saturation ratio
+    kappa_beta and the Gaussianity ratio Delta_beta / Delta_beta(Gaussian at
+    sigma = sqrt(Delta_2)) for each row of an (E, 4) counts table under params.
+
+    A row's shot count M is its count sum, taken in the table's dtype before
+    the conversion to float, so that an integer table gives each row the
+    float nearest its M.  f_alpha is taken at each row's phi_hat.  A row's
+    results do not depend on the other rows.  Validates the orders.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[1] != N_SETTINGS:
+        raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {counts.shape}")
+    shots = counts.sum(axis=1).astype(float)
+    feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
+    return CountsReport(feasible, phi_hat, *_block_reports(phi_hat, moments, shots, params, betas))

@@ -5,9 +5,9 @@ Subcommands
     bounds     f_alpha and the order-beta lower bounds over phases (CSV)
     analyze    per-row moments, kappa ratios and Gaussianity for a counts CSV
 
-`simulate` and `analyze` share one counts evaluator, ``nan`` on infeasible
-rows (`gcrb.bayes._evaluate_counts`); `analyze` reaches it through
-`gcrb.bayes._report_counts`, which adds the kappa and Gaussianity columns.
+`analyze` calls the library's analysis routine, `gcrb.bayes.report_counts`,
+once per v_est on the whole counts table; `simulate` shares its counts
+evaluator, ``nan`` on infeasible rows (`gcrb.bayes._evaluate_counts`).
 `bounds` computes every f_alpha from one `generalized_fisher` call and the
 bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
@@ -41,18 +41,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import PhaseDomain, _report_counts
+from .bayes import DEFAULT_BETAS, PhaseDomain, report_counts
 from .errors import EstimationError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
-from .montecarlo import (
-    DEFAULT_BETAS,
-    VIOLATION_RULES,
-    WINDOW_SCALES,
-    CampaignConfig,
-    violation_fractions,
-)
+from .montecarlo import VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, violation_fractions
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +85,8 @@ def parse_value_list(specs) -> list[float]:
                 if len(pieces) != 3:
                     raise ValueError(f"range must be a:b:step, got {part!r}")
                 a, b, step = (float(x) for x in pieces)
+                if not all(map(math.isfinite, (a, b, step))):
+                    raise ValueError(f"range {part!r} must have finite a, b and step")
                 if step <= 0 or b < a:
                     raise ValueError(f"range {part!r} must have b >= a and step > 0")
                 count = int(math.floor((b - a) / step + 0.5))
@@ -181,12 +177,6 @@ def _campaign_stats(config: CampaignConfig):
         return violation_fractions(config)
     except UndefinedRatioError:
         return None
-
-
-def _counts_report(counts, shots, domain, betas, params):
-    """`_report_counts` with params last, for `partial`; a worker finds it by
-    this module's name even where `_report_counts` is wrapped."""
-    return _report_counts(counts, shots, params, domain, betas)
 
 
 def cmd_simulate(args) -> int:
@@ -287,12 +277,16 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"gcrb: data error: cannot read counts file: {exc}", file=sys.stderr)
         return EXIT_DATA
-    counts = np.array([r.counts for r in records], dtype=float).reshape(-1, 4)
-    shots = np.array([sum(r.counts) for r in records], dtype=float)
+    except UnicodeDecodeError as exc:
+        print(f"gcrb: data error: counts file {args.counts!r} is not UTF-8 text: {exc}",
+              file=sys.stderr)
+        return EXIT_DATA
+    # int64 counts: report_counts sums each row's shots before the conversion to float
+    counts = np.array([r.counts for r in records], dtype=np.int64).reshape(-1, 4)
     # one report per v_est, so that each log-likelihood table is built once;
     # infeasible rows come back as nan, which formats as "nan"
     params = [ModelParams(v_est) for v_est in v_est_values]
-    columns = _map_in_order(partial(_counts_report, counts, shots, domain, betas), params)
+    columns = _map_in_order(partial(report_counts, counts, domain=domain, betas=betas), params)
     # each (records, v_est, ...)
     feasible, estimates, deltas, kappas, ratios = (np.stack(c, axis=1) for c in zip(*columns))
     rows = []

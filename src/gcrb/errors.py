@@ -5,10 +5,6 @@ class EstimationError(Exception):
     """Base class for all diagnostic-pipeline errors."""
 
 
-class InfeasibleDataError(EstimationError):
-    """Observed counts have zero likelihood everywhere on the phase grid."""
-
-
 class UndefinedRatioError(EstimationError):
     """Saturation ratio requested with vanishing generalized Fisher information."""
 

@@ -74,19 +74,6 @@ class ModelParams:
         object.__setattr__(self, "visibility", float(v))
 
 
-@dataclass(frozen=True)
-class OutcomeTally:
-    """Per-setting event counts for one run; the sufficient statistic."""
-
-    counts: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", check_counts(self.counts))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float)
-
-
 def _phase_trig(phases) -> tuple[np.ndarray, np.ndarray]:
     """cos/sin of 2*phi after exact reduction of phi mod pi.
 

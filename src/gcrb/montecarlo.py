@@ -24,11 +24,12 @@ campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
 v_est values of a sweep as separate campaigns on forked workers, with the
 same bytes as in one process.  A tally does not depend on v_est, so a
 campaign's tallies are drawn once per process and shared by every v_est it
-evaluates.  They go through the counts evaluator that `analyze` also
-uses (`gcrb.bayes._evaluate_counts`; its results do not depend on the block
-size or on which rows share a block) and are flagged by array comparison
-against the per-order bounds, windows and Gaussian centres of the rule, all
-taken from one `generalized_fisher` call at (phase_true, v_est).
+evaluates.  They go through the counts evaluator under `analyze`'s
+`gcrb.bayes.report_counts` (`gcrb.bayes._evaluate_counts`; its results do not
+depend on the block size or on which rows share a block) and are flagged by
+array comparison against the per-order bounds, windows and Gaussian centres
+of the rule, all taken from one `generalized_fisher` call at
+(phase_true, v_est).
 `run_campaign` returns the experiments as one `ExperimentTable` of columns,
 which `violation_fractions` reduces, and `run_experiment` recomputes any
 single experiment, drawn from its own stream, as a one-row table.  The
@@ -44,15 +45,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bayes import DEFAULT_DOMAIN, PhaseDomain, _evaluate_counts, gaussian_abs_moment
+from .bayes import (
+    DEFAULT_BETAS,
+    DEFAULT_DOMAIN,
+    PhaseDomain,
+    _evaluate_counts,
+    gaussian_abs_moment,
+)
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import ModelParams, OutcomeTally, is_real, is_whole, outcome_probs
+from .model import ModelParams, is_real, is_whole, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
-
-DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -143,13 +148,12 @@ def sample_tally(
     v_true: float,
     shots: int,
     rng: np.random.Generator,
-) -> OutcomeTally:
-    """M i.i.d. categorical draws over the settings, returned as a tally."""
+) -> np.ndarray:
+    """M i.i.d. categorical draws over the settings, returned as the (4,)
+    integer array of per-setting counts."""
     if not (is_whole(shots) and shots >= 0):
         raise ValueError("shots must be a non-negative integer")
-    probs = outcome_probs(phase_true, ModelParams(v_true))
-    counts = rng.multinomial(int(shots), probs)
-    return OutcomeTally(counts)
+    return rng.multinomial(int(shots), outcome_probs(phase_true, ModelParams(v_true)))
 
 
 def sigma_beta(beta, shots: int, fisher_info: float):

@@ -14,12 +14,11 @@ from gcrb.bayes import (
     DEFAULT_DOMAIN,
     gaussian_abs_moment,
     kappa,
-    posterior,
-    saturation_report,
+    report_counts,
 )
 from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
 from gcrb.ingest import CountsRecord, parse_counts, write_counts
-from gcrb.model import ModelParams, OutcomeTally, outcome_dprobs, outcome_probs
+from gcrb.model import ModelParams, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
     experiment_rng,
@@ -74,7 +73,7 @@ def oracle_posterior_moments(tally, v, domain, n_points, betas):
     """Brute-force reference: raw trig, log-domain, numpy trapezoid."""
     phis = np.linspace(domain.lower, domain.upper, n_points)
     logpost = np.zeros(n_points)
-    for k, count in enumerate(tally.counts):
+    for k, count in enumerate(tally):
         if count == 0:
             continue
         theta = k * PI / 16.0
@@ -99,16 +98,17 @@ def test_criterion_2_posterior_oracle_equivalence():
         margin = min(0.5, 6.0 / math.sqrt(1.5 * max(shots, 40)))
         phi_star = float(rng.uniform(margin, PI / 2.0 - margin))
         probs = outcome_probs(phi_star, ModelParams(v))
-        tally = OutcomeTally(tuple(int(c) for c in rng.multinomial(shots, probs)))
+        tally = rng.multinomial(shots, probs)
 
-        post = posterior(tally, ModelParams(v), DEFAULT_DOMAIN)
-        ms = saturation_report(post, ModelParams(v), max(shots, 1), BETAS)
+        # each tally has its own v, so each is a one-row table
+        ms = report_counts(tally[np.newaxis], ModelParams(v), DEFAULT_DOMAIN, BETAS)
         est_o, deltas_o = oracle_posterior_moments(
             tally, v, DEFAULT_DOMAIN, 10 * DEFAULT_DOMAIN.grid_points, BETAS
         )
-        worst_est = max(worst_est, abs(ms.estimate - est_o) / max(abs(est_o), 1e-3))
-        for b in BETAS:
-            worst_delta = max(worst_delta, abs(ms.deltas[b] - deltas_o[b]) / deltas_o[b])
+        estimate = float(ms.phi_hat[0])
+        worst_est = max(worst_est, abs(estimate - est_o) / max(abs(est_o), 1e-3))
+        for b, delta in zip(BETAS, ms.deltas[0].tolist()):
+            worst_delta = max(worst_delta, abs(delta - deltas_o[b]) / deltas_o[b])
     ok = worst_est <= 1e-5 and worst_delta <= 1e-5
     report("2", ok, f"worst rel: estimate {worst_est:.2e}, moments {worst_delta:.2e}")
 
@@ -121,23 +121,22 @@ def truth_campaign():
     phi_star = PI / 8.0
     params = ModelParams(0.95)
     info = fisher(phi_star, params)
-    estimates, kappas, ratios = [], [], []
-    for i in range(n_exp):
-        tally = sample_tally(phi_star, 0.95, shots, experiment_rng(seed, i))
-        post = posterior(tally, params, DEFAULT_DOMAIN)
-        ms = saturation_report(post, params, shots, (2.0, 3.0, 4.0))
-        estimates.append(ms.estimate)
-        kappas.append(kappa(ms.deltas[2.0], info, shots, 2.0))
-        sigma = math.sqrt(ms.deltas[2.0])
+    tallies = np.array([sample_tally(phi_star, 0.95, shots, experiment_rng(seed, i))
+                        for i in range(n_exp)])
+    ms = report_counts(tallies, params, DEFAULT_DOMAIN, (2.0, 3.0, 4.0))
+    kappas, ratios = [], []
+    for d2, d3, d4 in ms.deltas.tolist():
+        kappas.append(kappa(d2, info, shots, 2.0))
+        sigma = math.sqrt(d2)
         ratios.append((
-            ms.deltas[3.0] / gaussian_abs_moment(3.0, sigma),
-            ms.deltas[4.0] / gaussian_abs_moment(4.0, sigma),
+            d3 / gaussian_abs_moment(3.0, sigma),
+            d4 / gaussian_abs_moment(4.0, sigma),
         ))
     return {
         "phi_star": phi_star,
         "shots": shots,
         "info": info,
-        "estimates": np.array(estimates),
+        "estimates": ms.phi_hat,
         "kappas": np.array(kappas),
         "ratios": np.array(ratios),
     }
@@ -225,7 +224,7 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
     records = []
     for seed in range(20):
         tally = sample_tally(folded, v_true, shots, experiment_rng(seed, 0))
-        records.append(CountsRecord(phase_label=2.8, counts=tally.counts))
+        records.append(CountsRecord(phase_label=2.8, counts=tally))
     path = tmp_path / "synthetic.csv"
     write_counts(records, path)
     parsed = parse_counts(path)
@@ -235,17 +234,15 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
     for v_est in (0.98, 0.99, 1.0):
         params = ModelParams(v_est)
         signature = 0
-        for record in parsed:
-            tally = OutcomeTally(record.counts)
-            post = posterior(tally, params, DEFAULT_DOMAIN)
-            ms = saturation_report(post, params, shots, (2.0, 3.0))
-            info = fisher(ms.estimate, params)
+        ms = report_counts([record.counts for record in parsed], params, DEFAULT_DOMAIN, (2.0, 3.0))
+        for estimate, row in zip(ms.phi_hat.tolist(), ms.deltas.tolist()):
+            info = fisher(estimate, params)
             flags = {}
-            for b in (2.0, 3.0):
-                f_alpha = generalized_fisher(conjugate_exponent(b), ms.estimate, params)
+            for b, delta in zip((2.0, 3.0), row):
+                f_alpha = generalized_fisher(conjugate_exponent(b), estimate, params)
                 bound = order_bound(b, f_alpha, shots)
                 window = 3.0 * sigma_beta(b, shots, info) / math.sqrt(shots)
-                flags[b] = ms.deltas[b] + window < bound
+                flags[b] = delta + window < bound
             # order-3 bound violated while the standard bound is fulfilled
             if flags[3.0] and not flags[2.0]:
                 signature += 1
@@ -287,11 +284,11 @@ def test_criterion_7_property_suites():
     rng = np.random.default_rng(73)
     ok_lyapunov = True
     for _ in range(50):
-        counts = tuple(int(c) for c in rng.integers(0, 500, 4))
+        counts = rng.integers(0, 500, 4)
         params = ModelParams(float(rng.uniform(0.9, 1.0)))
-        post = posterior(OutcomeTally(counts), params)
-        deltas = saturation_report(post, params, max(sum(counts), 1), BETAS).deltas
-        roots = [deltas[b] ** (1.0 / b) for b in BETAS]
+        # each tally has its own v, so each is a one-row table
+        deltas = report_counts(counts[np.newaxis], params, DEFAULT_DOMAIN, BETAS).deltas[0]
+        roots = [d ** (1.0 / b) for b, d in zip(BETAS, deltas.tolist())]
         ok_lyapunov &= all(hi >= lo * (1 - 1e-9) for lo, hi in zip(roots, roots[1:]))
     checks["lyapunov"] = ok_lyapunov
 

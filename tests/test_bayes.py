@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from gcrb.bayes import (
     _block_moments,
     _block_posterior,
     _block_reports,
+    _check_densities,
     _evaluate_counts,
     _log_prob_grid,
     _moment_orders,
     _peak_nodes,
     PhaseDomain,
-    PosteriorGrid,
     gaussian_abs_moment,
     kappa,
-    posterior,
-    saturation_report,
+    report_counts,
 )
-from gcrb.errors import InfeasibleDataError, UndefinedRatioError
+from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import order_bound
-from gcrb.model import ModelParams, OutcomeTally, outcome_probs
+from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import experiment_rng, sample_tally, sigma_beta
 
 PI = math.pi
@@ -33,9 +33,9 @@ BETAS = (1.5, 2.0, 3.0, 4.0)
 
 def normalized_posterior(domain, values):
     """The posterior of non-negative weights, scaled by their trapezoidal
-    integral to unit mass."""
+    integral to unit mass, as a one-row block of densities."""
     h = domain.spacing
-    return PosteriorGrid(domain, values / (h * (values.sum() - 0.5 * (values[0] + values[-1]))))
+    return (values / (h * (values.sum() - 0.5 * (values[0] + values[-1]))))[np.newaxis]
 
 
 def gaussian_posterior(sigma, center=PI / 4.0, domain=DEFAULT_DOMAIN):
@@ -48,10 +48,27 @@ def uniform_posterior(domain=DEFAULT_DOMAIN):
     return normalized_posterior(domain, np.ones(domain.grid_points))
 
 
-def moments(post, betas, shots=1):
-    """phi_hat and Delta_beta of one posterior from the single-posterior
-    routine."""
-    return saturation_report(post, ModelParams(0.95), shots, betas)
+def row_report(phi_hat, columns, betas):
+    """Row 0 of phi_hat and of the Delta_beta, kappa_beta and Gaussianity
+    ratio columns, as a float and dicts keyed by order."""
+    keys = [float(b) for b in betas]
+    deltas, kappas, ratios = (dict(zip(keys, column[0].tolist())) for column in columns)
+    return SimpleNamespace(estimate=float(phi_hat[0]), deltas=deltas, kappas=kappas,
+                           gauss_ratios=ratios)
+
+
+def moments(dens, betas, shots=1, params=ModelParams(0.95), domain=DEFAULT_DOMAIN):
+    """The report of a one-row block of densities from the engine under
+    `report_counts`."""
+    phi_hat, values = _block_moments(dens, domain, _moment_orders(betas))
+    return row_report(phi_hat, _block_reports(phi_hat, values, np.array([shots]), params, betas),
+                      betas)
+
+
+def one_row(counts, params, domain=DEFAULT_DOMAIN, betas=BETAS):
+    """The report_counts report of one tally."""
+    report = report_counts(np.asarray(counts)[np.newaxis], params, domain, betas)
+    return row_report(report.phi_hat, report[2:], betas)
 
 
 def test_phase_domain_validation():
@@ -76,64 +93,48 @@ def test_phase_domain_endpoints_are_real_and_stored_as_floats():
 
 
 def test_posterior_grid_rejects_bad_density():
+    # the engine's own output check: unit mass, finite and non-negative
+    h = DEFAULT_DOMAIN.spacing
     with pytest.raises(ValueError):
-        PosteriorGrid(DEFAULT_DOMAIN, np.full(DEFAULT_DOMAIN.grid_points, 0.5))
+        _check_densities(np.full((1, DEFAULT_DOMAIN.grid_points), 0.5), h)
     with pytest.raises(ValueError):
-        PosteriorGrid(DEFAULT_DOMAIN, -np.ones(DEFAULT_DOMAIN.grid_points))
-
-
-def test_posterior_densities_are_immutable():
-    post = uniform_posterior()
-    with pytest.raises(ValueError):
-        post.densities[0] = 2.0
+        _check_densities(-uniform_posterior(), h)
+    _check_densities(uniform_posterior(), h)
 
 
 def test_empty_tally_gives_flat_posterior():
-    post = posterior(OutcomeTally((0, 0, 0, 0)), ModelParams(0.95))
-    np.testing.assert_allclose(post.densities, 2.0 / PI, rtol=1e-12)
-    assert moments(post, (2.0,)).estimate == pytest.approx(PI / 4.0, rel=1e-9)
+    dens, _ = _block_posterior(np.array([[0, 0, 0, 0]]), ModelParams(0.95), DEFAULT_DOMAIN)
+    np.testing.assert_allclose(dens[0], 2.0 / PI, rtol=1e-12)
+    assert moments(dens, (2.0,)).estimate == pytest.approx(PI / 4.0, rel=1e-9)
 
 
 def test_concentrated_tally_peaks_at_boundary():
-    post = posterior(OutcomeTally((500, 0, 0, 0)), ModelParams(1.0))
-    assert post.densities.argmax() == 0
+    dens, _ = _block_posterior(np.array([[500, 0, 0, 0]]), ModelParams(1.0), DEFAULT_DOMAIN)
+    assert dens[0].argmax() == 0
 
 
 def test_posterior_normalization_for_random_tallies():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        counts = tuple(int(c) for c in rng.integers(0, 600, size=4))
+        counts = rng.integers(0, 600, size=(1, 4))
         v = float(rng.uniform(0.9, 1.0))
-        post = posterior(OutcomeTally(counts), ModelParams(v))
-        grid = post.domain.grid()
-        integral = np.trapezoid(post.densities, grid)
+        dens, _ = _block_posterior(counts, ModelParams(v), DEFAULT_DOMAIN)
+        integral = np.trapezoid(dens[0], DEFAULT_DOMAIN.grid())
         assert abs(integral - 1.0) <= 1e-9
 
 
-def test_infeasible_data_raises():
-    # a prior supported on the single grid node where the observed outcome is
-    # impossible under v = 1 leaves no feasible phase at all
-    domain = DEFAULT_DOMAIN
-    prior = np.zeros(domain.grid_points)
-    prior[0] = 1.0  # grid node at phi = 0, where p(theta_2 | phi) = 0
-    with pytest.raises(InfeasibleDataError):
-        posterior(OutcomeTally((0, 0, 3, 0)), ModelParams(1.0), domain, prior=prior)
-
-
 def test_block_posterior_masks_infeasible_rows():
-    # the same single-node prior as above: the impossible tally is masked
-    # instead of raising for the block, and the other rows equal their
-    # single posteriors
-    domain = DEFAULT_DOMAIN
-    prior = np.zeros(domain.grid_points)
-    prior[0] = 1.0
-    tallies = [(3, 0, 0, 0), (0, 0, 3, 0), (0, 0, 0, 0)]
+    # counts whose log likelihood overflows to -inf at every node are
+    # impossible everywhere: the row is masked instead of raising for the
+    # block, and the other rows equal their one-row posteriors
+    tallies = [(3, 0, 0, 0), (1e308,) * 4, (0, 0, 0, 0)]
     params = ModelParams(1.0)
-    dens, feasible = _block_posterior(np.array(tallies), params, domain, prior)
+    with np.errstate(over="ignore"):
+        dens, feasible = _block_posterior(np.array(tallies), params, DEFAULT_DOMAIN)
     assert feasible.tolist() == [True, False, True]
     for row in (0, 2):
-        single = posterior(OutcomeTally(tallies[row]), params, domain, prior=prior)
-        assert np.array_equal(dens[row], single.densities)
+        single, _ = _block_posterior(np.array(tallies[row:row + 1]), params, DEFAULT_DOMAIN)
+        assert np.array_equal(dens[row], single[0])
 
 
 def test_block_rows_with_disjoint_supports_match_blocks_of_one():
@@ -201,6 +202,7 @@ def test_block_reports_leave_infeasible_rows_nan():
     orders = _moment_orders(BETAS)
     with np.errstate(over="ignore"):
         feasible, phi_hat, moments = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
+        report = report_counts(counts, params, DEFAULT_DOMAIN, BETAS)
     assert feasible.tolist() == [True, False]
     shots = np.array([2000.0, 2000.0])
     columns = _block_reports(phi_hat, moments, shots, params, BETAS)
@@ -208,6 +210,12 @@ def test_block_reports_leave_infeasible_rows_nan():
     for got, want in zip(columns, alone):
         assert np.isnan(got[1]).all()
         assert got[:1].tobytes() == want.tobytes()
+    # report_counts is the same chain, each row's shots its count sum: the
+    # infeasible row is flagged and nan throughout
+    assert report.feasible.tolist() == [True, False]
+    assert report.phi_hat.tobytes() == phi_hat.tobytes() and np.isnan(report.phi_hat[1])
+    for got, want in zip(report[2:], columns):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_densities_beyond_the_floor_are_exactly_zero():
@@ -219,8 +227,8 @@ def test_densities_beyond_the_floor_are_exactly_zero():
     counts = np.array([rng.multinomial(m, outcome_probs(phase, params))
                        for m, phase in ((2000, PI / 8.0), (10 ** 5, 0.5))])
     dens, _ = _block_posterior(counts, params, DEFAULT_DOMAIN)
-    single = posterior(OutcomeTally(tuple(int(c) for c in counts[1])), params)
-    for row, values in zip(counts, (dens[0], dens[1], single.densities)):
+    single, _ = _block_posterior(counts[1:], params, DEFAULT_DOMAIN)
+    for row, values in zip(counts, (dens[0], dens[1], single[0])):
         log_post = row @ logp
         log_post -= log_post.max()
         # beyond the floor exactly 0; inside it, clear of the rounding at the
@@ -230,28 +238,6 @@ def test_densities_beyond_the_floor_are_exactly_zero():
         assert (values[log_post > -99.9] > 0.0).all()
 
 
-def test_tabulated_prior_restricts_support():
-    domain = DEFAULT_DOMAIN
-    prior = np.zeros(domain.grid_points)
-    prior[1000:2000] = 1.0
-    post = posterior(OutcomeTally((0, 0, 0, 0)), ModelParams(0.9), domain, prior=prior)
-    assert post.densities[:1000].max() == 0.0
-    assert post.densities[2000:].max() == 0.0
-
-
-def test_invalid_prior_weights_rejected():
-    # a nan or inf weight would make every row's peak non-finite and read as
-    # infeasible counts; it is a bad prior instead
-    tally, params = OutcomeTally((5, 3, 2, 4)), ModelParams(0.9)
-    for bad in (math.nan, math.inf, -1.0):
-        prior = np.ones(DEFAULT_DOMAIN.grid_points)
-        prior[5] = bad
-        with pytest.raises(ValueError, match="prior weights"):
-            posterior(tally, params, prior=prior)
-    with pytest.raises(ValueError, match="prior weights"):
-        posterior(tally, params, prior=np.zeros(DEFAULT_DOMAIN.grid_points))
-
-
 def test_estimate_of_symmetric_peak():
     post = gaussian_posterior(0.01, center=PI / 8.0)
     assert abs(moments(post, (2.0,)).estimate - PI / 8.0) <= DEFAULT_DOMAIN.spacing
@@ -259,9 +245,9 @@ def test_estimate_of_symmetric_peak():
 
 def test_estimate_of_simulated_experiment_is_consistent():
     tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(1, 0))
-    post = posterior(tally, ModelParams(0.95))
     f_max = 2.0 * 0.95 ** 2 / (1.0 - 0.95 ** 2 / 2.0)
-    assert abs(moments(post, (2.0,)).estimate - PI / 8.0) <= 3.0 / math.sqrt(2000.0 * f_max)
+    estimate = one_row(tally, ModelParams(0.95), betas=(2.0,)).estimate
+    assert abs(estimate - PI / 8.0) <= 3.0 / math.sqrt(2000.0 * f_max)
 
 
 def test_uniform_moments():
@@ -301,10 +287,7 @@ def test_grid_refinement_convergence():
     tally = sample_tally(PI / 8.0, 0.95, 18000, experiment_rng(42, 0))
     results = {}
     for points in (4096, 8192):
-        domain = PhaseDomain(0.0, L, points)
-        post = posterior(tally, ModelParams(0.95), domain)
-        ms = moments(post, BETAS, shots=18000)
-        results[points] = ms
+        results[points] = one_row(tally, ModelParams(0.95), PhaseDomain(0.0, L, points))
     coarse, fine = results[4096], results[8192]
     assert abs(coarse.estimate - fine.estimate) <= 1e-6 * abs(fine.estimate)
     for b in (1.5, 2.0, 3.0, 4.0):
@@ -317,8 +300,7 @@ def test_grid_refinement_convergence():
 )
 @settings(max_examples=60, deadline=None)
 def test_lyapunov_moment_ordering(counts, v):
-    post = posterior(OutcomeTally(counts), ModelParams(v))
-    ms = moments(post, BETAS, shots=max(sum(counts), 1))
+    ms = one_row(counts, ModelParams(v))
     roots = [ms.deltas[b] ** (1.0 / b) for b in (1.5, 2.0, 3.0, 4.0)]
     for lower, higher in zip(roots, roots[1:]):
         assert higher >= lower * (1.0 - 1e-9)
@@ -373,12 +355,11 @@ def test_bool_shot_counts_are_rejected():
 
 
 def test_gaussianity_ratios():
-    params = ModelParams(0.95)
-    ratios = saturation_report(gaussian_posterior(0.01), params, 2000, (3.0, 4.0)).gauss_ratios
+    ratios = moments(gaussian_posterior(0.01), (3.0, 4.0), 2000).gauss_ratios
     assert ratios[3.0] == pytest.approx(1.0, abs=1e-3)
     assert ratios[4.0] == pytest.approx(1.0, abs=1e-3)
 
-    uniform = saturation_report(uniform_posterior(), params, 2000, (4.0,))
+    uniform = moments(uniform_posterior(), (4.0,), 2000)
     assert uniform.gauss_ratios[4.0] == pytest.approx(0.6, abs=1e-3)
 
 
@@ -386,18 +367,21 @@ def test_degenerate_posterior_rejected():
     # a posterior without spread has no Gaussian reference: its ratios are nan
     values = np.zeros(DEFAULT_DOMAIN.grid_points)
     values[2048] = 1.0
-    post = normalized_posterior(DEFAULT_DOMAIN, values)
-    report = saturation_report(post, ModelParams(0.95), 2000, (2.0, 3.0, 4.0))
+    report = moments(normalized_posterior(DEFAULT_DOMAIN, values), (2.0, 3.0, 4.0), 2000)
     assert report.deltas[2.0] <= 0.0
     assert all(math.isnan(r) for r in report.gauss_ratios.values())
 
 
 def test_saturation_report_shape():
     tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(9, 4))
-    post = posterior(tally, ModelParams(0.95))
-    report = saturation_report(post, ModelParams(0.95), 2000)
+    table = report_counts(np.array([tally, tally]), ModelParams(0.95))
+    assert table.feasible.shape == table.phi_hat.shape == (2,)
+    assert table.deltas.shape == table.kappas.shape == table.gauss_ratios.shape == (2, 4)
+    with pytest.raises(ValueError, match=r"\(E, 4\) table"):
+        report_counts(tally, ModelParams(0.95))
+    report = one_row(tally, ModelParams(0.95))
     # each order's Delta_beta and phi_hat do not depend on the other orders
-    single = [saturation_report(post, ModelParams(0.95), 2000, (b,)) for b in BETAS]
+    single = [one_row(tally, ModelParams(0.95), betas=(b,)) for b in BETAS]
     assert all(s.estimate == report.estimate for s in single)
     assert report.deltas == {b: s.deltas[b] for b, s in zip(BETAS, single)}
     assert set(report.kappas) == {1.5, 2.0, 3.0, 4.0}
@@ -411,9 +395,9 @@ def test_saturation_report_nan_markers():
     # kappa is undefined without shots, without information (v = 0) and for
     # beta = 1, whose conjugate order is infinite
     post = gaussian_posterior(0.02, center=0.5)
-    assert all(math.isnan(k) for k in saturation_report(post, ModelParams(0.95), 0).kappas.values())
-    flat = saturation_report(post, ModelParams(0.0), 2000)
+    assert all(math.isnan(k) for k in moments(post, BETAS, 0).kappas.values())
+    flat = moments(post, BETAS, 2000, ModelParams(0.0))
     assert all(math.isnan(k) for k in flat.kappas.values())
-    mixed = saturation_report(post, ModelParams(0.95), 2000, (1.0, 2.0))
+    mixed = moments(post, (1.0, 2.0), 2000)
     assert math.isnan(mixed.kappas[1.0])
     assert math.isfinite(mixed.kappas[2.0])

@@ -37,6 +37,23 @@ def test_parse_value_list():
         parse_value_list(["1:2"])
     with pytest.raises(ValueError):
         parse_value_list(["2:1:0.1"])
+    # a range with a non-finite end or step is named, not expanded: inf used
+    # to end in an OverflowError and nan in a failed int conversion
+    for spec in ("0:inf:1", "nan:1:0.1", "-inf:1:0.1", "0:1:inf", "0:1:nan"):
+        with pytest.raises(ValueError, match=f"range '{spec}' must have finite"):
+            parse_value_list([f"0.5,{spec}"])
+
+
+def test_non_finite_range_exit_code(tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gcrb.cli", "bounds", "--phase-true", "0:inf:1",
+         "--out", str(tmp_path / "b.csv")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "gcrb: error: range '0:inf:1' must have finite a, b and step\n"
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_simulate_default_sweep_shape(tmp_path):
@@ -143,7 +160,7 @@ def write_synthetic_counts(path, phase, v_true, shots, n_rows, seed=0):
     records = []
     for i in range(n_rows):
         tally = sample_tally(phase, v_true, shots, experiment_rng(seed, i))
-        records.append(CountsRecord(phase_label=phase, counts=tally.counts))
+        records.append(CountsRecord(phase_label=phase, counts=tally))
     write_counts(records, path)
 
 
@@ -179,7 +196,7 @@ def test_analyze_fold_option_changes_label_only(tmp_path):
     # counts generated at the folded phase but labeled with the nominal 2.8 rad
     counts = tmp_path / "counts.csv"
     tally = sample_tally(2.8 - PI / 2.0, 0.96, 5000, experiment_rng(0, 0))
-    write_counts([CountsRecord(phase_label=2.8, counts=tally.counts)], counts)
+    write_counts([CountsRecord(phase_label=2.8, counts=tally)], counts)
     for fold in (False, True):
         out = tmp_path / f"fold_{fold}.csv"
         args = ["analyze", str(counts), "--v-est", "0.96", "--beta", "2", "--out", str(out)]
@@ -210,6 +227,16 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
         assert code == 2
         assert "line 2" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+    # a Latin-1 acquisition_id is not UTF-8: a data error that names the
+    # file (the decode error, a ValueError, used to read as a usage error)
+    counts.write_bytes("phase_rad,c0,c1,c2,c3,acquisition_id\n0.0,1,2,3,4,caf\u00e9\n"
+                       .encode("latin-1"))
+    code = main(["analyze", str(counts), "--v-est", "0.95", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"gcrb: data error: counts file {str(counts)!r} is not UTF-8 text: ")
+    assert "0xe9" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_analyze_missing_file_exit_code(tmp_path):
@@ -225,7 +252,7 @@ def spread_records(rng):
     records = []
     for phase, m in zip(labels, shots):
         tally = sample_tally(float(phase), 0.95, int(m), rng)
-        records.append(CountsRecord(float(phase), tally.counts))
+        records.append(CountsRecord(float(phase), tally))
     return records
 
 

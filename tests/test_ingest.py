@@ -14,7 +14,6 @@ from gcrb.ingest import (
     parse_counts,
     write_counts,
 )
-from gcrb.model import OutcomeTally
 
 PI = math.pi
 
@@ -129,11 +128,13 @@ def test_round_trip_via_file(tmp_path):
 
 
 def test_to_tally():
-    # a record's counts are its tally; the metadata are dropped
-    assert sum(OutcomeTally(CountsRecord(0.0, (500, 250, 0, 250)).counts).counts) == 1000
-    assert sum(OutcomeTally(CountsRecord(0.3, (0, 0, 0, 0)).counts).counts) == 0
-    big = OutcomeTally(CountsRecord(2.8, (2600, 2500, 2400, 2500)).counts)
-    assert sum(big.counts) == 10000
+    # a record's counts are its tally, a row of the integer counts table that
+    # report_counts takes; the metadata are dropped
+    records = [CountsRecord(0.0, (500, 250, 0, 250)), CountsRecord(0.3, (0, 0, 0, 0)),
+               CountsRecord(2.8, (2600, 2500, 2400, 2500), "big")]
+    table = np.array([r.counts for r in records])
+    assert table.dtype.kind == "i"
+    assert table.sum(axis=1).tolist() == [1000, 0, 10000]
 
 
 def test_phase_labels_are_finite_reals_stored_as_floats():
