@@ -13,13 +13,16 @@ bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
 `simulate` and `analyze` validate every v_est value, then evaluate the values
 on forked worker processes (`_map_in_order`), one per CPU in the affinity
-mask and at most one per value, and write the rows and warnings in value
-order; the output bytes do not depend on the worker count, and one CPU
-(``taskset -c 0``) runs them in-process.  On Python >= 3.12 the fork may emit
-a DeprecationWarning, because OpenBLAS threads make the process
+mask and at most one per value.  The workers format their own rows and
+return finished CSV lines; the parent only puts them in order, (record,
+v_est) for `analyze` and value order for `simulate`, and writes the warnings
+in the same order.  The output bytes do not depend on the worker count, and
+one CPU (``taskset -c 0``) runs the values in-process.  On Python >= 3.12 the
+fork may emit a DeprecationWarning, because OpenBLAS threads make the process
 multi-threaded.
 
-Every output CSV is written atomically and is accompanied by
+Every output CSV is streamed line by line into a temporary file that then
+replaces the output atomically, and is accompanied by
 ``<out>.manifest.json`` recording the command, the fully resolved
 configuration, the seed and the tool version.  Reruns with the same manifest
 reproduce the output byte for byte.
@@ -36,6 +39,7 @@ import os
 import sys
 import tempfile
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +69,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    """Full round-trip decimal formatting, locale independent."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def parse_value_list(specs) -> list[float]:
     """Expand repeatable values and a:b:step ranges (inclusive endpoints)."""
     values: list[float] = []
@@ -89,7 +86,10 @@ def parse_value_list(specs) -> list[float]:
                     raise ValueError(f"range {part!r} must have finite a, b and step")
                 if step <= 0 or b < a:
                     raise ValueError(f"range {part!r} must have b >= a and step > 0")
-                count = int(math.floor((b - a) / step + 0.5))
+                steps = (b - a) / step
+                if not math.isfinite(steps):
+                    raise ValueError(f"range {part!r} must have a finite number of values")
+                count = int(math.floor(steps + 0.5))
                 values.extend(round(a + i * step, 12) for i in range(count + 1)
                               if a + i * step <= b + step * 1e-9)
             else:
@@ -106,12 +106,16 @@ def parse_domain(spec: str, grid_points: int) -> PhaseDomain:
     return PhaseDomain(float(pieces[0]), float(pieces[1]), grid_points)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, lines) -> None:
+    """Write each line of the iterable, and a newline after it, to a temporary
+    file that then replaces path; on any exception the temporary file is
+    removed and path keeps its old bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for line in lines:
+                handle.write(line + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -119,12 +123,11 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(out: Path, header: tuple[str, ...], rows, manifest: dict) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_atomic(out, "\n".join(lines) + "\n")
+def _emit(out: Path, header: tuple[str, ...], lines, manifest: dict) -> None:
+    """Stream the header and the CSV lines to out, then write its manifest."""
+    _write_atomic(out, chain([",".join(header)], lines))
     manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _manifest(command: str, seed, config: dict, outputs: list[str]) -> dict:
@@ -169,14 +172,19 @@ def _map_in_order(func, values) -> list:
     return [func(v) for v in values]
 
 
-def _campaign_stats(config: CampaignConfig):
-    """The campaign's ViolationStats, or None when Sigma_beta is undefined at
-    its v_est (no Fisher information at phase_true); such a v_est flags its
-    own rows and the sweep goes on."""
+def _campaign_lines(config: CampaignConfig) -> tuple[bool, str]:
+    """Whether Sigma_beta is defined at the campaign's v_est, and the
+    campaign's CSV lines joined by newlines.  Where it is undefined (no Fisher
+    information at phase_true) the lines carry nan, and the sweep goes on."""
+    v_est, n = config.v_est, config.n_experiments
     try:
-        return violation_fractions(config)
+        stats = violation_fractions(config)
     except UndefinedRatioError:
-        return None
+        return False, "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list)
+    return True, "\n".join(
+        f"{v_est!r},{b!r},{stats.sigma_fracs[b]!r},{stats.violation_counts[b]},{n}"
+        for b in config.beta_list
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -199,22 +207,8 @@ def cmd_simulate(args) -> int:
     # every config is validated here, so that a bad v_est gives the same
     # error whichever worker would have met it first
     configs = [base.with_v_est(v_est) for v_est in v_est_values]
-    rows = []
-    undefined: list[float] = []
-    for v_est, stats in zip(v_est_values, _map_in_order(_campaign_stats, configs)):
-        if stats is None:
-            undefined.append(v_est)
-            rows.extend((_fmt(float(v_est)), _fmt(float(b)), "nan", "nan",
-                         _fmt(base.n_experiments)) for b in betas)
-            continue
-        for b in betas:
-            rows.append((
-                _fmt(float(v_est)),
-                _fmt(float(b)),
-                _fmt(stats.sigma_fracs[b]),
-                _fmt(stats.violation_counts[b]),
-                _fmt(stats.n_experiments),
-            ))
+    results = _map_in_order(_campaign_lines, configs)
+    undefined = [v_est for v_est, (defined, _) in zip(v_est_values, results) if not defined]
     out = Path(args.out)
     config = {
         "phase_true": args.phase_true,
@@ -230,7 +224,7 @@ def cmd_simulate(args) -> int:
         "window_scale": args.window_scale,
     }
     _emit(out, ("v_est", "beta", "sigma_frac", "n_violations", "n_experiments"),
-          rows, _manifest("simulate", args.seed, config, [out.name]))
+          (lines for _, lines in results), _manifest("simulate", args.seed, config, [out.name]))
     for v_est in undefined:
         print(f"warning: v_est={v_est!r} has zero Fisher information at "
               f"phase_true={args.phase_true!r}; its sigma_beta rows are nan", file=sys.stderr)
@@ -250,12 +244,11 @@ def cmd_bounds(args) -> int:
     bounds = order_bound(np.array(betas)[:, np.newaxis], infos, args.shots)
     with np.errstate(divide="ignore"):
         rescaled = infos ** (-1.0 / np.array(alphas)[:, np.newaxis])
-    rows = []
-    for phase, *cells in zip(phases, infos.T.tolist(), bounds.T.tolist(), rescaled.T.tolist()):
-        rows.extend(
-            (_fmt(float(phase)), _fmt(float(b)), _fmt(a), _fmt(f), _fmt(bound), _fmt(r))
-            for b, a, f, bound, r in zip(betas, alphas, *cells)
-        )
+    lines = (
+        f"{phase!r},{b!r},{a!r},{f!r},{bound!r},{r!r}"
+        for phase, *cells in zip(phases, infos.T.tolist(), bounds.T.tolist(), rescaled.T.tolist())
+        for b, a, f, bound, r in zip(betas, alphas, *cells)
+    )
     out = Path(args.out)
     config = {
         "phase": phases,
@@ -264,8 +257,24 @@ def cmd_bounds(args) -> int:
         "beta": list(betas),
     }
     _emit(out, ("phase", "beta", "alpha", "f_alpha", "bound_delta_beta", "bound_rescaled"),
-          rows, _manifest("bounds", None, config, [out.name]))
+          lines, _manifest("bounds", None, config, [out.name]))
     return EXIT_OK
+
+
+def _report_lines(counts: np.ndarray, labels: list[str], betas, domain: PhaseDomain,
+                  params: ModelParams) -> tuple[np.ndarray, list[str]]:
+    """feasible and the CSV lines of the counts rows at one v_est: one string
+    per counts row, its lines at each order joined by newlines.  Infeasible
+    rows come back as nan, which formats as "nan"."""
+    report = report_counts(counts, params, domain, betas)
+    v_est = repr(params.visibility)
+    orders = [repr(b) for b in betas]
+    return report.feasible, [
+        "\n".join(f"{label},{v_est},{b},{phi!r},{d!r},{k!r},{g!r}"
+                  for b, d, k, g in zip(orders, *cells))
+        for label, phi, *cells in zip(labels, report.phi_hat.tolist(), report.deltas.tolist(),
+                                      report.kappas.tolist(), report.gauss_ratios.tolist())
+    ]
 
 
 def cmd_analyze(args) -> int:
@@ -283,23 +292,16 @@ def cmd_analyze(args) -> int:
         return EXIT_DATA
     # int64 counts: report_counts sums each row's shots before the conversion to float
     counts = np.array([r.counts for r in records], dtype=np.int64).reshape(-1, 4)
-    # one report per v_est, so that each log-likelihood table is built once;
-    # infeasible rows come back as nan, which formats as "nan"
+    # cells are formatted with repr, the full round-trip decimal form of a
+    # Python float, which no locale changes
+    labels = [repr(float(fold_phase(r.phase_label, domain) if args.fold else r.phase_label))
+              for r in records]
+    # every v_est is validated here, before the first fork
     params = [ModelParams(v_est) for v_est in v_est_values]
-    columns = _map_in_order(partial(report_counts, counts, domain=domain, betas=betas), params)
-    # each (records, v_est, ...)
-    feasible, estimates, deltas, kappas, ratios = (np.stack(c, axis=1) for c in zip(*columns))
-    rows = []
-    for ir, record in enumerate(records):
-        label = _fmt(float(fold_phase(record.phase_label, domain) if args.fold
-                           else record.phase_label))
-        for iv, v_est in enumerate(v_est_values):
-            phi_hat = _fmt(float(estimates[ir, iv]))
-            rows.extend(
-                (label, _fmt(float(v_est)), _fmt(b), phi_hat, _fmt(d), _fmt(k), _fmt(g))
-                for b, d, k, g in zip(betas, deltas[ir, iv].tolist(), kappas[ir, iv].tolist(),
-                                      ratios[ir, iv].tolist())
-            )
+    # one report per v_est, so that each log-likelihood table is built once
+    results = _map_in_order(partial(_report_lines, counts, labels, betas, domain), params)
+    # each (records, v_est)
+    feasible = np.stack([f for f, _ in results], axis=1)
     out = Path(args.out)
     config = {
         "counts": str(args.counts),
@@ -309,8 +311,10 @@ def cmd_analyze(args) -> int:
         "grid_points": domain.grid_points,
         "fold": bool(args.fold),
     }
+    # one string per (record, v_est), in that order
+    lines = chain.from_iterable(zip(*(value_lines for _, value_lines in results)))
     _emit(out, ("phase_label", "v_est", "beta", "phi_hat", "delta_beta", "kappa_beta", "gauss_ratio"),
-          rows, _manifest("analyze", None, config, [out.name]))
+          lines, _manifest("analyze", None, config, [out.name]))
     for ir, iv in zip(*np.nonzero(~feasible)):
         print(f"warning: infeasible row flagged: phase_rad={records[ir].phase_label!r} "
               f"v_est={v_est_values[iv]!r}", file=sys.stderr)

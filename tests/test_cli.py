@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcrb.cli import _map_in_order, main, parse_value_list
+from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.ingest import CountsRecord, write_counts
 from gcrb.montecarlo import experiment_rng, sample_tally
 
@@ -42,18 +42,41 @@ def test_parse_value_list():
     for spec in ("0:inf:1", "nan:1:0.1", "-inf:1:0.1", "0:1:inf", "0:1:nan"):
         with pytest.raises(ValueError, match=f"range '{spec}' must have finite"):
             parse_value_list([f"0.5,{spec}"])
+    # finite ends and step whose value count overflows a float are named too
+    # (it used to end in an OverflowError)
+    for spec in ("0:1e300:1e-300", "-1e308:1e308:1e-10"):
+        with pytest.raises(ValueError, match=f"range '{spec}' must have a finite number of values"):
+            parse_value_list([spec])
 
 
 def test_non_finite_range_exit_code(tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "gcrb.cli", "bounds", "--phase-true", "0:inf:1",
-         "--out", str(tmp_path / "b.csv")],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 1
-    assert done.stderr == "gcrb: error: range '0:inf:1' must have finite a, b and step\n"
-    assert not (tmp_path / "b.csv").exists()
+    for spec, reason in (("0:inf:1", "must have finite a, b and step"),
+                         ("0:1e300:1e-300", "must have a finite number of values")):
+        done = subprocess.run(
+            [sys.executable, "-m", "gcrb.cli", "bounds", "--phase-true", spec,
+             "--out", str(tmp_path / "b.csv")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr == f"gcrb: error: range '{spec}' {reason}\n"
+        assert not (tmp_path / "b.csv").exists()
+
+
+def test_failed_stream_leaves_the_old_output(tmp_path):
+    # a line iterator that raises partway leaves no temporary file, and the
+    # previous output and its manifest keep their bytes
+    out = tmp_path / "out.csv"
+    assert main(["bounds", "--phase-true", "0.3", "--out", str(out)]) == 0
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+    def lines():
+        yield "1,2"
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        _emit(out, ("a", "b"), lines(), {"command": "test"})
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 def test_simulate_default_sweep_shape(tmp_path):
@@ -360,22 +383,29 @@ def test_map_in_order_forks_one_worker_per_cpu(monkeypatch):
 
 
 def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
+    # each worker formats its value's lines, the nan ones of v_est = 0 too
     argv = ["simulate", "--v-est", "0,0.95,1.0", "--experiments", "20", "--seed", "5"]
-    one, two = (run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2))
-    assert one == two
-    code, (csv_bytes, manifest), err = one
+    runs = [run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2, 3)]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    code, (csv_bytes, manifest), err = runs[0]
     assert code == 0 and csv_bytes.count(b"\n") == 1 + 3 * 4 and manifest is not None
     assert "v_est=0.0" in err
 
 
 def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
+    # each worker formats its value's lines, and the parent interleaves them
     counts = tmp_path / "counts.csv"
     write_counts(spread_records(np.random.default_rng(6)), counts)
-    argv = ["analyze", str(counts), "--v-est", "0.95,0.97,0.99,1.0", "--beta", "2,3"]
-    one, two = (run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2))
-    assert one == two
-    code, (csv_bytes, _), _ = one
-    assert code == 0 and csv_bytes.count(b"\n") == 1 + 20 * 4 * 2
+    empty = tmp_path / "empty.csv"
+    empty.write_text("phase_rad,c0,c1,c2,c3\n", encoding="utf-8")
+    for args, n_lines in (([str(counts), "--v-est", "0.95,0.97,0.99,1.0"], 20 * 4 * 2),
+                          ([str(counts), "--v-est", "0,0.97", "--fold"], 20 * 2 * 2),
+                          ([str(empty), "--v-est", "0.95,1.0"], 0)):
+        argv = ["analyze", *args, "--beta", "2,3"]
+        runs = [run_cli(monkeypatch, capsys, tmp_path, cpus, argv) for cpus in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        code, (csv_bytes, _), _ = runs[0]
+        assert code == 0 and csv_bytes.count(b"\n") == 1 + n_lines
 
 
 def test_first_bad_v_est_is_reported_whatever_the_worker_count(monkeypatch, capsys, tmp_path):
