@@ -25,7 +25,6 @@ from .errors import (
 )
 from .fisher import (
     conjugate_exponent,
-    fisher,
     generalized_fisher,
     order_bound,
 )
@@ -44,13 +43,11 @@ from .model import (
 from .montecarlo import (
     CampaignConfig,
     ExperimentTable,
-    ViolationStats,
     experiment_rng,
     run_campaign,
     run_experiment,
     sample_tally,
     sigma_beta,
-    violation_fractions,
 )
 
 __all__ = [
@@ -66,10 +63,8 @@ __all__ = [
     "ModelParams",
     "PhaseDomain",
     "UndefinedRatioError",
-    "ViolationStats",
     "conjugate_exponent",
     "experiment_rng",
-    "fisher",
     "fold_phase",
     "gaussian_abs_moment",
     "generalized_fisher",
@@ -83,6 +78,5 @@ __all__ = [
     "run_experiment",
     "sample_tally",
     "sigma_beta",
-    "violation_fractions",
     "write_counts",
 ]

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import N_SETTINGS, PI, ModelParams, is_real, outcome_probs
+from .model import N_SETTINGS, PI, ModelParams, check_counts, is_real, outcome_probs
 
 DEFAULT_GRID_POINTS = 4096
 
@@ -438,13 +438,14 @@ def report_counts(
     kappa_beta and the Gaussianity ratio Delta_beta / Delta_beta(Gaussian at
     sigma = sqrt(Delta_2)) for each row of an (E, 4) counts table under params.
 
-    A row's shot count M is its count sum, taken in the table's dtype before
-    the conversion to float, so that an integer table gives each row the
-    float nearest its M.  f_alpha is taken at each row's phi_hat.  A row's
-    results do not depend on the other rows.  Validates the orders.
+    A row's shot count M is its count sum, taken in int64 before the
+    conversion to float, so that each row gets the float nearest its M.
+    f_alpha is taken at each row's phi_hat.  A row's results do not depend
+    on the other rows.  Validates the counts (`gcrb.model.check_counts`) and
+    the orders.
     """
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[1] != N_SETTINGS:
+    counts = check_counts(counts)
+    if counts.ndim != 2:
         raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {counts.shape}")
     shots = counts.sum(axis=1).astype(float)
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))

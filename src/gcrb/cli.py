@@ -6,8 +6,11 @@ Subcommands
     analyze    per-row moments, kappa ratios and Gaussianity for a counts CSV
 
 `analyze` calls the library's analysis routine, `gcrb.bayes.report_counts`,
-once per v_est on the whole counts table; `simulate` shares its counts
-evaluator, ``nan`` on infeasible rows (`gcrb.bayes._evaluate_counts`).
+once per v_est on the whole counts table.  `simulate` calls
+`gcrb.montecarlo.run_campaign` once per v_est, which shares that routine's
+counts evaluator, ``nan`` on infeasible rows (`gcrb.bayes._evaluate_counts`),
+and writes per order the column sum of the table's flags (n_violations) and
+their column mean Sigma_beta (sigma_frac).
 `bounds` computes every f_alpha from one `generalized_fisher` call and the
 bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
@@ -38,6 +41,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -50,7 +54,7 @@ from .errors import EstimationError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
-from .montecarlo import VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, violation_fractions
+from .montecarlo import VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, run_campaign
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,6 +63,10 @@ EXIT_DATA = 2
 DEFAULT_DOMAIN_SPEC = "0:1.5707963267948966"
 DEFAULT_VEST_SPEC = "0.9:1.0:0.01"
 DEFAULT_PHASE = math.pi / 8.0
+# a range is expanded into a list, and each value into CSV rows, before the
+# first output: a bound turns a mistyped step (0:1e9:1, tens of GB) into a
+# usage error instead of exhausted memory
+MAX_RANGE_VALUES = 10 ** 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,6 +98,9 @@ def parse_value_list(specs) -> list[float]:
                 if not math.isfinite(steps):
                     raise ValueError(f"range {part!r} must have a finite number of values")
                 count = int(math.floor(steps + 0.5))
+                if count + 1 > MAX_RANGE_VALUES:
+                    raise ValueError(f"range {part!r} has {count + 1} values, "
+                                     f"more than {MAX_RANGE_VALUES}")
                 values.extend(round(a + i * step, 12) for i in range(count + 1)
                               if a + i * step <= b + step * 1e-9)
             else:
@@ -178,13 +189,11 @@ def _campaign_lines(config: CampaignConfig) -> tuple[bool, str]:
     information at phase_true) the lines carry nan, and the sweep goes on."""
     v_est, n = config.v_est, config.n_experiments
     try:
-        stats = violation_fractions(config)
+        flags = run_campaign(config).flags
     except UndefinedRatioError:
         return False, "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list)
-    return True, "\n".join(
-        f"{v_est!r},{b!r},{stats.sigma_fracs[b]!r},{stats.violation_counts[b]},{n}"
-        for b in config.beta_list
-    )
+    return True, "\n".join(f"{v_est!r},{b!r},{c / n!r},{c},{n}"
+                            for b, c in zip(config.beta_list, flags.sum(axis=0).tolist()))
 
 
 def cmd_simulate(args) -> int:
@@ -206,7 +215,7 @@ def cmd_simulate(args) -> int:
     )
     # every config is validated here, so that a bad v_est gives the same
     # error whichever worker would have met it first
-    configs = [base.with_v_est(v_est) for v_est in v_est_values]
+    configs = [replace(base, v_est=v_est) for v_est in v_est_values]
     results = _map_in_order(_campaign_lines, configs)
     undefined = [v_est for v_est, (defined, _) in zip(v_est_values, results) if not defined]
     out = Path(args.out)
@@ -290,7 +299,7 @@ def cmd_analyze(args) -> int:
         print(f"gcrb: data error: counts file {args.counts!r} is not UTF-8 text: {exc}",
               file=sys.stderr)
         return EXIT_DATA
-    # int64 counts: report_counts sums each row's shots before the conversion to float
+    # a header-only file gives a (0, 4) table
     counts = np.array([r.counts for r in records], dtype=np.int64).reshape(-1, 4)
     # cells are formatted with repr, the full round-trip decimal form of a
     # Python float, which no locale changes

@@ -7,7 +7,8 @@ central moment of an unbiased estimate from M independent repetitions obeys
 
 where f_alpha = sum_theta p(theta|phi) * |d/dphi log p(theta|phi)|**alpha is
 the alpha-th absolute moment of the score.  beta = alpha = 2 recovers the
-familiar 1/(M*F) variance bound with F the Fisher information.
+familiar 1/(M*F) variance bound with F = f_2 the Fisher information,
+``generalized_fisher(2.0, phases, params)``.
 
 Every function here broadcasts over orders: `conjugate_exponent` maps an
 array of orders beta to their alphas, `generalized_fisher` gives f_alpha for
@@ -71,11 +72,6 @@ def generalized_fisher(alpha, phases, params: ModelParams):
         terms = np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0)
     total = terms[0] + terms[1] + terms[2] + terms[3]
     return float(total) if total.ndim == 0 else total
-
-
-def fisher(phases, params: ModelParams):
-    """Fisher information F = f_2."""
-    return generalized_fisher(2.0, phases, params)
 
 
 def order_bound(beta, f_alpha, shots):

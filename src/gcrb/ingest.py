@@ -19,7 +19,7 @@ from typing import TextIO
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
-from .model import MAX_COUNT, check_counts, is_real
+from .model import MAX_COUNT, N_SETTINGS, check_counts, is_real
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
@@ -42,7 +42,10 @@ class CountsRecord:
         if not (is_real(self.phase_label) and math.isfinite(self.phase_label)):
             raise ValueError(f"phase label must be a finite real, got {self.phase_label!r}")
         object.__setattr__(self, "phase_label", float(self.phase_label))
-        object.__setattr__(self, "counts", check_counts(self.counts))
+        counts = check_counts(self.counts)
+        if counts.ndim != 1:
+            raise ValueError(f"need one row of {N_SETTINGS} counts, got shape {counts.shape}")
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
 
 def _open_text(source: TextIO | str | Path):

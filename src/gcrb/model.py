@@ -48,17 +48,24 @@ def is_whole(value) -> bool:
     return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
-def check_counts(counts) -> tuple[int, int, int, int]:
-    """The four setting counts as ints.  Raises ValueError unless they are
-    integers in [0, MAX_COUNT]."""
-    counts = tuple(counts)
-    if len(counts) != N_SETTINGS:
-        raise ValueError(f"need {N_SETTINGS} counts, got {len(counts)}")
-    for c in counts:
-        # the range test comes first: it keeps int() off nan and inf
-        if not (is_real(c) and 0 <= c <= MAX_COUNT and c == int(c)):
-            raise ValueError(f"counts must be integers in [0, 2**53], got {c!r}")
-    return tuple(int(c) for c in counts)
+def check_counts(counts) -> np.ndarray:
+    """Setting counts, one row of four or a table of such rows, as an int64
+    array of the same shape.  Raises ValueError unless every count is an
+    integer-valued real in [0, MAX_COUNT]: bools, nan, inf, objects and
+    strings are not counts."""
+    values = np.asarray(counts)
+    if values.ndim == 0 or values.shape[-1] != N_SETTINGS:
+        raise ValueError(f"need {N_SETTINGS} counts per row, got shape {values.shape}")
+    # asarray turns a bool among ints into an int, so the elements of a
+    # sequence are looked at too
+    cells = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object).flat
+    if values.dtype.kind not in "iuf" or any(isinstance(c, (bool, np.bool_)) for c in cells):
+        raise ValueError("counts must be integer-valued reals, not bools, strings or objects")
+    # nan fails every comparison
+    bad = ~((values >= 0) & (values <= MAX_COUNT) & (values == np.floor(values)))
+    if bad.any():
+        raise ValueError(f"counts must be integers in [0, 2**53], got {values[bad][0].item()!r}")
+    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -21,26 +21,29 @@ A moment is flagged through a statistical window of half-width
 
 Experiments derive their RNG streams from (seed, experiment index), so
 campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
-v_est values of a sweep as separate campaigns on forked workers, with the
-same bytes as in one process.  A tally does not depend on v_est, so a
-campaign's tallies are drawn once per process and shared by every v_est it
-evaluates.  They go through the counts evaluator under `analyze`'s
-`gcrb.bayes.report_counts` (`gcrb.bayes._evaluate_counts`; its results do not
-depend on the block size or on which rows share a block) and are flagged by
-array comparison against the per-order bounds, windows and Gaussian centres
-of the rule, all taken from one `generalized_fisher` call at
-(phase_true, v_est).
+v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
+separate campaigns on forked workers, with the same bytes as in one process.
+A tally does not depend on v_est, so a campaign's tallies are drawn once per
+process and shared by every v_est it evaluates.  They go through the counts
+evaluator under `analyze`'s `gcrb.bayes.report_counts`
+(`gcrb.bayes._evaluate_counts`; its results do not depend on the block size
+or on which rows share a block) and are flagged by array comparison against
+the per-order bounds, windows and Gaussian centres of the rule, all taken
+from one `generalized_fisher` call at (phase_true, v_est).
+
 `run_campaign` returns the experiments as one `ExperimentTable` of columns,
-which `violation_fractions` reduces, and `run_experiment` recomputes any
-single experiment, drawn from its own stream, as a one-row table.  The
-estimator bias is an expression on the table:
+and `run_experiment` recomputes any single experiment, drawn from its own
+stream, as a one-row table.  Statistics are expressions on the table, per
+order of ``config.beta_list``: Sigma_beta is ``table.flags.mean(axis=0)``,
+the violation counts ``table.flags.sum(axis=0)``; the infeasible experiments
+are ``(~table.feasible).sum()`` and the estimator bias
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -103,9 +106,6 @@ class CampaignConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "beta_list", tuple(float(b) for b in self.beta_list))
 
-    def with_v_est(self, v_est: float) -> "CampaignConfig":
-        return replace(self, v_est=v_est)
-
 
 @dataclass(frozen=True)
 class ExperimentTable:
@@ -121,20 +121,6 @@ class ExperimentTable:
     phi_hat: np.ndarray    # (E,) posterior means
     deltas: np.ndarray     # (E, n_beta) absolute moments Delta_beta
     flags: np.ndarray      # (E, n_beta) violation flags
-
-
-@dataclass(frozen=True)
-class ViolationStats:
-    """Violation counts and fractions Sigma_beta over one campaign."""
-
-    n_experiments: int
-    violation_counts: dict[float, int]
-    infeasible_count: int = 0
-    sigma_fracs: dict[float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        fracs = {b: c / self.n_experiments for b, c in self.violation_counts.items()}
-        object.__setattr__(self, "sigma_fracs", fracs)
 
 
 def experiment_rng(seed: int, experiment_index: int) -> np.random.Generator:
@@ -172,7 +158,6 @@ def sigma_beta(beta, shots: int, fisher_info: float):
     return float(value) if value.ndim == 0 else value
 
 
-@lru_cache(maxsize=64)
 def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounds, windows and Gaussian centres of a campaign's flagging
     rule, one per order and the same for every experiment.
@@ -264,13 +249,3 @@ def run_campaign(config: CampaignConfig) -> ExperimentTable:
     tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
                                 config.shots, config.n_experiments)
     return _evaluate(config, np.arange(config.n_experiments), tallies)
-
-
-def violation_fractions(config: CampaignConfig) -> ViolationStats:
-    """Sigma_beta over n_experiments independent experiments."""
-    table = run_campaign(config)
-    return ViolationStats(
-        n_experiments=config.n_experiments,
-        violation_counts=dict(zip(config.beta_list, table.flags.sum(axis=0).tolist())),
-        infeasible_count=int((~table.feasible).sum()),
-    )

@@ -16,15 +16,15 @@ from gcrb.bayes import (
     kappa,
     report_counts,
 )
-from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
+from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
 from gcrb.ingest import CountsRecord, parse_counts, write_counts
 from gcrb.model import ModelParams, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
     experiment_rng,
+    run_campaign,
     sample_tally,
     sigma_beta,
-    violation_fractions,
 )
 
 PI = math.pi
@@ -55,14 +55,15 @@ def test_criterion_1_fisher_anchors():
     ok = True
     details = []
     for phi, anchor in ((PI / 4.0, 1.805), (PI / 8.0, 3.2893)):
-        got = fisher(phi, params)
+        got = generalized_fisher(2.0, phi, params)
         oracle = direct_fisher_sum(phi, 0.95)
         ok &= abs(got - oracle) <= 1e-9 * oracle
         ok &= abs(got - anchor) <= 1e-4 * anchor
         details.append(f"F({phi:.4f})={got:.6f}")
     rng = np.random.default_rng(20240808)
     unit = ModelParams(1.0)
-    worst = max(abs(fisher(float(p), unit) - 4.0) for p in rng.uniform(0.0, PI / 2.0, 100))
+    worst = max(abs(generalized_fisher(2.0, float(p), unit) - 4.0)
+                for p in rng.uniform(0.0, PI / 2.0, 100))
     ok &= worst <= 4e-6
     report("1", ok, f"{', '.join(details)}, max |F(v=1)-4| = {worst:.2e}")
 
@@ -120,7 +121,7 @@ def truth_campaign():
     shots, n_exp, seed = 2000, 400, 2024
     phi_star = PI / 8.0
     params = ModelParams(0.95)
-    info = fisher(phi_star, params)
+    info = generalized_fisher(2.0, phi_star, params)
     tallies = np.array([sample_tally(phi_star, 0.95, shots, experiment_rng(seed, i))
                         for i in range(n_exp)])
     ms = report_counts(tallies, params, DEFAULT_DOMAIN, (2.0, 3.0, 4.0))
@@ -173,9 +174,9 @@ def sigma_table():
                     phase_true=phase, v_true=0.95, v_est=v_est,
                     shots=2000, n_experiments=400, beta_list=BETAS, seed=seed,
                 )
-                stats = violation_fractions(cfg)
-                for b in BETAS:
-                    acc[b] += stats.sigma_fracs[b] / 5.0
+                sigma_fracs = run_campaign(cfg).flags.mean(axis=0)
+                for b, frac in zip(BETAS, sigma_fracs.tolist()):
+                    acc[b] += frac / 5.0
             table[(name, v_est)] = acc
     return table
 
@@ -236,7 +237,7 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
         signature = 0
         ms = report_counts([record.counts for record in parsed], params, DEFAULT_DOMAIN, (2.0, 3.0))
         for estimate, row in zip(ms.phi_hat.tolist(), ms.deltas.tolist()):
-            info = fisher(estimate, params)
+            info = generalized_fisher(2.0, estimate, params)
             flags = {}
             for b, delta in zip((2.0, 3.0), row):
                 f_alpha = generalized_fisher(conjugate_exponent(b), estimate, params)
@@ -300,11 +301,8 @@ def test_criterion_7_property_suites():
 
     cfg = CampaignConfig(phase_true=PI / 8.0, v_true=0.95, v_est=0.99,
                          n_experiments=50, seed=7)
-    first, second = violation_fractions(cfg), violation_fractions(cfg)
-    checks["determinism"] = (
-        first.sigma_fracs == second.sigma_fracs
-        and first.violation_counts == second.violation_counts
-    )
+    first, second = run_campaign(cfg), run_campaign(cfg)
+    checks["determinism"] = np.array_equal(first.flags, second.flags)
 
     records = [
         CountsRecord(0.125, (1, 2, 3, 4), "r1"),

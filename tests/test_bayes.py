@@ -202,7 +202,6 @@ def test_block_reports_leave_infeasible_rows_nan():
     orders = _moment_orders(BETAS)
     with np.errstate(over="ignore"):
         feasible, phi_hat, moments = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
-        report = report_counts(counts, params, DEFAULT_DOMAIN, BETAS)
     assert feasible.tolist() == [True, False]
     shots = np.array([2000.0, 2000.0])
     columns = _block_reports(phi_hat, moments, shots, params, BETAS)
@@ -211,7 +210,14 @@ def test_block_reports_leave_infeasible_rows_nan():
         assert np.isnan(got[1]).all()
         assert got[:1].tobytes() == want.tobytes()
     # report_counts is the same chain, each row's shots its count sum: the
-    # infeasible row is flagged and nan throughout
+    # infeasible row is flagged and nan throughout.  It takes counts up to
+    # 2**53 only, so its infeasible row counts setting 2, which v = 1 makes
+    # impossible wherever cos 2phi rounds to 1, here at every grid node
+    params, domain = ModelParams(1.0), PhaseDomain(0.0, 1e-9, 64)
+    counts = np.array([[900, 400, 0, 600], [900, 400, 1, 600]])
+    feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, orders)
+    columns = _block_reports(phi_hat, moments, counts.sum(axis=1).astype(float), params, BETAS)
+    report = report_counts(counts, params, domain, BETAS)
     assert report.feasible.tolist() == [True, False]
     assert report.phi_hat.tobytes() == phi_hat.tobytes() and np.isnan(report.phi_hat[1])
     for got, want in zip(report[2:], columns):
@@ -379,6 +385,14 @@ def test_saturation_report_shape():
     assert table.deltas.shape == table.kappas.shape == table.gauss_ratios.shape == (2, 4)
     with pytest.raises(ValueError, match=r"\(E, 4\) table"):
         report_counts(tally, ModelParams(0.95))
+    # every count is checked: a negative count used to give a feasible row,
+    # one above 2**53 negative deltas, nan and bools passed and strings
+    # raised a TypeError
+    for bad in ([[-5, 10, 10, 10]], [[2 ** 60, 1, 1, 1]], [[math.nan, 1, 1, 1]],
+                np.ones((1, 4), dtype=bool), [[True, 1, 1, 1]], [["5", "1", "1", "1"]],
+                [[10 ** 400, 1, 1, 1]], [[1.5, 1, 1, 1]]):
+        with pytest.raises(ValueError, match="counts must be"):
+            report_counts(bad, ModelParams(0.95))
     report = one_row(tally, ModelParams(0.95))
     # each order's Delta_beta and phi_hat do not depend on the other orders
     single = [one_row(tally, ModelParams(0.95), betas=(b,)) for b in BETAS]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -11,7 +12,7 @@ import pytest
 
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.ingest import CountsRecord, write_counts
-from gcrb.montecarlo import experiment_rng, sample_tally
+from gcrb.montecarlo import CampaignConfig, experiment_rng, run_campaign, sample_tally
 
 PI = math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +48,10 @@ def test_parse_value_list():
     for spec in ("0:1e300:1e-300", "-1e308:1e308:1e-10"):
         with pytest.raises(ValueError, match=f"range '{spec}' must have a finite number of values"):
             parse_value_list([spec])
+    # so is a range of more than a million values, before it is expanded
+    # (0:1e9:1 used to need tens of GB)
+    with pytest.raises(ValueError, match="range '0:2e6:1' has 2000001 values, more than 1000000"):
+        parse_value_list(["0.5,0:2e6:1"])
 
 
 def test_non_finite_range_exit_code(tmp_path):
@@ -111,6 +116,17 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
     assert read(out_a) == read(out_b)
+    # each order's cells are the column mean and sum of the campaign table's
+    # flags for the same config
+    config = CampaignConfig(phase_true=PI / 8.0, v_true=0.95, v_est=0.97,
+                            n_experiments=25, seed=11)
+    rows = rows_of(out_a)
+    assert len(rows) == 4 * len(config.beta_list)
+    for row in rows:
+        flags = run_campaign(dataclasses.replace(config, v_est=float(row["v_est"]))).flags
+        k = config.beta_list.index(float(row["beta"]))
+        assert float(row["sigma_frac"]) == flags.mean(axis=0)[k]
+        assert int(row["n_violations"]) == flags.sum(axis=0)[k]
 
 
 def test_simulate_manifest_contents(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gcrb.bayes import kappa
 from gcrb.fisher import (
     conjugate_exponent,
-    fisher,
     generalized_fisher,
     order_bound,
 )
@@ -75,8 +74,8 @@ def test_conjugacy_identity(beta):
 
 def test_fisher_anchor_values():
     params = ModelParams(0.95)
-    f_min = fisher(PI / 4.0, params)
-    f_max = fisher(PI / 8.0, params)
+    f_min = generalized_fisher(2.0, PI / 4.0, params)
+    f_max = generalized_fisher(2.0, PI / 8.0, params)
     assert abs(f_min - direct_fisher_sum(PI / 4.0, 0.95)) <= 1e-9 * f_min
     assert abs(f_max - direct_fisher_sum(PI / 8.0, 0.95)) <= 1e-9 * f_max
     assert f_min == pytest.approx(2.0 * 0.95 ** 2, rel=1e-12)
@@ -88,11 +87,11 @@ def test_fisher_unit_visibility_limit():
     rng = np.random.default_rng(99)
     params = ModelParams(1.0)
     for phi in rng.uniform(0.0, PI / 2.0, 100):
-        assert abs(fisher(float(phi), params) - 4.0) <= 4e-6
+        assert abs(generalized_fisher(2.0, float(phi), params) - 4.0) <= 4e-6
 
 
 def test_fisher_zero_visibility():
-    assert fisher(PI / 8.0, ModelParams(0.0)) == 0.0
+    assert generalized_fisher(2.0, PI / 8.0, ModelParams(0.0)) == 0.0
 
 
 def test_reduction_to_textbook_sum():
@@ -100,7 +99,7 @@ def test_reduction_to_textbook_sum():
     for _ in range(1000):
         phi = rng.uniform(0.0, PI)
         v = rng.uniform(0.0, 0.999)
-        got = fisher(phi, ModelParams(v))
+        got = generalized_fisher(2.0, phi, ModelParams(v))
         want = direct_fisher_sum(phi, v)
         assert abs(got - want) <= 1e-10 * max(want, 1e-30)
 
@@ -135,7 +134,7 @@ def test_vectorised_over_phases_and_orders():
 def test_monotone_information_in_visibility():
     previous = -1.0
     for v in np.linspace(0.0, 0.999, 200):
-        value = fisher(PI / 8.0, ModelParams(float(v)))
+        value = generalized_fisher(2.0, PI / 8.0, ModelParams(float(v)))
         assert value >= previous - 1e-12
         previous = value
 
@@ -143,9 +142,9 @@ def test_monotone_information_in_visibility():
 def test_extremal_phases_on_grid():
     params = ModelParams(0.95)
     grid = np.arange(0.0, PI / 2.0, 1e-3)
-    values = fisher(grid, params)
-    f_peak = fisher(PI / 8.0, params)
-    f_valley = fisher(PI / 4.0, params)
+    values = generalized_fisher(2.0, grid, params)
+    f_peak = generalized_fisher(2.0, PI / 8.0, params)
+    f_valley = generalized_fisher(2.0, PI / 4.0, params)
     assert values.max() <= f_peak + 1e-5
     assert values.min() >= f_valley - 1e-5
     # the information is pi/4-periodic in phi, so the extrema recur

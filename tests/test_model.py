@@ -39,7 +39,8 @@ def test_params_domain():
 
 
 def test_tally_validation():
-    assert sum(check_counts((1, 2, 3, 4))) == 10
+    row = check_counts((1, 2, 3, 4))
+    assert row.dtype == np.int64 and row.tolist() == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         check_counts((1, 2, 3))
     with pytest.raises(ValueError):
@@ -48,8 +49,14 @@ def test_tally_validation():
         check_counts((1.5, 0, 0, 0))
     # counts are analyzed as float64, which holds every integer up to 2**53
     # exactly: larger, non-finite and non-numeric counts are rejected
-    assert check_counts((2 ** 53, 0, 0, np.int64(7))) == (2 ** 53, 0, 0, 7)
-    assert check_counts((np.float64(3.0), 0, 0, 0)) == (3, 0, 0, 0)
+    assert check_counts((2 ** 53, 0, 0, np.int64(7))).tolist() == [2 ** 53, 0, 0, 7]
+    assert check_counts((np.float64(3.0), 0, 0, 0)).tolist() == [3, 0, 0, 0]
+    # a table keeps its shape
+    table = check_counts([[1, 2, 3, 4], [5.0, 6, 7, 8]])
+    assert table.dtype == np.int64 and table.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
+    assert CountsRecord(0.1, np.array([1.0, 2, 3, 4])).counts == (1, 2, 3, 4)
+    with pytest.raises(ValueError):
+        CountsRecord(0.1, [[1, 2, 3, 4]])
     for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, True, "5"):
         with pytest.raises(ValueError):
             check_counts((bad, 0, 0, 0))

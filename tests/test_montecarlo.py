@@ -7,7 +7,7 @@ import pytest
 import gcrb.montecarlo as mc
 from gcrb.bayes import gaussian_abs_moment
 from gcrb.errors import UndefinedRatioError
-from gcrb.fisher import conjugate_exponent, fisher, generalized_fisher, order_bound
+from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
@@ -17,7 +17,6 @@ from gcrb.montecarlo import (
     run_experiment,
     sample_tally,
     sigma_beta,
-    violation_fractions,
 )
 
 PI = math.pi
@@ -37,6 +36,11 @@ def bias_and_stderr(table, phase_true):
     bias = float(estimates.mean() - phase_true)
     stderr = float(estimates.std(ddof=1) / math.sqrt(estimates.size))
     return bias, stderr
+
+
+def sigma_frac(config, beta):
+    """Sigma_beta of one order over the campaign of config."""
+    return float(run_campaign(config).flags.mean(axis=0)[config.beta_list.index(beta)])
 
 
 def small_config(**overrides):
@@ -141,7 +145,7 @@ def test_run_experiment_flags_are_recomputable():
     config = small_config(v_est=0.99)
     row = run_experiment(config, 3)
     params = ModelParams(config.v_est)
-    info = fisher(config.phase_true, params)
+    info = generalized_fisher(2.0, config.phase_true, params)
     sigma_post = 1.0 / math.sqrt(config.shots * info)
     for k, b in enumerate(config.beta_list):
         f_alpha = generalized_fisher(conjugate_exponent(b), config.phase_true, params)
@@ -234,30 +238,30 @@ def test_sweep_shares_one_draw_of_the_tallies():
     # equal those of campaigns that draw their own
     base = small_config(n_experiments=30, seed=9)
     mc._campaign_tallies.cache_clear()
-    shared = [violation_fractions(base.with_v_est(v)) for v in (0.95, 0.97, 0.99)]
+    shared = [run_campaign(dataclasses.replace(base, v_est=v)) for v in (0.95, 0.97, 0.99)]
     assert mc._campaign_tallies.cache_info().misses == 1
-    for v, stats in zip((0.95, 0.97, 0.99), shared):
+    for v, table in zip((0.95, 0.97, 0.99), shared):
         mc._campaign_tallies.cache_clear()
-        fresh = violation_fractions(base.with_v_est(v))
-        assert fresh.violation_counts == stats.violation_counts
-        assert fresh.infeasible_count == stats.infeasible_count
+        fresh = run_campaign(dataclasses.replace(base, v_est=v))
+        assert np.array_equal(fresh.flags, table.flags)
+        assert np.array_equal(fresh.feasible, table.feasible)
 
 
 def test_zero_information_campaign_is_undefined():
     # v_est = 0 carries no Fisher information: the violation windows, and so
     # Sigma_beta, are undefined
     with pytest.raises(UndefinedRatioError):
-        violation_fractions(small_config(v_est=0.0, n_experiments=3))
+        run_campaign(small_config(v_est=0.0, n_experiments=3))
 
 
 def test_violation_fractions_deterministic_and_exact():
     config = small_config(v_est=1.0, n_experiments=25)
-    stats_a = violation_fractions(config)
-    stats_b = violation_fractions(config)
-    assert stats_a.sigma_fracs == stats_b.sigma_fracs
-    assert stats_a.violation_counts == stats_b.violation_counts
-    for b, frac in stats_a.sigma_fracs.items():
-        count = stats_a.violation_counts[b]
+    mc._campaign_tallies.cache_clear()
+    flags_a = run_campaign(config).flags
+    mc._campaign_tallies.cache_clear()
+    flags_b = run_campaign(config).flags
+    assert np.array_equal(flags_a, flags_b)
+    for frac, count in zip(flags_a.mean(axis=0).tolist(), flags_a.sum(axis=0).tolist()):
         assert 0.0 <= frac <= 1.0
         assert frac == count / config.n_experiments
 
@@ -284,8 +288,8 @@ def test_violation_trend_with_overestimated_visibility():
         at_one = 0.0
         for seed in range(5):
             cfg = small_config(phase_true=phase, n_experiments=150, seed=seed)
-            at_truth += violation_fractions(cfg).sigma_fracs[2.0]
-            at_one += violation_fractions(cfg.with_v_est(1.0)).sigma_fracs[2.0]
+            at_truth += sigma_frac(cfg, 2.0)
+            at_one += sigma_frac(dataclasses.replace(cfg, v_est=1.0), 2.0)
         assert at_one >= at_truth
 
 
@@ -293,10 +297,8 @@ def test_violations_prefer_low_information_phase():
     low_info = 0.0
     high_info = 0.0
     for seed in range(5):
-        low_info += violation_fractions(
-            small_config(phase_true=PI / 4.0, v_est=0.99, n_experiments=150, seed=seed)
-        ).sigma_fracs[2.0]
-        high_info += violation_fractions(
-            small_config(phase_true=PI / 8.0, v_est=0.99, n_experiments=150, seed=seed)
-        ).sigma_fracs[2.0]
+        low_info += sigma_frac(
+            small_config(phase_true=PI / 4.0, v_est=0.99, n_experiments=150, seed=seed), 2.0)
+        high_info += sigma_frac(
+            small_config(phase_true=PI / 8.0, v_est=0.99, n_experiments=150, seed=seed), 2.0)
     assert low_info >= high_info
