@@ -13,9 +13,11 @@ from gcrb.bayes import (
     _block_reports,
     _check_densities,
     _evaluate_counts,
-    _log_prob_grid,
+    _find_windows,
+    _leaf_nodes,
     _moment_orders,
-    _peak_nodes,
+    _Windows,
+    MAX_GRID_POINTS,
     PhaseDomain,
     gaussian_abs_moment,
     kappa,
@@ -82,6 +84,16 @@ def test_phase_domain_validation():
     assert d.spacing == pytest.approx(L / 4095.0, rel=1e-15)
 
 
+def test_phase_domain_grid_points_are_bounded_integers():
+    # inf used to raise an OverflowError, and 1e9 points passed, to be
+    # allocated (8 GB per grid) before any other check
+    for bad in (math.inf, math.nan, 100.5, True, "4096", MAX_GRID_POINTS + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="grid_points must be an integer in"):
+            PhaseDomain(0.0, 1.0, bad)
+    for good in (64, 1000.0, np.int64(4096), MAX_GRID_POINTS):
+        assert PhaseDomain(0.0, 1.0, good).grid_points == int(good)
+
+
 def test_phase_domain_endpoints_are_real_and_stored_as_floats():
     # a bool is not an endpoint; numpy reals are, and are stored as floats
     for ends in ((False, True), (0.0, True), (np.False_, 1.0), ("0", 1.0)):
@@ -139,8 +151,8 @@ def test_block_posterior_masks_infeasible_rows():
 
 def test_block_rows_with_disjoint_supports_match_blocks_of_one():
     # narrow posteriors at 0.2 and 1.3, one pinned at the edge phase 0 and
-    # one infeasible row, whose flat placeholder makes the block's live span
-    # the whole grid: each row has the bits of its block of one
+    # one infeasible row, with its flat placeholder, in one whole-grid block:
+    # each row has the bits of its block of one
     rng = np.random.default_rng(3)
     params = ModelParams(0.95)
     tallies = [rng.multinomial(10 ** 6, outcome_probs(phase, params)) for phase in (0.2, 1.3, 0.0)]
@@ -179,18 +191,65 @@ def test_evaluator_rows_match_one_row_calls():
             assert got[row:row + 1].tobytes() == want.tobytes(), row
 
 
-def test_peak_nodes_locate_the_posterior():
-    # the block-filling key is the likelihood peak on 64 evenly spaced
-    # nodes: within a node of the true phase for sharp tallies, and defined
-    # for an empty tally at v = 1 (0 * log 0 = 0)
-    rng = np.random.default_rng(64)
-    phases = rng.uniform(0.05, L - 0.05, 20)
-    counts = np.array([rng.multinomial(10 ** 5, outcome_probs(phase, ModelParams(1.0)))
-                       for phase in phases] + [[0, 0, 0, 0]], dtype=float)
-    nodes = _peak_nodes(counts, _log_prob_grid(DEFAULT_DOMAIN, ModelParams(1.0)))
-    step = DEFAULT_DOMAIN.grid_points // 64 * DEFAULT_DOMAIN.spacing
-    assert np.all(np.abs(nodes[:-1] * step - phases) <= step)
-    assert 0 <= nodes[-1] < 64
+def test_windowed_trapezoid_is_the_zero_padded_rule():
+    # a row's window of whole leaves, zero outside it, integrates to the bits
+    # of the trapezoidal rule over the zero-padded row: a change in numpy's
+    # pairwise summation fails here, not in the goldens.  Grids that are not
+    # 128 * 2**k nodes are one leaf, so their window is the whole row
+    rng = np.random.default_rng(19)
+    for points in (4096, 8192, 1000, 4095, 384):
+        leaf = _leaf_nodes(points)
+        leaves = points // leaf
+        assert leaf == (128 if points in (4096, 8192) else points)
+        for _ in range(40):
+            width = int(rng.integers(1, leaves + 1)) * leaf
+            starts = rng.integers(0, leaves - width // leaf + 1, size=6) * leaf
+            starts[:2] = 0, points - width
+            values = rng.random((6, width)) * 10.0 ** rng.integers(-45, 3, size=(6, 1))
+            values[values < 0.3] = 0.0
+            h = float(rng.uniform(1e-4, 1e-2))
+            got = _Windows(starts, width, points).trapezoid(values, h)
+            for i, start in enumerate(starts):
+                row = np.zeros(points)
+                row[start:start + width] = values[i]
+                want = h * (row.sum() - 0.5 * (row[0] + row[-1]))
+                assert got[i].tobytes() == np.float64(want).tobytes(), (points, width, start)
+
+
+def test_rows_of_every_window_match_their_whole_grid_evaluation():
+    # M from 30 to 1e8 at phases that put some windows against the domain
+    # ends, an empty tally and a row infeasible at v = 1, on a grid of
+    # 128 * 2**k nodes and on a one-leaf grid: each row of one evaluator call
+    # has the bits of its one-row call and of the whole-grid window
+    rng = np.random.default_rng(41)
+    phases = (0.0, 1e-3, L - 1e-4, 0.6)
+    tallies = [rng.multinomial(int(m), outcome_probs(phase, ModelParams(0.98)))
+               for m in (30, 300, 3e3, 3e4, 3e5, 3e6, 1e8) for phase in phases]
+    counts = np.array(tallies + [[0, 0, 0, 0], [1e308] * 4], dtype=float)[rng.permutation(30)]
+    params, orders = ModelParams(1.0), _moment_orders(BETAS)
+    for domain in (DEFAULT_DOMAIN, PhaseDomain(0.0, L, 1000)):
+        points = domain.grid_points
+        with np.errstate(over="ignore"):
+            starts, widths = _find_windows(counts, params, domain)
+            feasible, phi_hat, deltas = _evaluate_counts(counts, params, domain, orders)
+            assert feasible.sum() == 29
+            if points == 4096:
+                # many window widths, windows at both domain ends and inside
+                assert len(set(widths.tolist())) >= 4
+                assert (starts == 0).any() and (starts + widths == points).any()
+                assert ((starts > 0) & (starts + widths < points)).any()
+            else:
+                assert (widths == points).all()
+            for row in range(30):
+                alone = _evaluate_counts(counts[row:row + 1], params, domain, orders)
+                for got, want in zip((feasible, phi_hat, deltas), alone):
+                    assert got[row:row + 1].tobytes() == want.tobytes(), (points, row)
+                dens, whole_feasible = _block_posterior(counts[row:row + 1], params, domain)
+                assert whole_feasible[0] == feasible[row]
+                if feasible[row]:
+                    center, whole = _block_moments(dens, domain, orders)
+                    assert center.tobytes() == phi_hat[row:row + 1].tobytes(), (points, row)
+                    assert whole.tobytes() == deltas[row:row + 1].tobytes(), (points, row)
 
 
 def test_block_reports_leave_infeasible_rows_nan():
@@ -225,8 +284,8 @@ def test_block_reports_leave_infeasible_rows_nan():
 
 
 def test_densities_beyond_the_floor_are_exactly_zero():
-    # a wide and a narrow posterior share one block, so the narrow row has
-    # nodes beyond its floor inside the block's live span
+    # a wide and a narrow posterior share one whole-grid block, so the
+    # narrow row has nodes beyond its floor inside its window
     params = ModelParams(0.95)
     logp = np.log(outcome_probs(DEFAULT_DOMAIN.grid(), params))
     rng = np.random.default_rng(6)
