@@ -1,43 +1,49 @@
-"""Grid posterior over the phase and its absolute central moments.
+"""Posterior over the phase and its absolute central moments.
 
-The posterior is reconstructed on a uniform grid over the prior support by
-Bayes' rule with a flat prior,
+Under a flat prior on the domain the posterior of one counts row is
 
-    p(phi | x)  propto  prod_theta p(theta | phi)^counts(theta),
+    p(phi | x)  propto  L(phi) = prod_k p(theta_k | phi)^counts_k,
 
-normalized by trapezoidal quadrature.  Likelihoods for realistic shot counts
-underflow double precision, so everything is assembled in the log domain with
-max-subtraction before exponentiation.
+and each row is reduced to its mean phi_hat and absolute central moments
+Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x) (`_evaluate_counts`):
 
-Moment integrals carry the |phi - phi_hat|**beta kernel whose kink at phi_hat
-destroys the usual error cancellation of the trapezoidal rule for non-even
-beta.  The panels surrounding the kink are therefore integrated in closed form
-against a local cubic fit of the density, with Euler-Maclaurin edge terms
-where the refined panels meet the plain rule; see `_block_moments`.
+1. Scan.  log L is taken on the domain grid, `PhaseDomain.grid_points`
+   nodes, for blocks of rows.  A node is live within 100 nats of its row's
+   peak (`_LOG_FLOOR`).  A piece is a run of live nodes, split at each
+   interior local minimum of the scanned values so that it has one lobe; a
+   run end is padded out to its dead neighbour node, and a split node is
+   shared by its two pieces.  Lobes closer than a few grid spacings merge
+   into one piece: the grid sets the resolution of the scan and nothing
+   else.  A row whose likelihood is zero at every grid node is infeasible.
+2. Narrow pieces.  A whole run of at most _NARROW_NODES live nodes holds a
+   posterior narrower than 0.6 grid spacings.  Newton steps from its best
+   node find the mode, and the piece shrinks to where the quadratic model of
+   log L there has dropped by _NARROW_DROP nats, 14.5 sd either side of an
+   interior mode.
+3. Quadrature.  log L is taken relative to each piece's reference point,
+   its best node or its mode, in log1p form (`_log_ratio`), so that no two
+   log likelihoods of size M are subtracted; a row's pieces are put on one
+   scale by the same ratio between their reference points.  Integrals run
+   over segments substituted phi = anchor + (end - anchor) s**2, with a
+   Gauss-Legendre rule in s.  The normaliser and phi_hat take the segments
+   either side of the reference point, so a density cut off at its peak by
+   a domain end gets its nodes there.  The moments split each piece at its
+   reference point and at phi_hat and anchor each segment at one of them:
+   |phi - phi_hat|**beta is smooth in s and one set of nodes serves every
+   order, so the kink at phi_hat is the end of a rule, not a point to fit.
+
+The rules come from the Jacobi matrix of the Legendre polynomials (Golub &
+Welsch, Math. Comp. 23 (1969) 221) at import, before any fork.  Every
+operation is elementwise or a reduction over one row's own pieces, so a
+row's results are the same bits whichever rows share its block.
 
 `report_counts` is the analysis routine of the library and of `gcrb analyze`:
 it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
 kappa_beta and Gaussianity ratios, one row per counts row.  It chains
-`_evaluate_counts`, which `simulate` shares and which gives feasibility,
-phi_hat and Delta_beta, with `_block_reports`, which adds the kappa and
-Gaussianity columns.  `gaussian_abs_moment` and `kappa` broadcast over orders,
-so the reports are array expressions over the (E, n_beta) columns; kappa is
-Delta_beta over `gcrb.fisher.order_bound`.
-
-Posteriors and moments are computed for blocks of rows at once
-(`_block_posterior`, `_block_moments`), each row on its own window of the
-grid.  Nodes more than 100 nats below their row's peak (`_LOG_FLOOR`) get
-density exactly 0.  A first pass (`_find_windows`) takes each row's log
-likelihood over the whole grid and finds its live leaves: aligned runs of
-128 nodes (`_LEAF_NODES`) with a node above the floor.  A row's window runs
-from its first to its last live leaf, widened to one of a short ladder of
-widths; rows of one width share a block, and all the elementwise work (the
-log likelihood again, exp, the normalising divide, phi * p, |t|**beta and
-the kernel products) runs on the block's (rows, width) array.  Each sum adds
-the window's leaf sums in the tree that numpy's pairwise summation uses on
-the zero-padded grid row (`_Windows.trapezoid`), so a row's results are the
-bits of its whole-grid evaluation whatever block it shares.  On a grid that
-is not 128 * 2**k nodes the whole row is one leaf, and so every window.
+`_evaluate_counts`, which `simulate` shares, with `_block_reports`, which
+adds the kappa and Gaussianity columns.  `gaussian_abs_moment` and `kappa`
+broadcast over orders, so the reports are array expressions over the
+(E, n_beta) columns; kappa is Delta_beta over `gcrb.fisher.order_bound`.
 """
 
 from __future__ import annotations
@@ -51,7 +57,8 @@ import numpy as np
 
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import N_SETTINGS, PI, ModelParams, check_counts, is_real, outcome_probs
+from .model import (N_SETTINGS, PI, ModelParams, check_counts, is_real, outcome_dprobs,
+                    outcome_probs)
 
 DEFAULT_GRID_POINTS = 4096
 
@@ -63,36 +70,49 @@ MAX_GRID_POINTS = 2 ** 20
 # moment orders analyzed when none are given
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
 
-# panels refined on each side of the moment-kernel kink
-_KINK_PANELS = 4
-
-# log-density floor below each row's peak: nodes under it get density
-# exactly 0.  e**-100 is about 3.7e-44, so over 4,096 nodes with
-# |t|**beta <= (pi/2)**4 the dropped terms of a moment integral total under
-# 1e-39, below half an ulp of Delta_4 for any posterior wider than a tenth of
-# a grid spacing
+# a node is live within this many nats of its row's peak.  e**-100 is about
+# 3.7e-44: beyond a padded run end the density stays below that share of
+# its peak, below 1e-39 of the mass of any posterior wider than a tenth of a
+# grid spacing; narrower ones are narrow pieces (_NARROW_DROP)
 _LOG_FLOOR = -100.0
 
-# nodes per leaf of numpy's pairwise float sum: a row is summed in aligned
-# blocks of 128, whose sums are then added in a balanced tree (see
-# _Windows.trapezoid)
-_LEAF_NODES = 128
+# scanned log likelihoods per block, 1 MiB: 32 rows of the default grid
+_SCAN_ELEMENTS = 2 ** 17
 
-# doubles per (block rows x window nodes) array, 1 MiB: 32 rows of a whole
-# 4,096-node grid row, more rows of narrower windows.  A block makes about
-# 90 numpy calls whatever its size, and blocks of this size amortise them
-_BLOCK_ELEMENTS = 2 ** 17
+# rows whose pieces are integrated together: enough to amortise the numpy
+# calls of `_integrate`, few enough that its (pieces, nodes) temporaries
+# stay near 100 KiB each
+_BATCH_ROWS = 128
 
-# rows per block at most.  The kink refinement's temporaries grow with the
-# rows whatever their windows' width; with 64 rows a block of windows
-# narrower than 2,048 nodes (a 2,000-shot posterior's is 1,024 to 1,536)
-# holds its three (rows x window) arrays and those temporaries in about 2 MB
-_BLOCK_ROWS = 64
+# whole runs of at most this many live nodes are narrow (step 2 above).  A
+# Gaussian's live nodes span 28 sd, so any other piece is at most 32 sd wide
+# with its padding; over a narrow piece, at most 8.7 grid spacings wide, the
+# quadratic model of log L misses the drop by a few parts in 10**3
+_NARROW_NODES = 16
+
+# Newton steps to a narrow piece's mode, each at most one grid spacing
+_NEWTON_STEPS = 6
+
+# drop of the quadratic model of log L at a narrow piece's ends, in nats:
+# sqrt(2 * 105) = 14.5 sd from an interior mode
+_NARROW_DROP = 105.0
+
+# Gauss-Legendre nodes per segment (step 3 above): the normaliser's two per
+# piece, the moments' two outer ones and the one between the reference point
+# and phi_hat, short unless the row has several pieces.  A lobe with a far
+# shoulder was 1e-7 off with 32 normaliser nodes and 3e-10 with 48 moment
+# nodes; with these, 18,500 rows of the ingest recipe, random tallies and
+# domain-end rows agree with a dense quadrature within 6e-11, though rows of
+# two nearly merged lobes at v near 1 can still be off by about 4e-9
+_PIECE_NODES = 48
+_MOMENT_NODES = 56
+_MIDDLE_NODES = 16
 
 
 @dataclass(frozen=True)
 class PhaseDomain:
-    """Uniform grid over one prior support interval (at most one model period)."""
+    """One prior support interval (at most one model period) and the grid
+    that scans it for posterior mass."""
 
     lower: float
     upper: float
@@ -138,179 +158,177 @@ def _grid(lower: float, upper: float, points: int) -> np.ndarray:
 DEFAULT_DOMAIN = PhaseDomain(0.0, PI / 2.0)
 
 
-def _leaf_nodes(points: int) -> int:
-    """Nodes per summation leaf of a grid row: _LEAF_NODES on a grid of
-    _LEAF_NODES * 2**k nodes, and the whole row on any other grid."""
-    leaves = points // _LEAF_NODES
-    if points % _LEAF_NODES == 0 and leaves & (leaves - 1) == 0:
-        return _LEAF_NODES
-    return points
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss-Legendre rule on [0, 1].
+
+    The nodes on [-1, 1] are the eigenvalues of the Jacobi matrix of the
+    Legendre polynomials, and the weights twice the squared first components
+    of its eigenvectors (Golub & Welsch 1969).  The rule is symmetric, and
+    averaging it with its mirror image removes the eigensolver's asymmetric
+    rounding.
+    """
+    k = np.arange(1.0, n)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    return 0.25 * (nodes - nodes[::-1]) + 0.5, 0.5 * (weights + weights[::-1])
 
 
-def _window_widths(leaves: int) -> np.ndarray:
-    """The window widths, in leaves, that rows are grouped by: 1, 2, 3, 4,
-    6, 8, 12, ... below a grid row's leaf count, then the whole row."""
-    steps = {m << k for k in range(leaves.bit_length()) for m in (1, 3)}
-    return np.array(sorted({w for w in steps if w < leaves} | {leaves}))
+def _rule(*sizes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rules on [0, 1] of the given sizes side by side: their
+    nodes, weights and the segment of each node."""
+    rules = [_gauss_legendre(n) for n in sizes]
+    return (np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules]),
+            np.repeat(np.arange(len(sizes)), sizes))
 
 
-class _Windows:
-    """Windows of whole leaves (`_leaf_nodes`) on the rows of a block: row i
-    holds grid nodes starts[i] .. starts[i] + width - 1 of a grid row of
-    `points` nodes, and is 0 outside them."""
-
-    def __init__(self, starts: np.ndarray, width: int, points: int) -> None:
-        self.starts, self.width, self.points = starts, width, points
-        self.leaf = _leaf_nodes(points)
-        leaves = points // self.leaf
-        # the place of each window leaf among the block's grid leaves, flat
-        self._places = ((np.arange(starts.size) * leaves + starts // self.leaf)[:, np.newaxis]
-                        + np.arange(width // self.leaf)).ravel()
-        self._first = starts == 0
-        self._last = starts + width == points
-
-    @classmethod
-    def whole(cls, rows: int, points: int) -> _Windows:
-        """Windows that are each row's whole grid row."""
-        return cls(np.zeros(rows, dtype=np.intp), points, points)
-
-    def trapezoid(self, values: np.ndarray, spacing: float) -> np.ndarray:
-        """Trapezoidal integral of each row of an (E, width) block.
-
-        It has the bits of the rule over the zero-padded grid row: numpy sums
-        a row by adding aligned leaves and then the leaf sums in a balanced
-        tree, so the window's leaf sums take their places among zero leaves
-        and go through the same tree.
-        """
-        rows = values.shape[0]
-        sums = np.zeros(rows * (self.points // self.leaf))
-        sums[self._places] = values.reshape(-1, self.leaf).sum(axis=-1)
-        sums = sums.reshape(rows, -1)
-        while sums.shape[1] > 1:
-            sums = sums[:, 0::2] + sums[:, 1::2]
-        ends = np.where(self._first, values[:, 0], 0.0) + np.where(self._last, values[:, -1], 0.0)
-        return spacing * (sums[:, 0] - 0.5 * ends)
-
-    def at(self, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """The values of an (E, width) block at grid nodes, an (E, ...) array
-        of node indices; nodes outside a row's window read 0."""
-        rows = np.arange(block.shape[0]).reshape((-1,) + (1,) * (nodes.ndim - 1))
-        local = nodes - self.starts.reshape(rows.shape)
-        inside = (local >= 0) & (local < self.width)
-        return np.where(inside, block[rows, np.where(inside, local, 0)], 0.0)
-
-
-def _check_densities(dens: np.ndarray, spacing: float, windows: _Windows | None = None) -> None:
-    """The posterior contract, row by row: finite, non-negative, unit mass;
-    by default each row is a whole grid row."""
-    if np.any(dens < 0.0) or not np.all(np.isfinite(dens)):
-        raise ValueError("densities must be finite and non-negative")
-    if windows is None:
-        windows = _Windows.whole(*dens.shape)
-    integrals = windows.trapezoid(dens, spacing)
-    off = np.abs(integrals - 1.0) > 1e-9
-    if off.any():
-        raise ValueError(f"posterior integrates to {float(integrals[off][0])!r}, not 1")
+_PIECE_RULE = _rule(_PIECE_NODES, _PIECE_NODES)
+_MOMENT_RULE = _rule(_MOMENT_NODES, _MOMENT_NODES, _MIDDLE_NODES)
 
 
 @lru_cache(maxsize=16)
-def _log_prob_grid(domain: PhaseDomain, params: ModelParams) -> np.ndarray:
-    """log p(outcome | phi) over the domain grid; zero probabilities give -inf."""
-    with np.errstate(divide="ignore"):
-        out = np.log(outcome_probs(domain.grid(), params))
-    out.setflags(write=False)
-    return out
+def _log_prob_grid(domain: PhaseDomain, params: ModelParams) -> tuple[np.ndarray, tuple]:
+    """log p(outcome | phi) over the domain grid, with 0 where p is 0, and
+    the (outcome, node mask) pairs of those zeros."""
+    probs = outcome_probs(domain.grid(), params)
+    zero = probs == 0.0
+    logp = np.log(np.where(zero, 1.0, probs))
+    logp.setflags(write=False)
+    return logp, tuple((k, zero[k]) for k in range(N_SETTINGS) if zero[k].any())
 
 
-def _log_likelihoods(
-    counts: np.ndarray, logp: np.ndarray, windows: _Windows, out: np.ndarray
-) -> None:
-    """Each count row's log likelihood on its window of logp's columns, into
-    the rows of out.  Only the outcomes that were counted enter: that is the
-    0 * log 0 = 0 convention, and an empty tally gives 0 everywhere."""
-    active = counts > 0
-    width = windows.width
-    for row, c, used, every, start in zip(out, counts, active, active.all(axis=1).tolist(),
-                                          windows.starts.tolist()):
-        cols = logp[:, start:start + width]
-        if every:
-            np.matmul(c, cols, out=row)
-        elif used.any():
-            np.matmul(c[used], cols[used], out=row)
-        else:
-            row.fill(0.0)
+def _pieces(counts: np.ndarray, domain: PhaseDomain, params: ModelParams):
+    """Scan count rows for their pieces (step 1 of the module notes).
 
-
-def _find_windows(
-    counts: np.ndarray, params: ModelParams, domain: PhaseDomain
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's window of the grid: its first node and its width in nodes,
-    both whole leaves (`_leaf_nodes`).
-
-    A leaf is live when its largest log likelihood minus the row's peak is
-    at least _LOG_FLOOR; rounded subtraction is monotone, so that is when
-    one of its nodes is live.  The window runs from the first to the last
-    live leaf, widened to the next of `_window_widths` and moved back where
-    it would pass the grid's end.  An infeasible row, impossible at every
-    node, gets the whole grid, as its flat placeholder density does.
+    Returns the mask of feasible rows and, for each piece of those rows in
+    row and then phase order, its row, its first and last grid node, padded,
+    its best node and whether it is narrow.  Only the outcomes that were
+    counted enter log L: that is the 0 * log 0 = 0 convention, and an empty
+    tally is live everywhere.
     """
-    logp = _log_prob_grid(domain, params)
+    logp, zeros = _log_prob_grid(domain, params)
     points = domain.grid_points
-    leaf = _leaf_nodes(points)
-    leaves = points // leaf
-    n = counts.shape[0]
-    live = np.empty((n, leaves), dtype=bool)
-    size = max(1, _BLOCK_ELEMENTS // points)
-    loglik = np.empty((min(size, n), points))
-    for i in range(0, n, size):
-        block = loglik[:min(size, n - i)]
-        _log_likelihoods(counts[i:i + size], logp, _Windows.whole(block.shape[0], points), block)
-        leaf_max = block.reshape(block.shape[0], leaves, leaf).max(axis=-1)
-        peak = leaf_max.max(axis=-1, keepdims=True)
-        feasible = np.isfinite(peak)
-        live[i:i + size] = (leaf_max - np.where(feasible, peak, 0.0) >= _LOG_FLOOR) | ~feasible
-    first = live.argmax(axis=1)
-    count = leaves - live[:, ::-1].argmax(axis=1) - first
-    widths = _window_widths(leaves)
-    width = widths[np.searchsorted(widths, count)]
-    return np.minimum(first, leaves - width) * leaf, width * leaf
+    size = max(1, _SCAN_ELEMENTS // points)
+    # a last column that stays -inf keeps each run of live nodes within its
+    # row of the flattened block
+    loglik = np.full((min(size, counts.shape[0]), points + 1), -np.inf)
+    feasible, found = [], []
+    for i in range(0, counts.shape[0], size):
+        block = counts[i:i + size]
+        scan = loglik[:block.shape[0]]
+        # one vector-matrix product per row, so that a row's values do not
+        # depend on its blockmates
+        for c, out in zip(block, scan):
+            np.dot(c, logp, out=out[:points])
+        for k, nodes in zeros:
+            scan[np.ix_(block[:, k] > 0, np.flatnonzero(nodes))] = -np.inf
+        peak = scan.max(axis=1)
+        feasible.append(np.isfinite(peak))
+        # an infeasible row has no live node
+        peak[~feasible[-1]] = np.inf
+        live = np.flatnonzero(scan >= (peak + _LOG_FLOOR)[:, np.newaxis])
+        values = scan.ravel()[live]
+        start = np.ones(live.size + 1, dtype=bool)
+        start[1:-1] = live[1:] != live[:-1] + 1
+        starts = np.flatnonzero(start[:-1])
+        # interior local minima: a step down and then none, within one run
+        down = values[1:] < values[:-1]
+        dips = np.flatnonzero(down[:-1] & ~down[1:]) + 1
+        dips = dips[~start[dips] & ~start[dips + 1]]
+        first = np.sort(np.concatenate([starts, dips]))
+        last = np.sort(np.concatenate([dips, np.flatnonzero(start[1:])]))
+        # run ends, not split nodes, are padded out to their dead neighbours
+        opens, closes = start[first], start[last + 1]
+        row, lo = np.divmod(live[first], points + 1)
+        hi = live[last] % (points + 1)
+        lo -= opens & (lo > 0)
+        hi += closes & (hi < points - 1)
+        narrow = opens & closes & (last - first < _NARROW_NODES)
+        # a piece rises and then falls, so its best node is the first one
+        # followed by a step down, or its last
+        falls = np.append(np.flatnonzero(down), live.size)
+        best = np.minimum(falls[np.searchsorted(falls, first)], last)
+        found.append((i + row, lo, hi, live[best] % (points + 1), narrow))
+    return (np.concatenate(feasible), *(np.concatenate(column) for column in zip(*found)))
 
 
-def _block_posterior(
-    counts: np.ndarray,
-    params: ModelParams,
-    domain: PhaseDomain,
-    windows: _Windows | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior densities of a block of tallies, one row per (4,) count row,
-    on their windows of the grid, by default the whole grid.
+def _log_ratio(counts: np.ndarray, scale: np.ndarray, ref: np.ndarray,
+               delta: np.ndarray) -> np.ndarray:
+    """log L(ref + delta) - log L(ref) for pieces with (P, 4) counts, (P,)
+    reference points and (P, n) offsets from them.
 
-    A window must hold every node of its row within _LOG_FLOOR of the peak,
-    as `_find_windows`' do; the density is 0 outside it.  Returns the
-    (E, width) densities and the (E,) mask of feasible rows.  A row whose
-    counts have zero likelihood at every grid node is infeasible: it is
-    masked out and holds a flat placeholder density instead of raising for
-    the whole block.
+    scale is v / (1 + v s_k(ref)), 0 for outcomes not counted.  The fringe
+    differences come from the difference formulas
+    cos 2(r + d) - cos 2r = -2 sin d (cos 2r sin d + sin 2r cos d) and
+    sin 2(r + d) - sin 2r = 2 sin d (cos 2r cos d - sin 2r sin d), so each
+    term c_k log1p(scale_k ds_k) keeps its relative precision however large
+    c_k.  An argument rounded below -1, at a zero of p_k, is read as -1:
+    density 0.
     """
-    counts = np.asarray(counts, dtype=float)
-    if windows is None:
-        windows = _Windows.whole(counts.shape[0], domain.grid_points)
-    dens = np.empty((counts.shape[0], windows.width))
-    _log_likelihoods(counts, _log_prob_grid(domain, params), windows, dens)
-    peak = dens.max(axis=1)
-    feasible = np.isfinite(peak)
-    dens[~feasible] = 0.0
-    peak[~feasible] = 0.0
-    np.subtract(dens, peak[:, np.newaxis], out=dens)
-    live = dens >= _LOG_FLOOR
-    # raising the dead nodes to the floor keeps exp off its slow underflow
-    # path; the mask then zeroes them exactly
-    np.maximum(dens, _LOG_FLOOR, out=dens)
-    np.exp(dens, out=dens)
-    dens *= live
-    np.divide(dens, windows.trapezoid(dens, domain.spacing)[:, np.newaxis], out=dens)
-    _check_densities(dens, domain.spacing, windows)
-    return dens, feasible
+    sin_d, cos_d = np.sin(delta), np.cos(delta)
+    cos_r, sin_r = np.cos(2.0 * ref)[:, np.newaxis], np.sin(2.0 * ref)[:, np.newaxis]
+    sin_d *= 2.0
+    diffs = (-sin_d * (cos_r * (0.5 * sin_d) + sin_r * cos_d),
+             sin_d * (cos_r * cos_d - sin_r * (0.5 * sin_d)))
+    total = np.zeros(delta.shape)
+    term = np.empty(delta.shape)
+    for k in range(N_SETTINGS):
+        np.multiply(scale[:, k:k + 1] if k < 2 else -scale[:, k:k + 1], diffs[k % 2], out=term)
+        np.maximum(term, -1.0, out=term)
+        with np.errstate(divide="ignore"):
+            np.log1p(term, out=term)
+        term *= counts[:, k:k + 1]
+        total += term
+    return total
+
+
+def _ratio_scale(counts: np.ndarray, ref: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The (P, 4) scale of `_log_ratio` at the reference points; each ref
+    has p_k > 0 for every counted outcome."""
+    probs = outcome_probs(ref, params).T
+    counted = counts > 0.0
+    return np.where(counted, params.visibility / np.where(counted, 4.0 * probs, 1.0), 0.0)
+
+
+def _narrow(counts, params, lo, hi, best, h):
+    """The modes of narrow pieces and their intervals shrunk to where the
+    quadratic model of log L has dropped by _NARROW_DROP nats (step 2 of the
+    module notes).  A piece whose curvature is not negative keeps its
+    interval."""
+    counted = counts.T > 0.0
+
+    def slope_curvature(phi):
+        probs, dprobs = outcome_probs(phi, params), outcome_dprobs(phi, params)
+        safe = np.where(counted, probs, 1.0)
+        score = np.where(counted, dprobs / safe, 0.0)
+        # p_k'' = 1 - 4 p_k
+        curv = np.where(counted, (1.0 - 4.0 * probs) / safe, 0.0) - score * score
+        return (counts.T * score).sum(axis=0), (counts.T * curv).sum(axis=0)
+
+    def possible(phi):
+        return ~(counted & (outcome_probs(phi, params) == 0.0)).any(axis=0)
+
+    mode = best
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            slope, curv = slope_curvature(mode)
+            step = np.where(curv < 0.0, -slope / curv, np.copysign(h, slope))
+            trial = np.clip(mode + np.clip(step, -h, h), lo, hi)
+            # a step onto a zero of a counted outcome's probability goes
+            # halfway instead
+            mode = np.where(possible(trial), trial, 0.5 * (mode + trial))
+        slope, curv = slope_curvature(mode)
+        root = np.sqrt(slope * slope - 2.0 * _NARROW_DROP * curv)
+        reach = []
+        for g in (-slope, slope):
+            # the positive root x of g x + curv x**2 / 2 = -_NARROW_DROP
+            reach.append(np.where(g > 0.0, (g + root) / -curv,
+                                  2.0 * _NARROW_DROP / (root - g)))
+        keep = ~(curv < 0.0)
+        lo = np.where(keep, lo, np.maximum(lo, mode - reach[0]))
+        hi = np.where(keep, hi, np.minimum(hi, mode + reach[1]))
+    return mode, lo, hi
 
 
 def _check_orders(beta) -> np.ndarray:
@@ -322,95 +340,53 @@ def _check_orders(beta) -> np.ndarray:
     return betas.astype(float)
 
 
-def _block_moments(
-    dens: np.ndarray,
-    domain: PhaseDomain,
-    betas,
-    windows: _Windows | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi_hat per row, shape (E,), and Delta_beta = integral of
-    |phi - phi_hat|**beta * p(phi | x) per row and order, shape (E, len(betas)).
+def _integrate(counts, params, row, lo, hi, ref, betas):
+    """phi_hat and Delta_beta (rows, len(betas)) of the rows of pieces
+    (step 3 of the module notes) with (P, 4) counts, their rows, ascending,
+    and their intervals and reference points."""
+    scale = _ratio_scale(counts, ref, params)
+    head = np.ones(row.size, dtype=bool)
+    head[1:] = row[1:] != row[:-1]
+    heads = np.flatnonzero(head)
+    rows = np.cumsum(head) - 1
+    base = ref[heads][rows]
+    # each piece's level at its reference point, the row's highest at 0
+    level = _log_ratio(counts, _ratio_scale(counts, base, params), base,
+                       (ref - base)[:, np.newaxis])[:, 0]
+    level -= np.maximum.reduceat(level, heads)[rows]
 
-    Each row of the (E, width) densities is its window of the grid, by
-    default the whole grid, and the density is 0 outside it; so are the
-    integrands, which are evaluated on the windows only.  Each integral is
-    the trapezoidal rule over the whole zero-padded row
-    (`_Windows.trapezoid`), except on the 2 * _KINK_PANELS
-    panels around the row's kink (fewer where they are clipped at the
-    domain edges).  There the density is replaced by the
-    cubic through the four nodes around each panel, whose product with
-    |t|**beta, t = phi - phi_hat, integrates in closed form:
-    t**p * |t|**beta has the antiderivative |t|**(beta+p+1) / (beta+p+1),
-    signed for even p.  Euler-Maclaurin h^2/12 slope terms join the refined
-    panels to the plain rule; the outer domain endpoints keep the uncorrected
-    trapezoidal convention.  Kink, fit and edge nodes outside a row's window
-    are dead nodes and read 0 (`_Windows.at`).  The orders must be validated
-    by the caller.
-    """
-    grid, h, n = domain.grid(), domain.spacing, domain.grid_points
-    if windows is None:
-        windows = _Windows.whole(dens.shape[0], n)
-    # each row's grid nodes, then |t|; one workspace for phi * p and then
-    # each kernel
-    abs_t = np.lib.stride_tricks.sliding_window_view(grid, windows.width)[windows.starts]
-    work = np.multiply(abs_t, dens)
-    centers = windows.trapezoid(work, h)
-    np.subtract(abs_t, centers[:, np.newaxis], out=abs_t)
-    np.abs(abs_t, out=abs_t)
+    def segments(anchor, end, rule):
+        """phi - ref and the density times the rule's weight at
+        phi = anchor + (end - anchor) * s**2, s in [0, 1], on (P, m)
+        segments, each (P, nodes).  The substitution makes a segment smooth
+        in s where its anchor is phi_hat, the kink of the moments."""
+        nodes, weights, segment = rule
+        span = (end - anchor)[:, segment]
+        delta = (anchor - ref[:, np.newaxis])[:, segment] + span * nodes * nodes
+        mass = np.exp(_log_ratio(counts, scale, ref, delta) + level[:, np.newaxis])
+        # d phi = 2 (end - anchor) s ds
+        mass *= np.abs(span) * (2.0 * nodes * weights)
+        return delta, mass
 
-    # kink nodes j-3 .. j+5 bound the refined panels j-3 .. j+4 around the
-    # kink in panel j; panels outside [0, n-2] are masked
-    j = np.clip(np.searchsorted(grid, centers) - 1, 0, n - 2)
-    nodes = j[:, np.newaxis] + np.arange(1 - _KINK_PANELS, _KINK_PANELS + 2)
-    in_kink = (nodes[:, :-1] >= 0) & (nodes[:, :-1] <= n - 2)
-    nodes = np.clip(nodes, 0, n - 1)
-    t_nodes = grid[nodes] - centers[:, np.newaxis]
+    # normaliser and phi_hat
+    delta, mass = segments(np.stack([ref, ref], axis=1), np.stack([lo, hi], axis=1),
+                           _PIECE_RULE)
+    norm = np.add.reduceat(mass.sum(axis=1), heads)
+    first = ((ref - base)[:, np.newaxis] + delta) * mass
+    phi_hat = ref[heads] + np.add.reduceat(first.sum(axis=1), heads) / norm
 
-    # cubic fit of panel k through nodes i0 .. i0+3, i0 = clamp(k-1, 0, n-4),
-    # in xi = t/h
-    fit = np.clip(nodes[:, :-1] - 1, 0, n - 4)[..., np.newaxis] + np.arange(4)
-    xi = (grid[fit] - centers[:, np.newaxis, np.newaxis]) / h
-    vander = np.ones(xi.shape + (4,))
-    vander[..., 1] = xi
-    vander[..., 2] = xi * xi
-    vander[..., 3] = vander[..., 2] * xi
-    coeffs = np.linalg.solve(vander, windows.at(dens, fit)[..., np.newaxis])[..., 0]
-    coeffs /= np.array([h ** p for p in range(4)])
-
-    # closed-form integrals of the refined panels for every order at once:
-    # (orders, rows, kink nodes, p)
-    powers = np.add.outer(np.asarray(betas), np.arange(1.0, 5.0))[:, np.newaxis, np.newaxis, :]
-    anti = np.abs(t_nodes)[np.newaxis, ..., np.newaxis] ** powers / powers
-    anti[..., 0::2] = np.copysign(anti[..., 0::2], t_nodes[np.newaxis, ..., np.newaxis])
-    panel_integrals = (coeffs * (anti[:, :, 1:] - anti[:, :, :-1])).sum(axis=-1)
-    refined = np.where(in_kink, panel_integrals, 0.0).sum(axis=-1)
-
-    # Euler-Maclaurin slope terms at the refined panels' edges j-3 (lo > 0)
-    # and j+5 (hi < n-2), with central-difference density slopes
-    edges = np.stack([j + 1 - _KINK_PANELS, j + 1 + _KINK_PANELS], axis=1)
-    edge_sign = np.where((edges > 0) & (edges < n - 1), [-1.0, 1.0], 0.0)
-    edges = np.clip(edges, 1, n - 2)
-    t_edges = grid[edges] - centers[:, np.newaxis]
-    # the density at each edge node and at its two neighbours
-    near = windows.at(dens, edges[..., np.newaxis] + np.arange(-1, 2))
-    drho = (near[..., 2] - near[..., 0]) / (2.0 * h)
-    b_edges = np.asarray(betas)[:, np.newaxis, np.newaxis]
-    slope = (b_edges * np.abs(t_edges) ** (b_edges - 1.0) * np.copysign(1.0, t_edges)
-             * near[..., 1] + np.abs(t_edges) ** b_edges * drho)
-    edge_terms = (h * h / 12.0 * slope * edge_sign).sum(axis=-1)
-
-    deltas = np.empty((len(betas), dens.shape[0]))
-    for i, b in enumerate(betas):
-        # the same kernel values enter the plain rule and the refined panels
-        # it gives back
-        np.power(abs_t, b, out=work)
-        work *= dens
-        k_nodes = windows.at(work, nodes)
-        replaced = np.where(in_kink, k_nodes[:, :-1] + k_nodes[:, 1:], 0.0).sum(axis=-1)
-        deltas[i] = windows.trapezoid(work, h) - h * 0.5 * replaced
-    deltas += refined
-    deltas += edge_terms
-    return centers, deltas.T
+    # moments: a piece that holds phi_hat is split there too
+    center = phi_hat[rows]
+    kink = np.where((lo < center) & (center < hi), center, ref)
+    near, far = np.minimum(kink, ref), np.maximum(kink, ref)
+    delta, kernel = segments(np.stack([near, far, kink], axis=1),
+                             np.stack([lo, hi, near + far - kink], axis=1), _MOMENT_RULE)
+    dist = np.abs(delta - (center - ref)[:, np.newaxis])
+    # one scalar power per order: with an array of orders np.power takes
+    # x * x for some rows and pow(x, 2) for others, depending on the shape
+    moments = np.stack([(np.power(dist, b) * kernel).sum(axis=1) for b in betas.tolist()])
+    deltas = np.add.reduceat(moments, heads, axis=1) / norm
+    return phi_hat, deltas.T
 
 
 def _evaluate_counts(
@@ -423,29 +399,32 @@ def _evaluate_counts(
     of an (E, 4) counts table under params; an infeasible row, whose counts
     are impossible at every grid node, has ``nan`` phi_hat and deltas.
 
-    Each row is evaluated on its own window of the grid (`_find_windows`), in
-    blocks of rows of one window width within _BLOCK_ELEMENTS; results go
-    back by row.  A row's results are the bits of its whole-grid evaluation
-    in any block, so the grouping affects only the speed.  The orders must
-    be validated by the caller.
+    Rows are scanned and integrated in blocks (module notes); a row's
+    results do not depend on its blockmates.  The orders must be validated
+    by the caller.
     """
     counts = np.asarray(counts, dtype=float)
+    betas = np.asarray(betas, dtype=float)
     n = counts.shape[0]
     feasible = np.zeros(n, dtype=bool)
     phi_hat = np.full(n, math.nan)
-    deltas = np.full((n, len(betas)), math.nan)
-    starts, widths = _find_windows(counts, params, domain)
-    for width in sorted(set(widths.tolist())):
-        group = np.flatnonzero(widths == width)
-        size = max(1, min(_BLOCK_ELEMENTS // width, _BLOCK_ROWS))
-        for rows in (group[i:i + size] for i in range(0, group.size, size)):
-            windows = _Windows(starts[rows], width, domain.grid_points)
-            dens, ok = _block_posterior(counts[rows], params, domain, windows)
-            centers, moments = _block_moments(dens, domain, betas, windows)
-            feasible[rows] = ok
-            # an infeasible row's moments would be those of its flat placeholder
-            phi_hat[rows[ok]] = centers[ok]
-            deltas[rows[ok]] = moments[ok]
+    deltas = np.full((n, betas.size), math.nan)
+    grid = domain.grid()
+    for i in range(0, n, _BATCH_ROWS):
+        batch = counts[i:i + _BATCH_ROWS]
+        ok, row, lo, hi, ref, narrow = _pieces(batch, domain, params)
+        feasible[i:i + _BATCH_ROWS] = ok
+        if not row.size:
+            continue
+        piece_counts = batch[row]
+        lo, hi, ref = grid[lo], grid[hi], grid[ref]
+        if narrow.any():
+            ref[narrow], lo[narrow], hi[narrow] = _narrow(
+                piece_counts[narrow], params, lo[narrow], hi[narrow], ref[narrow],
+                domain.spacing)
+        # every feasible row has a piece, the one of its peak
+        rows = i + np.flatnonzero(ok)
+        phi_hat[rows], deltas[rows] = _integrate(piece_counts, params, row, lo, hi, ref, betas)
     return feasible, phi_hat, deltas
 
 

@@ -16,10 +16,11 @@ bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
 `simulate` and `analyze` validate every v_est value, then evaluate the values
 on forked worker processes (`_map_in_order`), one per CPU in the affinity
-mask and at most one per value.  The workers format their own rows and
-return finished CSV lines; the parent only puts them in order, (record,
-v_est) for `analyze` and value order for `simulate`, and writes the warnings
-in the same order.  The output bytes do not depend on the worker count, and
+mask and at most one per value; `simulate` draws the campaign's tallies
+before the fork, so that the workers share one draw.  The workers format
+their own rows and return finished CSV lines; the parent only puts them in
+order, (record, v_est) for `analyze` and value order for `simulate`, and
+writes the warnings in the same order.  The output bytes do not depend on the worker count, and
 one CPU (``taskset -c 0``) runs the values in-process.  On Python >= 3.12 the
 fork may emit a DeprecationWarning, because OpenBLAS threads make the process
 multi-threaded.
@@ -54,7 +55,8 @@ from .errors import EstimationError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
-from .montecarlo import VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, run_campaign
+from .montecarlo import (VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, campaign_tallies,
+                         run_campaign)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -216,6 +218,8 @@ def cmd_simulate(args) -> int:
     # every config is validated here, so that a bad v_est gives the same
     # error whichever worker would have met it first
     configs = [replace(base, v_est=v_est) for v_est in v_est_values]
+    # drawn here, before the fork, so that the workers share one draw
+    campaign_tallies(base)
     results = _map_in_order(_campaign_lines, configs)
     undefined = [v_est for v_est, (defined, _) in zip(v_est_values, results) if not defined]
     out = Path(args.out)
@@ -337,7 +341,9 @@ def _add_common(parser, *, with_domain=True):
         parser.add_argument("--domain", default=DEFAULT_DOMAIN_SPEC,
                             help="prior support lo:hi in radians (default [0, pi/2])")
         parser.add_argument("--grid-points", type=int, default=4096,
-                            help="posterior grid resolution (default 4096)")
+                            help="nodes of the grid that scans each posterior for its "
+                                 "support; lobes closer than a few spacings merge "
+                                 "(default 4096)")
     parser.add_argument("--out", required=True, help="output CSV path")
 
 

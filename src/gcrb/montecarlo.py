@@ -24,12 +24,13 @@ campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
 v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
 separate campaigns on forked workers, with the same bytes as in one process.
 A tally does not depend on v_est, so a campaign's tallies are drawn once per
-process and shared by every v_est it evaluates.  They go through the counts
-evaluator under `analyze`'s `gcrb.bayes.report_counts`
-(`gcrb.bayes._evaluate_counts`; its results do not depend on the block size
-or on which rows share a block) and are flagged by array comparison against
-the per-order bounds, windows and Gaussian centres of the rule, all taken
-from one `generalized_fisher` call at (phase_true, v_est).
+process and shared by every v_est it evaluates (`campaign_tallies`); the CLI
+draws them before it forks.  They go through the counts evaluator under
+`analyze`'s `gcrb.bayes.report_counts` (`gcrb.bayes._evaluate_counts`; a
+row's results do not depend on which rows share its block) and are flagged
+by array comparison against the per-order bounds, windows and Gaussian
+centres of the rule, all taken from one `generalized_fisher` call at
+(phase_true, v_est).
 
 `run_campaign` returns the experiments as one `ExperimentTable` of columns,
 and `run_experiment` recomputes any single experiment, drawn from its own
@@ -234,6 +235,14 @@ def _campaign_tallies(
     return counts
 
 
+def campaign_tallies(config: CampaignConfig) -> np.ndarray:
+    """The read-only (n_experiments, 4) tallies of a campaign, drawn once per
+    process for every v_est: `gcrb.cli` draws them before it forks its
+    workers, which then share them."""
+    return _campaign_tallies(config.seed, config.phase_true, config.v_true,
+                             config.shots, config.n_experiments)
+
+
 def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentTable:
     """Sample one experiment with v_true, analyze it with v_est, flag violations.
 
@@ -246,6 +255,4 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
 
 def run_campaign(config: CampaignConfig) -> ExperimentTable:
     """Every experiment of one campaign, in index order."""
-    tallies = _campaign_tallies(config.seed, config.phase_true, config.v_true,
-                                config.shots, config.n_experiments)
-    return _evaluate(config, np.arange(config.n_experiments), tallies)
+    return _evaluate(config, np.arange(config.n_experiments), campaign_tallies(config))

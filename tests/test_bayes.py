@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from gcrb.bayes import (
     DEFAULT_DOMAIN,
-    _block_moments,
-    _block_posterior,
     _block_reports,
-    _check_densities,
     _evaluate_counts,
-    _find_windows,
-    _leaf_nodes,
+    _log_prob_grid,
     _moment_orders,
-    _Windows,
+    _pieces,
     MAX_GRID_POINTS,
     PhaseDomain,
     gaussian_abs_moment,
@@ -33,23 +29,6 @@ L = PI / 2.0
 BETAS = (1.5, 2.0, 3.0, 4.0)
 
 
-def normalized_posterior(domain, values):
-    """The posterior of non-negative weights, scaled by their trapezoidal
-    integral to unit mass, as a one-row block of densities."""
-    h = domain.spacing
-    return (values / (h * (values.sum() - 0.5 * (values[0] + values[-1]))))[np.newaxis]
-
-
-def gaussian_posterior(sigma, center=PI / 4.0, domain=DEFAULT_DOMAIN):
-    grid = domain.grid()
-    values = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
-    return normalized_posterior(domain, values)
-
-
-def uniform_posterior(domain=DEFAULT_DOMAIN):
-    return normalized_posterior(domain, np.ones(domain.grid_points))
-
-
 def row_report(phi_hat, columns, betas):
     """Row 0 of phi_hat and of the Delta_beta, kappa_beta and Gaussianity
     ratio columns, as a float and dicts keyed by order."""
@@ -59,18 +38,71 @@ def row_report(phi_hat, columns, betas):
                            gauss_ratios=ratios)
 
 
-def moments(dens, betas, shots=1, params=ModelParams(0.95), domain=DEFAULT_DOMAIN):
-    """The report of a one-row block of densities from the engine under
-    `report_counts`."""
-    phi_hat, values = _block_moments(dens, domain, _moment_orders(betas))
-    return row_report(phi_hat, _block_reports(phi_hat, values, np.array([shots]), params, betas),
-                      betas)
-
-
 def one_row(counts, params, domain=DEFAULT_DOMAIN, betas=BETAS):
     """The report_counts report of one tally."""
     report = report_counts(np.asarray(counts)[np.newaxis], params, domain, betas)
     return row_report(report.phi_hat, report[2:], betas)
+
+
+def expected_counts(shots, phase, v=0.95):
+    """A tally of `shots` as close to its expectation at (phase, v) as whole
+    counts allow."""
+    probs = outcome_probs(phase, ModelParams(v))
+    counts = np.floor(shots * probs).astype(np.int64)
+    counts[np.argmax(probs)] += shots - int(counts.sum())
+    return counts
+
+
+def dense_reference(counts, v, lower=0.0, upper=L, betas=BETAS, scan=2 ** 16, panels=1000):
+    """phi_hat and Delta_beta of one tally by brute force, sharing no code
+    with gcrb.  The log likelihood is taken relative to the best of `scan`
+    nodes, in log1p form written out per setting, and integrated by
+    composite 16-node Gauss-Legendre rules of `panels` panels over every run
+    of nodes within 120 nats of the best, padded by one node; the moments
+    split each run at the mean and substitute phi = mean -+ u**2."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    grid = np.linspace(lower, upper, scan)
+    loglik = np.zeros(scan)
+    for k, c in enumerate(counts):
+        if c:
+            with np.errstate(divide="ignore"):
+                loglik = loglik + c * np.log(0.25 * (1.0 + v * np.cos(k * PI / 2.0 - 2.0 * grid)))
+    ref = grid[np.argmax(loglik)]
+    edges = np.flatnonzero(np.diff(np.r_[0, (loglik >= loglik.max() - 120.0).astype(int), 0]))
+    runs = [(grid[max(a - 1, 0)], grid[min(b, scan - 1)]) for a, b in zip(edges[::2], edges[1::2])]
+
+    def density(phi):
+        # cos(a - 2 phi) - cos(a - 2 ref) = 2 sin(a - phi - ref) sin(phi - ref)
+        out = np.zeros(phi.shape)
+        for k, c in enumerate(counts):
+            if c:
+                arg = k * PI / 2.0 - 2.0 * ref
+                diff = 2.0 * np.sin(arg - (phi - ref)) * np.sin(phi - ref)
+                with np.errstate(divide="ignore"):
+                    out += c * np.log1p(np.maximum(v * diff / (1.0 + v * math.cos(arg)), -1.0))
+        return np.exp(out)
+
+    def rule(a, b):
+        t = np.linspace(a, b, panels + 1)
+        h = np.diff(t)[:, np.newaxis]
+        return (t[:-1, np.newaxis] + h * x).ravel(), (h * w).ravel()
+
+    norm = first = 0.0
+    for a, b in runs:
+        phi, wt = rule(a, b)
+        mass = wt * density(phi)
+        norm += mass.sum()
+        first += (mass * (phi - ref)).sum()
+    mean = ref + first / norm
+    deltas = np.zeros(len(betas))
+    for a, b in runs:
+        for sign, near, far in ((-1.0, mean - b, mean - a), (1.0, a - mean, b - mean)):
+            if far > 0.0:
+                u, wt = rule(math.sqrt(max(near, 0.0)), math.sqrt(far))
+                mass = wt * 2.0 * u * density(mean + sign * u * u)
+                deltas += [(mass * u ** (2.0 * b)).sum() for b in betas]
+    return mean, deltas / norm
 
 
 def test_phase_domain_validation():
@@ -104,71 +136,130 @@ def test_phase_domain_endpoints_are_real_and_stored_as_floats():
     assert (d.lower, d.upper) == (0.0, 0.5)
 
 
-def test_posterior_grid_rejects_bad_density():
-    # the engine's own output check: unit mass, finite and non-negative
-    h = DEFAULT_DOMAIN.spacing
-    with pytest.raises(ValueError):
-        _check_densities(np.full((1, DEFAULT_DOMAIN.grid_points), 0.5), h)
-    with pytest.raises(ValueError):
-        _check_densities(-uniform_posterior(), h)
-    _check_densities(uniform_posterior(), h)
+def test_moments_are_positive_up_to_2_53_shots():
+    # the engine's output contract: every Delta_beta, kappa_beta and
+    # Gaussianity ratio is finite and positive, however narrow the
+    # posterior.  The grid engine gave Delta_4 < 0 from 1e7 shots on
+    shots = [10 ** k for k in range(3, 16)] + [2 ** 52, 2 ** 53]
+    for phase in (0.6, PI / 8.0, 1e-3):
+        counts = np.array([expected_counts(m, phase) for m in shots])
+        for v in (0.95, 0.99, 1.0):
+            report = report_counts(counts, ModelParams(v))
+            assert report.feasible.all()
+            for column in report[2:]:
+                assert np.isfinite(column).all() and (column > 0.0).all(), (phase, v)
+            if v == 0.95 and phase > 0.1:
+                # the Gaussian limit, each order within 1e-6 from 1e7 shots on
+                big = np.array(shots) >= 10 ** 7
+                assert np.abs(report.kappas[big, 1] - 1.0).max() < 1e-6
+                assert np.abs(report.gauss_ratios[big] - 1.0).max() < 1e-6
+
+
+def test_moments_match_a_dense_reference():
+    # interior phases, phases within 1e-3 of both domain ends and the
+    # two-lobed posteriors around pi/4 (v_est > v_true), with M from 0 to
+    # 1e6, at three visibilities; two rows whose posterior has two lobes: a
+    # single rule across both misses 2.2e-5, and a Newton MAP with a +-12 sd
+    # interval 97%; and two lobes with a far shoulder, which rules of 32
+    # nodes either side of the peak and of 48 in the moments' outer segments
+    # missed by 1e-7 and 3e-10
+    rng = np.random.default_rng(71)
+    phases = (0.6, 1e-3, L - 1e-3, PI / 4.0, PI / 4.0 + 0.01, PI / 4.0 - 0.03)
+    tallies = [rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
+               for m in (0, 30, 2000, 10 ** 6) for phase in phases]
+    tallies += [(259, 512, 261, 13), (580, 1098, 570, 32), (464, 893, 447, 17),
+                (1110, 2076, 1140, 61)]
+    counts = np.array(tallies)
+    orders = _moment_orders(BETAS)
+    for v in (0.95, 0.985, 0.99, 0.995, 1.0):
+        feasible, phi_hat, deltas = _evaluate_counts(counts, ModelParams(v), DEFAULT_DOMAIN,
+                                                     orders)
+        assert feasible.all()
+        for row, tally in enumerate(tallies):
+            mean, want = dense_reference(tally, v)
+            assert abs(phi_hat[row] - mean) <= 1e-12, (v, tally)
+            assert np.abs(deltas[row] / want - 1.0).max() <= 1e-10, (v, tally)
+
+
+def test_mirrored_counts_give_the_mirrored_posterior():
+    # phi -> pi/2 - phi swaps p_0 and p_2 and keeps p_1 and p_3
+    rng = np.random.default_rng(12)
+    phases = (0.6, 1e-3, L - 1e-3, PI / 4.0, PI / 4.0 + 0.01, PI / 4.0 - 0.03)
+    counts = np.array([rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
+                       for m in (0, 30, 2000, 10 ** 6) for phase in phases])
+    for v in (0.95, 0.995, 1.0):
+        report = report_counts(counts, ModelParams(v))
+        mirror = report_counts(counts[:, [2, 1, 0, 3]], ModelParams(v))
+        assert np.abs(mirror.phi_hat - (L - report.phi_hat)).max() <= 1e-12
+        assert np.abs(mirror.deltas / report.deltas - 1.0).max() <= 1e-12
 
 
 def test_empty_tally_gives_flat_posterior():
-    dens, _ = _block_posterior(np.array([[0, 0, 0, 0]]), ModelParams(0.95), DEFAULT_DOMAIN)
-    np.testing.assert_allclose(dens[0], 2.0 / PI, rtol=1e-12)
-    assert moments(dens, (2.0,)).estimate == pytest.approx(PI / 4.0, rel=1e-9)
+    # a flat posterior on [0, pi/2]: phi_hat = pi/4 and
+    # Delta_beta = (pi/4)**beta / (beta + 1), at every visibility
+    for v in (0.0, 0.95, 1.0):
+        report = one_row((0, 0, 0, 0), ModelParams(v))
+        assert report.estimate == pytest.approx(PI / 4.0, rel=1e-15)
+        for b, value in report.deltas.items():
+            assert value == pytest.approx((PI / 4.0) ** b / (b + 1.0), rel=1e-13)
 
 
 def test_concentrated_tally_peaks_at_boundary():
-    dens, _ = _block_posterior(np.array([[500, 0, 0, 0]]), ModelParams(1.0), DEFAULT_DOMAIN)
-    assert dens[0].argmax() == 0
+    # p(theta_0 | phi)**500 = cos(phi)**1000 / 2**500 at v = 1: a posterior
+    # cut at its mode phi = 0, about a half-normal of sd 1/sqrt(1000)
+    report = one_row((500, 0, 0, 0), ModelParams(1.0))
+    sigma = 1.0 / math.sqrt(1000.0)
+    assert report.estimate == pytest.approx(sigma * math.sqrt(2.0 / PI), rel=2e-3)
+    mean, want = dense_reference((500, 0, 0, 0), 1.0)
+    assert report.estimate == pytest.approx(mean, abs=1e-12)
+    for b, value in zip(BETAS, want):
+        assert report.deltas[b] == pytest.approx(value, rel=1e-10)
 
 
 def test_posterior_normalization_for_random_tallies():
+    # phi_hat and Delta_2 of normalised posteriors: random tallies and
+    # visibilities against the dense reference
     rng = np.random.default_rng(23)
-    for _ in range(50):
-        counts = rng.integers(0, 600, size=(1, 4))
+    for _ in range(30):
+        counts = rng.integers(0, 600, size=4)
         v = float(rng.uniform(0.9, 1.0))
-        dens, _ = _block_posterior(counts, ModelParams(v), DEFAULT_DOMAIN)
-        integral = np.trapezoid(dens[0], DEFAULT_DOMAIN.grid())
-        assert abs(integral - 1.0) <= 1e-9
+        report = one_row(counts, ModelParams(v), betas=(2.0,))
+        mean, (want,) = dense_reference(counts, v, betas=(2.0,))
+        assert report.estimate == pytest.approx(mean, abs=1e-12)
+        assert report.deltas[2.0] == pytest.approx(want, rel=1e-10)
 
 
 def test_block_posterior_masks_infeasible_rows():
     # counts whose log likelihood overflows to -inf at every node are
     # impossible everywhere: the row is masked instead of raising for the
-    # block, and the other rows equal their one-row posteriors
+    # block, and the other rows equal their one-row results
     tallies = [(3, 0, 0, 0), (1e308,) * 4, (0, 0, 0, 0)]
     params = ModelParams(1.0)
     with np.errstate(over="ignore"):
-        dens, feasible = _block_posterior(np.array(tallies), params, DEFAULT_DOMAIN)
+        feasible, phi_hat, deltas = _evaluate_counts(np.array(tallies), params,
+                                                     DEFAULT_DOMAIN, BETAS)
     assert feasible.tolist() == [True, False, True]
+    assert np.isnan(phi_hat[1]) and np.isnan(deltas[1]).all()
     for row in (0, 2):
-        single, _ = _block_posterior(np.array(tallies[row:row + 1]), params, DEFAULT_DOMAIN)
-        assert np.array_equal(dens[row], single[0])
+        alone = _evaluate_counts(np.array(tallies[row:row + 1]), params, DEFAULT_DOMAIN, BETAS)
+        assert alone[1][0] == phi_hat[row]
+        assert np.array_equal(alone[2][0], deltas[row])
 
 
 def test_block_rows_with_disjoint_supports_match_blocks_of_one():
     # narrow posteriors at 0.2 and 1.3, one pinned at the edge phase 0 and
-    # one infeasible row, with its flat placeholder, in one whole-grid block:
-    # each row has the bits of its block of one
+    # one infeasible row in one block: each row has the bits of its block of one
     rng = np.random.default_rng(3)
     params = ModelParams(0.95)
     tallies = [rng.multinomial(10 ** 6, outcome_probs(phase, params)) for phase in (0.2, 1.3, 0.0)]
     counts = np.array(tallies + [[1e308] * 4], dtype=float)
-    betas = (1.5, 2.0, 3.0, 4.0)
     with np.errstate(over="ignore"):
-        dens, feasible = _block_posterior(counts, params, DEFAULT_DOMAIN)
-        centers, deltas = _block_moments(dens, DEFAULT_DOMAIN, betas)
+        feasible, phi_hat, deltas = _evaluate_counts(counts, params, DEFAULT_DOMAIN, BETAS)
         assert feasible.tolist() == [True, True, True, False]
         for row in range(4):
-            alone, alone_feasible = _block_posterior(counts[row:row + 1], params, DEFAULT_DOMAIN)
-            alone_center, alone_deltas = _block_moments(alone, DEFAULT_DOMAIN, betas)
-            assert alone_feasible[0] == feasible[row]
-            assert np.array_equal(alone[0], dens[row])
-            assert alone_center[0] == centers[row]
-            assert np.array_equal(alone_deltas[0], deltas[row])
+            alone = _evaluate_counts(counts[row:row + 1], params, DEFAULT_DOMAIN, BETAS)
+            for got, want in zip((feasible, phi_hat, deltas), alone):
+                assert got[row:row + 1].tobytes() == want.tobytes(), row
 
 
 def test_evaluator_rows_match_one_row_calls():
@@ -191,65 +282,31 @@ def test_evaluator_rows_match_one_row_calls():
             assert got[row:row + 1].tobytes() == want.tobytes(), row
 
 
-def test_windowed_trapezoid_is_the_zero_padded_rule():
-    # a row's window of whole leaves, zero outside it, integrates to the bits
-    # of the trapezoidal rule over the zero-padded row: a change in numpy's
-    # pairwise summation fails here, not in the goldens.  Grids that are not
-    # 128 * 2**k nodes are one leaf, so their window is the whole row
-    rng = np.random.default_rng(19)
-    for points in (4096, 8192, 1000, 4095, 384):
-        leaf = _leaf_nodes(points)
-        leaves = points // leaf
-        assert leaf == (128 if points in (4096, 8192) else points)
-        for _ in range(40):
-            width = int(rng.integers(1, leaves + 1)) * leaf
-            starts = rng.integers(0, leaves - width // leaf + 1, size=6) * leaf
-            starts[:2] = 0, points - width
-            values = rng.random((6, width)) * 10.0 ** rng.integers(-45, 3, size=(6, 1))
-            values[values < 0.3] = 0.0
-            h = float(rng.uniform(1e-4, 1e-2))
-            got = _Windows(starts, width, points).trapezoid(values, h)
-            for i, start in enumerate(starts):
-                row = np.zeros(points)
-                row[start:start + width] = values[i]
-                want = h * (row.sum() - 0.5 * (row[0] + row[-1]))
-                assert got[i].tobytes() == np.float64(want).tobytes(), (points, width, start)
-
-
-def test_rows_of_every_window_match_their_whole_grid_evaluation():
-    # M from 30 to 1e8 at phases that put some windows against the domain
-    # ends, an empty tally and a row infeasible at v = 1, on a grid of
-    # 128 * 2**k nodes and on a one-leaf grid: each row of one evaluator call
-    # has the bits of its one-row call and of the whole-grid window
+def test_rows_of_every_piece_layout_match_their_one_row_calls():
+    # M from 30 to 1e8 at phases that put pieces against the domain ends,
+    # narrow and wide pieces, two-lobed rows, an empty tally and a row
+    # infeasible at v = 1, on two grids and over more rows than one block
+    # holds: each row of one evaluator call has the bits of its one-row call
     rng = np.random.default_rng(41)
-    phases = (0.0, 1e-3, L - 1e-4, 0.6)
+    phases = (0.0, 1e-3, L - 1e-4, 0.6, PI / 4.0)
     tallies = [rng.multinomial(int(m), outcome_probs(phase, ModelParams(0.98)))
                for m in (30, 300, 3e3, 3e4, 3e5, 3e6, 1e8) for phase in phases]
-    counts = np.array(tallies + [[0, 0, 0, 0], [1e308] * 4], dtype=float)[rng.permutation(30)]
+    counts = np.array(tallies + [[259, 512, 261, 13], [0, 0, 0, 0], [1e308] * 4],
+                      dtype=float)[rng.permutation(38)]
     params, orders = ModelParams(1.0), _moment_orders(BETAS)
     for domain in (DEFAULT_DOMAIN, PhaseDomain(0.0, L, 1000)):
-        points = domain.grid_points
         with np.errstate(over="ignore"):
-            starts, widths = _find_windows(counts, params, domain)
-            feasible, phi_hat, deltas = _evaluate_counts(counts, params, domain, orders)
-            assert feasible.sum() == 29
-            if points == 4096:
-                # many window widths, windows at both domain ends and inside
-                assert len(set(widths.tolist())) >= 4
-                assert (starts == 0).any() and (starts + widths == points).any()
-                assert ((starts > 0) & (starts + widths < points)).any()
-            else:
-                assert (widths == points).all()
-            for row in range(30):
-                alone = _evaluate_counts(counts[row:row + 1], params, domain, orders)
-                for got, want in zip((feasible, phi_hat, deltas), alone):
-                    assert got[row:row + 1].tobytes() == want.tobytes(), (points, row)
-                dens, whole_feasible = _block_posterior(counts[row:row + 1], params, domain)
-                assert whole_feasible[0] == feasible[row]
-                if feasible[row]:
-                    center, whole = _block_moments(dens, domain, orders)
-                    assert center.tobytes() == phi_hat[row:row + 1].tobytes(), (points, row)
-                    assert whole.tobytes() == deltas[row:row + 1].tobytes(), (points, row)
+            feasible, _, _, _, _, narrow = _pieces(counts, domain, params)
+            _, row, _, _, _, _ = _pieces(counts, domain, ModelParams(0.995))
+            ok, phi_hat, deltas = _evaluate_counts(counts, params, domain, orders)
+            assert ok.tolist() == feasible.tolist() and feasible.sum() == 37
+            # narrow and wide pieces, and a row of two pieces at v = 0.995
+            assert narrow.any() and not narrow.all()
+            assert (row[1:] == row[:-1]).any()
+            for i in range(38):
+                alone = _evaluate_counts(counts[i:i + 1], params, domain, orders)
+                for got, want in zip((ok, phi_hat, deltas), alone):
+                    assert got[i:i + 1].tobytes() == want.tobytes(), (domain.grid_points, i)
 
 
 def test_block_reports_leave_infeasible_rows_nan():
@@ -284,28 +341,34 @@ def test_block_reports_leave_infeasible_rows_nan():
 
 
 def test_densities_beyond_the_floor_are_exactly_zero():
-    # a wide and a narrow posterior share one whole-grid block, so the
-    # narrow row has nodes beyond its floor inside its window
-    params = ModelParams(0.95)
+    # the pieces of a row cover its live nodes, those within 100 nats of its
+    # peak, each run padded by one dead node: nodes beyond the floor carry no
+    # density.  A wide, a narrow and a two-lobed row share one block
+    params = ModelParams(0.995)
     logp = np.log(outcome_probs(DEFAULT_DOMAIN.grid(), params))
     rng = np.random.default_rng(6)
-    counts = np.array([rng.multinomial(m, outcome_probs(phase, params))
-                       for m, phase in ((2000, PI / 8.0), (10 ** 5, 0.5))])
-    dens, _ = _block_posterior(counts, params, DEFAULT_DOMAIN)
-    single, _ = _block_posterior(counts[1:], params, DEFAULT_DOMAIN)
-    for row, values in zip(counts, (dens[0], dens[1], single[0])):
-        log_post = row @ logp
-        log_post -= log_post.max()
-        # beyond the floor exactly 0; inside it, clear of the rounding at the
-        # boundary, every node keeps its mass
-        assert (log_post < -100.0).any()
-        assert not values[log_post < -100.0].any()
-        assert (values[log_post > -99.9] > 0.0).all()
+    counts = np.array([rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
+                       for m, phase in ((2000, PI / 8.0), (10 ** 5, 0.5))]
+                      + [[580, 1098, 570, 32]])
+    _, row, lo, hi, _, _ = _pieces(counts, DEFAULT_DOMAIN, params)
+    assert row.tolist() == [0, 1, 2, 2]
+    for i, tally in enumerate(counts):
+        log_post = tally @ logp
+        live = log_post >= log_post.max() - 100.0
+        covered = np.zeros(live.size, dtype=bool)
+        for a, b in zip(lo[row == i], hi[row == i]):
+            covered[a:b + 1] = True
+        assert not (live & ~covered).any()
+        # the only covered nodes beyond the floor are the run ends' neighbours
+        beside_live = np.r_[False, live[:-1]] | np.r_[live[1:], False]
+        assert beside_live[covered & ~live].all()
 
 
 def test_estimate_of_symmetric_peak():
-    post = gaussian_posterior(0.01, center=PI / 8.0)
-    assert abs(moments(post, (2.0,)).estimate - PI / 8.0) <= DEFAULT_DOMAIN.spacing
+    # c_0 = c_2 makes the likelihood symmetric about pi/4; the second tally's
+    # two lobes, 0.37 rad apart, balance there to the 1e-13 of their masses
+    for counts in ((700, 300, 700, 100), (700, 100, 700, 300), (5, 0, 5, 0)):
+        assert one_row(counts, ModelParams(0.95)).estimate == pytest.approx(PI / 4.0, abs=1e-13)
 
 
 def test_estimate_of_simulated_experiment_is_consistent():
@@ -316,47 +379,52 @@ def test_estimate_of_simulated_experiment_is_consistent():
 
 
 def test_uniform_moments():
-    deltas = moments(uniform_posterior(), (2.0, 1.0)).deltas
-    assert deltas[2.0] == pytest.approx(L ** 2 / 12.0, rel=1e-6)
-    assert deltas[1.0] == pytest.approx(L / 4.0, rel=1e-6)
+    deltas = one_row((0, 0, 0, 0), ModelParams(0.95), betas=(2.0, 1.0)).deltas
+    assert deltas[2.0] == pytest.approx(L ** 2 / 12.0, rel=1e-13)
+    assert deltas[1.0] == pytest.approx(L / 4.0, rel=1e-13)
 
 
 def test_gaussian_third_moment():
-    post = gaussian_posterior(0.01)
-    want = 2.0 * math.sqrt(2.0 / PI) * 0.01 ** 3
-    assert moments(post, (3.0,)).deltas[3.0] == pytest.approx(want, rel=1e-4)
+    # the Gaussian limit: Delta_3 = 2 sqrt(2/pi) sigma**3 with sigma**2 = Delta_2
+    deltas = one_row(expected_counts(10 ** 10, PI / 8.0), ModelParams(0.95)).deltas
+    want = 2.0 * math.sqrt(2.0 / PI) * deltas[2.0] ** 1.5
+    assert deltas[3.0] == pytest.approx(want, rel=1e-4)
 
 
 def test_moment_set_matches_absolute_moment():
-    # each order computed alone agrees with the set sharing one kink window
-    post = gaussian_posterior(0.013, center=0.4)
-    ms = moments(post, BETAS, shots=2000)
+    # each order computed alone agrees with the set sharing one rule
+    tally = sample_tally(0.4, 0.95, 2000, experiment_rng(7, 0))
+    ms = one_row(tally, ModelParams(0.95))
     for b, value in ms.deltas.items():
-        assert value == pytest.approx(moments(post, (b,)).deltas[b], rel=1e-12)
-    assert ms.estimate == pytest.approx(moments(post, (2.0,)).estimate, rel=1e-12)
+        alone = one_row(tally, ModelParams(0.95), betas=(b,))
+        assert value == pytest.approx(alone.deltas[b], rel=1e-12)
+        assert alone.estimate == ms.estimate
 
 
 def test_absolute_moment_validates_order():
-    post = uniform_posterior()
+    tally = (0, 0, 0, 0)
     with pytest.raises(ValueError):
-        moments(post, (2.0, 0.5))
+        one_row(tally, ModelParams(0.95), betas=(2.0, 0.5))
     # a bool is not an order; numpy reals, integers included, are
     for bad in ([True], [np.True_]):
         with pytest.raises(ValueError):
-            moments(post, bad)
-    assert moments(post, np.array([2, 3])).deltas == moments(post, (2.0, 3.0)).deltas
+            one_row(tally, ModelParams(0.95), betas=bad)
+    assert (one_row(tally, ModelParams(0.95), betas=np.array([2, 3])).deltas
+            == one_row(tally, ModelParams(0.95), betas=(2.0, 3.0)).deltas)
 
 
 def test_grid_refinement_convergence():
-    # posterior about 10.7 grid spacings wide at the default resolution
-    tally = sample_tally(PI / 8.0, 0.95, 18000, experiment_rng(42, 0))
-    results = {}
-    for points in (4096, 8192):
-        results[points] = one_row(tally, ModelParams(0.95), PhaseDomain(0.0, L, points))
-    coarse, fine = results[4096], results[8192]
-    assert abs(coarse.estimate - fine.estimate) <= 1e-6 * abs(fine.estimate)
-    for b in (1.5, 2.0, 3.0, 4.0):
-        assert abs(coarse.deltas[b] - fine.deltas[b]) <= 1e-6 * fine.deltas[b]
+    # the grid only scans for the support: results do not depend on its
+    # resolution, from a posterior about 10 spacings wide at 1,000 points to
+    # one narrower than a spacing
+    params = ModelParams(0.95)
+    counts = np.array([sample_tally(PI / 8.0, 0.95, m, experiment_rng(42, 0))
+                       for m in (0, 30, 2000, 18000, 10 ** 6, 10 ** 8)])
+    results = {points: report_counts(counts, params, PhaseDomain(0.0, L, points))
+               for points in (1000, 4096, 8192)}
+    for points in (1000, 8192):
+        assert np.abs(results[points].phi_hat - results[4096].phi_hat).max() <= 1e-12
+        assert np.abs(results[points].deltas / results[4096].deltas - 1.0).max() <= 1e-10
 
 
 @given(
@@ -420,21 +488,22 @@ def test_bool_shot_counts_are_rejected():
 
 
 def test_gaussianity_ratios():
-    ratios = moments(gaussian_posterior(0.01), (3.0, 4.0), 2000).gauss_ratios
-    assert ratios[3.0] == pytest.approx(1.0, abs=1e-3)
-    assert ratios[4.0] == pytest.approx(1.0, abs=1e-3)
-
-    uniform = moments(uniform_posterior(), (4.0,), 2000)
-    assert uniform.gauss_ratios[4.0] == pytest.approx(0.6, abs=1e-3)
+    ratios = one_row(expected_counts(10 ** 8, 0.5), ModelParams(0.95)).gauss_ratios
+    assert ratios[3.0] == pytest.approx(1.0, abs=1e-6)
+    assert ratios[4.0] == pytest.approx(1.0, abs=1e-6)
+    # a flat posterior: Delta_4 / (3 Delta_2**2) = (1/5) / (3/9) = 0.6
+    uniform = one_row((0, 0, 0, 0), ModelParams(0.95), betas=(4.0,))
+    assert uniform.gauss_ratios[4.0] == pytest.approx(0.6, rel=1e-13)
 
 
 def test_degenerate_posterior_rejected():
     # a posterior without spread has no Gaussian reference: its ratios are nan
-    values = np.zeros(DEFAULT_DOMAIN.grid_points)
-    values[2048] = 1.0
-    report = moments(normalized_posterior(DEFAULT_DOMAIN, values), (2.0, 3.0, 4.0), 2000)
-    assert report.deltas[2.0] <= 0.0
-    assert all(math.isnan(r) for r in report.gauss_ratios.values())
+    orders = _moment_orders((2.0, 3.0, 4.0))
+    moments = np.array([[0.0, 0.0, 0.0]])
+    _, _, ratios = _block_reports(np.array([0.5]), moments, np.array([2000.0]),
+                                  ModelParams(0.95), (2.0, 3.0, 4.0))
+    assert orders.tolist() == [2.0, 3.0, 4.0]
+    assert np.isnan(ratios).all()
 
 
 def test_saturation_report_shape():
@@ -467,10 +536,12 @@ def test_saturation_report_shape():
 def test_saturation_report_nan_markers():
     # kappa is undefined without shots, without information (v = 0) and for
     # beta = 1, whose conjugate order is infinite
-    post = gaussian_posterior(0.02, center=0.5)
-    assert all(math.isnan(k) for k in moments(post, BETAS, 0).kappas.values())
-    flat = moments(post, BETAS, 2000, ModelParams(0.0))
+    assert all(math.isnan(k) for k in one_row((0, 0, 0, 0), ModelParams(0.95)).kappas.values())
+    tally = sample_tally(0.5, 0.95, 2000, experiment_rng(3, 1))
+    flat = one_row(tally, ModelParams(0.0))
     assert all(math.isnan(k) for k in flat.kappas.values())
-    mixed = moments(post, (1.0, 2.0), 2000)
+    mixed = one_row(tally, ModelParams(0.95), betas=(1.0, 2.0))
     assert math.isnan(mixed.kappas[1.0])
     assert math.isfinite(mixed.kappas[2.0])
+
+

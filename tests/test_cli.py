@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcrb.cli
+import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.ingest import CountsRecord, write_counts
 from gcrb.montecarlo import CampaignConfig, experiment_rng, run_campaign, sample_tally
@@ -419,6 +421,22 @@ def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, t
     code, (csv_bytes, manifest), err = runs[0]
     assert code == 0 and csv_bytes.count(b"\n") == 1 + 3 * 4 and manifest is not None
     assert "v_est=0.0" in err
+
+
+def test_simulate_draws_the_tallies_once_before_the_fork(monkeypatch, tmp_path):
+    # the workers inherit the parent's draw instead of each drawing again
+    tallies = gcrb.montecarlo._campaign_tallies
+    tallies.cache_clear()
+    drawn = []
+
+    def in_order(func, values):
+        drawn.append(tallies.cache_info().currsize)
+        return [func(v) for v in values]
+
+    monkeypatch.setattr(gcrb.cli, "_map_in_order", in_order)
+    assert main(["simulate", "--v-est", "0.9,0.95,1.0", "--experiments", "5",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert drawn == [1] and tallies.cache_info().misses == 1
 
 
 def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):

@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrb.bayes import DEFAULT_DOMAIN, _block_posterior
+from gcrb.bayes import DEFAULT_DOMAIN, _log_ratio, _pieces, _ratio_scale
 from gcrb.fisher import generalized_fisher
 from gcrb.ingest import CountsRecord
 from gcrb.model import ModelParams, check_counts, outcome_dprobs, outcome_probs
 
 PI = math.pi
+L = PI / 2.0
 
 
-def densities(tally, params):
-    """The posterior density of one tally on the default grid."""
-    return _block_posterior(np.array([tally]), params, DEFAULT_DOMAIN)[0][0]
+def log_ratio(tally, params, ref, phases):
+    """log L(phases) - log L(ref) of one tally, as the posterior takes it."""
+    counts = np.array([tally], dtype=float)
+    ref = np.array([ref])
+    return _log_ratio(counts, _ratio_scale(counts, ref, params), ref,
+                      np.asarray(phases, dtype=float)[np.newaxis] - ref)[0]
 
 
 def test_setting_table():
@@ -148,19 +152,21 @@ def test_cos_parity_symmetry():
 def test_log_likelihood_cases():
     # the posterior's log likelihood skips zero counts (0 * log 0 = 0) and is
     # -inf, giving zero density, where an observed outcome is impossible
-    flat = densities((0, 0, 0, 0), ModelParams(0.9))
-    assert np.all(flat == flat[0])
+    assert not log_ratio((0, 0, 0, 0), ModelParams(0.9), 0.3, [0.0, 1.0, L]).any()
     # p(theta_2 | 0) = 0 at v = 1, but theta_2 was never observed
-    assert densities((1, 0, 0, 0), ModelParams(1.0))[0] > 0.0
-    post = densities((0, 0, 1, 0), ModelParams(1.0))
-    assert post[0] == 0.0  # grid node phi = 0, where p(theta_2 | phi) = 0
-    assert np.all(post[1:] > 0.0)
+    assert np.isfinite(log_ratio((1, 0, 0, 0), ModelParams(1.0), 0.3, [0.0, 1e-3])).all()
+    post = log_ratio((0, 0, 1, 0), ModelParams(1.0), 0.3, [0.0, 1e-3, L])
+    assert post[0] == -np.inf and np.isfinite(post[1:]).all()
+    # the scan: grid node phi = 0 is dead, and the one piece starts there,
+    # padded out to it, and ends at the other end of the domain
+    _, row, lo, hi, _, _ = _pieces(np.array([[0.0, 0.0, 1.0, 0.0]]), DEFAULT_DOMAIN,
+                                   ModelParams(1.0))
+    assert row.tolist() == [0] and (lo[0], hi[0]) == (0, DEFAULT_DOMAIN.grid_points - 1)
 
 
 def test_log_likelihood_is_sum_of_count_weighted_logs():
     params = ModelParams(0.87)
     tally = (10, 20, 5, 7)
-    post = densities(tally, params)
     grid = DEFAULT_DOMAIN.grid()
 
     def log_likelihood(phi):
@@ -168,7 +174,7 @@ def test_log_likelihood_is_sum_of_count_weighted_logs():
 
     for i, j in ((1000, 1500), (300, 3900), (2047, 2048)):
         want = log_likelihood(grid[i]) - log_likelihood(grid[j])
-        got = math.log(post[i] / post[j])
+        got = log_ratio(tally, params, grid[j], [grid[i]])[0]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
