@@ -1,7 +1,7 @@
 """Generalized Cramer-Rao bound diagnostics for Bayesian phase estimation.
 
 The package simulates (or ingests) four-setting two-photon interferometry
-data, reconstructs grid posteriors, computes absolute central moments and
+data, reconstructs phase posteriors, computes absolute central moments and
 generalized Fisher informations, and measures how often each order-beta lower
 bound is broken, which flags miscalibration bias in the sensor model.
 `report_counts` analyzes a table of counts, one posterior per row, for the

@@ -7,35 +7,37 @@ Under a flat prior on the domain the posterior of one counts row is
 and each row is reduced to its mean phi_hat and absolute central moments
 Delta_beta = integral of |phi - phi_hat|**beta * p(phi | x) (`_evaluate_counts`):
 
-1. Scan.  log L is taken on the domain grid, `PhaseDomain.grid_points`
-   nodes, for blocks of rows.  A node is live within 100 nats of its row's
-   peak (`_LOG_FLOOR`).  A piece is a run of live nodes, split at each
-   interior local minimum of the scanned values so that it has one lobe; a
-   run end is padded out to its dead neighbour node, and a split node is
-   shared by its two pieces.  Lobes closer than a few grid spacings merge
-   into one piece: the grid sets the resolution of the scan and nothing
-   else.  A row whose likelihood is zero at every grid node is infeasible.
-2. Narrow pieces.  A whole run of at most _NARROW_NODES live nodes holds a
-   posterior narrower than 0.6 grid spacings.  Newton steps from its best
-   node find the mode, and the piece shrinks to where the quadratic model of
-   log L there has dropped by _NARROW_DROP nats, 14.5 sd either side of an
-   interior mode.
-3. Quadrature.  log L is taken relative to each piece's reference point,
-   its best node or its mode, in log1p form (`_log_ratio`), so that no two
-   log likelihoods of size M are subtracted; a row's pieces are put on one
-   scale by the same ratio between their reference points.  Integrals run
-   over segments substituted phi = anchor + (end - anchor) s**2, with a
-   Gauss-Legendre rule in s.  The normaliser and phi_hat take the segments
-   either side of the reference point, so a density cut off at its peak by
-   a domain end gets its nodes there.  The moments split each piece at its
-   reference point and at phi_hat and anchor each segment at one of them:
-   |phi - phi_hat|**beta is smooth in s and one set of nodes serves every
-   order, so the kink at phi_hat is the end of a rule, not a point to fit.
+1. Split points.  With u = 2 phi, d log L / d phi times
+   (1 - v**2 cos**2 u)(1 - v**2 sin**2 u) is a trigonometric polynomial P of
+   degree 4 in u, in t = tan((u - u0) / 2) one of degree 8 over
+   (1 + t**2)**4, whose roots are the eigenvalues of its companion matrix;
+   u0 + pi is the largest of 16 samples of P, so that the leading
+   coefficient is not small.  The real parts of all 8 roots, complex ones
+   included so that a double root blurred into a near-real pair still
+   splits, mapped into the domain and sorted with its ends, are the split
+   points: log L is monotone between them, so each interval is a piece with
+   its peak at one end.  A row whose likelihood is zero at every split point
+   is zero on the whole domain and infeasible; a row without counts, and
+   every row at v = 0, has P = 0 and is one flat piece.
+2. Levels and cuts.  Each split point's log L is taken relative to the
+   row's best one (`_log_ratio`).  A piece is live when its peak is within
+   100 nats of the row's (`_LOG_FLOOR`), and is cut where log L has fallen
+   about _CUT_DROP nats below the row's peak (`_cut`).
+3. Quadrature.  log L is taken relative to each piece's peak in log1p form
+   (`_log_ratio`), so that no two log likelihoods of size M are subtracted,
+   and put on the row's scale by the peak's level.  Integrals run over
+   segments substituted phi = anchor + (end - anchor) s**2, with a
+   Gauss-Legendre rule in s.  The normaliser and phi_hat take one segment
+   per piece anchored at its peak.  The moments reuse those nodes, except on
+   a piece that holds phi_hat, split there into two segments anchored at
+   phi_hat: |phi - phi_hat|**beta is smooth in s and one set of nodes serves
+   every order, so the kink at phi_hat is the end of a rule, not a point.
 
 The rules come from the Jacobi matrix of the Legendre polynomials (Golub &
 Welsch, Math. Comp. 23 (1969) 221) at import, before any fork.  Every
-operation is elementwise or a reduction over one row's own pieces, so a
-row's results are the same bits whichever rows share its block.
+operation is elementwise, one eigenvalue problem per row or a reduction over
+one row's own pieces, so a row's results are the same bits whichever rows
+share its block.
 
 `report_counts` is the analysis routine of the library and of `gcrb analyze`:
 it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -60,63 +62,41 @@ from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .model import (N_SETTINGS, PI, ModelParams, check_counts, is_real, outcome_dprobs,
                     outcome_probs)
 
-DEFAULT_GRID_POINTS = 4096
-
-# grid_points above this are a configuration error: the grid and each
-# (4, grid_points) log-probability table are allocated before any row is
-# read, and 2**20 points, 256x the default, already take 32 MiB per table
-MAX_GRID_POINTS = 2 ** 20
-
 # moment orders analyzed when none are given
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
 
-# a node is live within this many nats of its row's peak.  e**-100 is about
-# 3.7e-44: beyond a padded run end the density stays below that share of
-# its peak, below 1e-39 of the mass of any posterior wider than a tenth of a
-# grid spacing; narrower ones are narrow pieces (_NARROW_DROP)
+# a piece is live when its peak is within this many nats of its row's peak
+# (e**-100 is about 3.7e-44).  A cut lies where log L has fallen between
+# that and _CUT_SLACK * _CUT_DROP below the row's peak, aiming at _CUT_DROP,
+# 14.5 sd from an interior mode
 _LOG_FLOOR = -100.0
+_CUT_DROP = 105.0
+_CUT_SLACK = 1.25
+_CUT_STEPS = 64
 
-# scanned log likelihoods per block, 1 MiB: 32 rows of the default grid
-_SCAN_ELEMENTS = 2 ** 17
+# rows split and integrated together: enough to amortise the numpy calls,
+# few enough that the (pieces, nodes) arrays stay near 200 KiB each
+_BATCH_ROWS = 256
 
-# rows whose pieces are integrated together: enough to amortise the numpy
-# calls of `_integrate`, few enough that its (pieces, nodes) temporaries
-# stay near 100 KiB each
-_BATCH_ROWS = 128
-
-# whole runs of at most this many live nodes are narrow (step 2 above).  A
-# Gaussian's live nodes span 28 sd, so any other piece is at most 32 sd wide
-# with its padding; over a narrow piece, at most 8.7 grid spacings wide, the
-# quadratic model of log L misses the drop by a few parts in 10**3
-_NARROW_NODES = 16
-
-# Newton steps to a narrow piece's mode, each at most one grid spacing
-_NEWTON_STEPS = 6
-
-# drop of the quadratic model of log L at a narrow piece's ends, in nats:
-# sqrt(2 * 105) = 14.5 sd from an interior mode
-_NARROW_DROP = 105.0
-
-# Gauss-Legendre nodes per segment (step 3 above): the normaliser's two per
-# piece, the moments' two outer ones and the one between the reference point
-# and phi_hat, short unless the row has several pieces.  A lobe with a far
-# shoulder was 1e-7 off with 32 normaliser nodes and 3e-10 with 48 moment
-# nodes; with these, 18,500 rows of the ingest recipe, random tallies and
-# domain-end rows agree with a dense quadrature within 6e-11, though rows of
-# two nearly merged lobes at v near 1 can still be off by about 4e-9
+# Gauss-Legendre nodes per segment (step 3 above): the normaliser's one per
+# piece, and on a piece that holds phi_hat the moments' one outward from
+# phi_hat and the one toward the peak, half a lobe long when phi_hat lies in
+# the valley between two lobes.  A piece also holds phi_hat when its far end
+# is short of phi_hat by less than _KINK_REACH of its length: at beta = 1.1
+# the kink of |phi - phi_hat|**beta at the end of a 48-node rule costs 2e-8,
+# a hundredth beyond it 2e-12 and a twentieth beyond 4e-15
 _PIECE_NODES = 48
 _MOMENT_NODES = 56
-_MIDDLE_NODES = 16
+_MIDDLE_NODES = 32
+_KINK_REACH = 0.125
 
 
 @dataclass(frozen=True)
 class PhaseDomain:
-    """One prior support interval (at most one model period) and the grid
-    that scans it for posterior mass."""
+    """One prior support interval, at most one model period."""
 
     lower: float
     upper: float
-    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
@@ -128,31 +108,10 @@ class PhaseDomain:
             raise ValueError("domain lower bound must be below the upper bound")
         if self.width > PI + 1e-12:
             raise ValueError("domain may not exceed one model period (pi)")
-        points = self.grid_points
-        if not (is_real(points) and math.isfinite(points) and points == int(points)
-                and 64 <= points <= MAX_GRID_POINTS):
-            raise ValueError(f"grid_points must be an integer in [64, {MAX_GRID_POINTS}], "
-                             f"got {points!r}")
-        object.__setattr__(self, "grid_points", int(self.grid_points))
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def spacing(self) -> float:
-        return self.width / (self.grid_points - 1)
-
-    def grid(self) -> np.ndarray:
-        """The grid nodes; read-only and shared by every caller."""
-        return _grid(self.lower, self.upper, self.grid_points)
-
-
-@lru_cache(maxsize=16)
-def _grid(lower: float, upper: float, points: int) -> np.ndarray:
-    nodes = np.linspace(lower, upper, points)
-    nodes.setflags(write=False)
-    return nodes
 
 
 DEFAULT_DOMAIN = PhaseDomain(0.0, PI / 2.0)
@@ -183,74 +142,146 @@ def _rule(*sizes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.repeat(np.arange(len(sizes)), sizes))
 
 
-_PIECE_RULE = _rule(_PIECE_NODES, _PIECE_NODES)
-_MOMENT_RULE = _rule(_MOMENT_NODES, _MOMENT_NODES, _MIDDLE_NODES)
+_PIECE_RULE = _rule(_PIECE_NODES)
+_MOMENT_RULE = _rule(_MIDDLE_NODES, _MOMENT_NODES)
+
+# the angles u_j = j pi / 8 at which each row's polynomial is sampled
+_SAMPLES = np.arange(16) * (PI / 8.0)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of polynomials, coefficients ascending along the last axis."""
+    out = np.zeros(a.shape[:-1] + (a.shape[-1] + b.shape[-1] - 1,))
+    for i in range(a.shape[-1]):
+        out[..., i:i + b.shape[-1]] += a[..., i:i + 1] * b
+    return out
 
 
 @lru_cache(maxsize=16)
-def _log_prob_grid(domain: PhaseDomain, params: ModelParams) -> tuple[np.ndarray, tuple]:
-    """log p(outcome | phi) over the domain grid, with 0 where p is 0, and
-    the (outcome, node mask) pairs of those zeros."""
-    probs = outcome_probs(domain.grid(), params)
-    zero = probs == 0.0
-    logp = np.log(np.where(zero, 1.0, probs))
-    logp.setflags(write=False)
-    return logp, tuple((k, zero[k]) for k in range(N_SETTINGS) if zero[k].any())
+def _score_tables(params: ModelParams) -> np.ndarray:
+    """Outcome k's share of the polynomial of step 1 of the module notes,
+    T_k(u) = v c_k'(u) prod_{j != k} (1 + v c_j(u)) per count, where
+    4 p_j = 1 + v c_j: for u0 = u_j - pi at each sample angle, the
+    coefficients of (1 + t**2)**4 T_k(u0 + 2 arctan t) in ascending powers
+    of t, (16, 4, 9).  The leading one is T_k(u_j)."""
+    v = params.visibility
+    # (1 + t**2) e**(i u) = e**(i u0) (1 + i t)**2
+    turn = -np.exp(1j * _SAMPLES)[:, np.newaxis] * np.array([1.0, 2.0j, -1.0])
+    cos, sin, one = turn.real, turn.imag, np.array([1.0, 0.0, 1.0])
+    factors = (one + v * cos, one + v * sin, one - v * cos, one - v * sin)
+    return np.stack([reduce(_times, factors[:k] + factors[k + 1:], v * slope)
+                     for k, slope in enumerate((-sin, cos, sin, -cos))], axis=1)
 
 
-def _pieces(counts: np.ndarray, domain: PhaseDomain, params: ModelParams):
-    """Scan count rows for their pieces (step 1 of the module notes).
+def _weighted(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k weights[:, k] * table[..., k, :] for (R, 4) weights, added in
+    order so that each row's bits do not depend on the others."""
+    return sum(weights[:, k:k + 1] * table[..., k, :] for k in range(N_SETTINGS))
 
-    Returns the mask of feasible rows and, for each piece of those rows in
-    row and then phase order, its row, its first and last grid node, padded,
-    its best node and whether it is narrow.  Only the outcomes that were
-    counted enter log L: that is the 0 * log 0 = 0 convention, and an empty
-    tally is live everywhere.
-    """
-    logp, zeros = _log_prob_grid(domain, params)
-    points = domain.grid_points
-    size = max(1, _SCAN_ELEMENTS // points)
-    # a last column that stays -inf keeps each run of live nodes within its
-    # row of the flattened block
-    loglik = np.full((min(size, counts.shape[0]), points + 1), -np.inf)
-    feasible, found = [], []
-    for i in range(0, counts.shape[0], size):
-        block = counts[i:i + size]
-        scan = loglik[:block.shape[0]]
-        # one vector-matrix product per row, so that a row's values do not
-        # depend on its blockmates
-        for c, out in zip(block, scan):
-            np.dot(c, logp, out=out[:points])
-        for k, nodes in zeros:
-            scan[np.ix_(block[:, k] > 0, np.flatnonzero(nodes))] = -np.inf
-        peak = scan.max(axis=1)
-        feasible.append(np.isfinite(peak))
-        # an infeasible row has no live node
-        peak[~feasible[-1]] = np.inf
-        live = np.flatnonzero(scan >= (peak + _LOG_FLOOR)[:, np.newaxis])
-        values = scan.ravel()[live]
-        start = np.ones(live.size + 1, dtype=bool)
-        start[1:-1] = live[1:] != live[:-1] + 1
-        starts = np.flatnonzero(start[:-1])
-        # interior local minima: a step down and then none, within one run
-        down = values[1:] < values[:-1]
-        dips = np.flatnonzero(down[:-1] & ~down[1:]) + 1
-        dips = dips[~start[dips] & ~start[dips + 1]]
-        first = np.sort(np.concatenate([starts, dips]))
-        last = np.sort(np.concatenate([dips, np.flatnonzero(start[1:])]))
-        # run ends, not split nodes, are padded out to their dead neighbours
-        opens, closes = start[first], start[last + 1]
-        row, lo = np.divmod(live[first], points + 1)
-        hi = live[last] % (points + 1)
-        lo -= opens & (lo > 0)
-        hi += closes & (hi < points - 1)
-        narrow = opens & closes & (last - first < _NARROW_NODES)
-        # a piece rises and then falls, so its best node is the first one
-        # followed by a step down, or its last
-        falls = np.append(np.flatnonzero(down), live.size)
-        best = np.minimum(falls[np.searchsorted(falls, first)], last)
-        found.append((i + row, lo, hi, live[best] % (points + 1), narrow))
-    return (np.concatenate(feasible), *(np.concatenate(column) for column in zip(*found)))
+
+def _split_points(counts: np.ndarray, params: ModelParams, domain: PhaseDomain) -> np.ndarray:
+    """Each row's split points (step 1 of the module notes), sorted, (R, 10);
+    those outside the domain are put at its upper end."""
+    top = counts.max(axis=1, keepdims=True)
+    # counts relative to the largest: the polynomial of a 1e308 row is finite
+    freq = counts / np.where(top > 0.0, top, 1.0)
+    coefficients = _score_tables(params)
+    samples = np.abs(_weighted(freq, coefficients[:, :, 8].T))
+    best = np.argmax(samples, axis=1)
+    points = np.full((counts.shape[0], 10), domain.upper)
+    points[:, 0] = domain.lower
+    tilted = np.flatnonzero(samples[np.arange(best.size), best] > 0.0)
+    if tilted.size:
+        best = best[tilted]
+        poly = _weighted(freq[tilted], coefficients[best])
+        companion = np.zeros((tilted.size, 8, 8))
+        companion[:, 0] = -poly[:, 7::-1] / poly[:, 8:]
+        companion[:, np.arange(1, 8), np.arange(7)] = 1.0
+        phi = (0.5 * _SAMPLES[best] - 0.5 * PI)[:, np.newaxis] + np.arctan(
+            np.linalg.eigvals(companion).real)
+        phi = domain.lower + np.mod(phi - domain.lower, PI)
+        points[tilted, 2:] = np.where(phi < domain.upper, phi, domain.upper)
+    return np.sort(points, axis=1)
+
+
+def _slope_curvature(counts: np.ndarray, phi: np.ndarray, params: ModelParams):
+    """d log L / d phi and d**2 log L / d phi**2 of (P, 4) counts at (P,)
+    phases; inf or nan where a counted outcome is impossible."""
+    counted = counts.T > 0.0
+    probs, dprobs = outcome_probs(phi, params), outcome_dprobs(phi, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        safe = np.where(counted, probs, 1.0)
+        score = np.where(counted, dprobs / safe, 0.0)
+        # p_k'' = 1 - 4 p_k
+        curv = np.where(counted, (1.0 - 4.0 * probs) / safe, 0.0) - score * score
+        return (counts.T * score).sum(axis=0), (counts.T * curv).sum(axis=0)
+
+
+def _cut(counts, params, ref, far, peak):
+    """Cuts of pieces with peaks ref, at levels peak below their rows' peaks,
+    toward their far ends (step 2 of the module notes).  Newton steps on log
+    fall against log distance, exact on a Gaussian, start from the quadratic
+    model of log L at ref; a step out of the bracket kept around the goal
+    bisects it in log distance instead.  log L is monotone on a piece, so
+    one still open after _CUT_STEPS is cut at its bracket's far end."""
+    scale = _ratio_scale(counts, ref, params)
+    sign, lo, hi = np.sign(far - ref), np.zeros(ref.size), np.abs(far - ref)
+    slope, curv = _slope_curvature(counts, ref, params)
+    slope = np.minimum(sign * slope, 0.0)
+    # the falls from ref to the goal and to either end of the cut's window
+    drop, least, most = _CUT_DROP + peak, peak - _LOG_FLOOR, peak + _CUT_SLACK * _CUT_DROP
+    todo = np.arange(ref.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the positive root x of slope x + curv x**2 / 2 = -drop, or of its
+        # linear part where curv is not negative
+        x = np.minimum(hi, 2.0 * drop / (np.sqrt(slope * slope - 2.0 * np.minimum(curv, 0.0)
+                                                  * drop) - slope))
+        for _ in range(_CUT_STEPS):
+            way, goal = sign[todo], drop[todo]
+            fall = -_log_ratio(counts[todo], scale[todo], ref[todo], (way * x)[:, np.newaxis])[:, 0]
+            short = fall < goal
+            lo[todo[short]] = x[short]
+            done = (fall >= least[todo]) & (fall <= most[todo])
+            hi[todo[done | ~short]] = x[done | ~short]
+            todo, x, fall, goal, way = (a[~done] for a in (todo, x, fall, goal, way))
+            if not todo.size:
+                break
+            rate = -way * _slope_curvature(counts[todo], ref[todo] + way * x, params)[0]
+            newton = x * np.exp(np.log(goal / fall) * fall / (x * rate))
+            low, high = lo[todo], hi[todo]
+            x = np.where((newton > low) & (newton < high), newton,
+                         np.where(low > 0.0, np.sqrt(low * high), high / 16.0))
+    return ref + sign * hi
+
+
+def _split(counts: np.ndarray, params: ModelParams, domain: PhaseDomain):
+    """The mask of feasible rows and, for each live piece of those rows in
+    row and then phase order (steps 1 and 2 of the module notes), its row,
+    its peak, its other end, cut, and its peak's level below the row's.
+    Only counted outcomes enter log L (0 * log 0 = 0)."""
+    points = _split_points(counts, params, domain)
+    probs = outcome_probs(points, params)
+    loglik = sum(counts[:, k:k + 1] * np.log(np.where(probs[k] > 0.0, probs[k], 1.0))
+                 for k in range(N_SETTINGS))
+    loglik[((probs == 0.0) & (counts.T[:, :, np.newaxis] > 0.0)).any(axis=0)] = -np.inf
+    feasible = loglik.max(axis=1) > -np.inf
+    live_counts, points, loglik = counts[feasible], points[feasible], loglik[feasible]
+    base = points[np.arange(points.shape[0]), np.argmax(loglik, axis=1)]
+    level = _log_ratio(live_counts, _ratio_scale(live_counts, base, params), base,
+                       points - base[:, np.newaxis])
+    level -= level.max(axis=1, keepdims=True)
+    # the ratio can round a zero of a counted outcome's probability to a few
+    # e-17 of its value at base
+    level[loglik == -np.inf] = -np.inf
+    rises = level[:, 1:] > level[:, :-1]
+    peak = np.maximum(level[:, :-1], level[:, 1:])
+    row, piece = np.nonzero((points[:, 1:] > points[:, :-1]) & (peak >= _LOG_FLOOR))
+    ref = np.where(rises, points[:, 1:], points[:, :-1])[row, piece]
+    end = np.where(rises, points[:, :-1], points[:, 1:])[row, piece]
+    peak = peak[row, piece]
+    cut = np.flatnonzero(np.minimum(level[:, :-1], level[:, 1:])[row, piece] < -_CUT_DROP)
+    end[cut] = _cut(live_counts[row[cut]], params, ref[cut], end[cut], peak[cut])
+    return feasible, np.flatnonzero(feasible)[row], ref, end, peak
 
 
 def _log_ratio(counts: np.ndarray, scale: np.ndarray, ref: np.ndarray,
@@ -264,22 +295,36 @@ def _log_ratio(counts: np.ndarray, scale: np.ndarray, ref: np.ndarray,
     sin 2(r + d) - sin 2r = 2 sin d (cos 2r cos d - sin 2r sin d), so each
     term c_k log1p(scale_k ds_k) keeps its relative precision however large
     c_k.  An argument rounded below -1, at a zero of p_k, is read as -1:
-    density 0.
+    density 0.  sin d and cos d come from t = tan(d / 2), which numpy
+    vectorises and sin and cos not, as 2 t and 1 - t**2 over 1 + t**2.
     """
-    sin_d, cos_d = np.sin(delta), np.cos(delta)
+    # each step writes into one of four arrays, as fresh temporaries of this
+    # size cost page faults.  sin_d holds 2 sin d
+    sin_d = np.multiply(delta, 0.5)
+    np.tan(sin_d, out=sin_d)
+    work = sin_d * sin_d
+    cos_d = 1.0 - work
+    work += 1.0
+    cos_d /= work
+    sin_d *= 4.0
+    sin_d /= work
     cos_r, sin_r = np.cos(2.0 * ref)[:, np.newaxis], np.sin(2.0 * ref)[:, np.newaxis]
-    sin_d *= 2.0
-    diffs = (-sin_d * (cos_r * (0.5 * sin_d) + sin_r * cos_d),
-             sin_d * (cos_r * cos_d - sin_r * (0.5 * sin_d)))
+    # the cos and sin differences are -down and up
+    down = sin_r * cos_d
+    down += np.multiply(0.5 * cos_r, sin_d, out=work)
+    down *= sin_d
+    up = cos_d
+    up *= cos_r
+    up -= np.multiply(0.5 * sin_r, sin_d, out=work)
+    up *= sin_d
     total = np.zeros(delta.shape)
-    term = np.empty(delta.shape)
-    for k in range(N_SETTINGS):
-        np.multiply(scale[:, k:k + 1] if k < 2 else -scale[:, k:k + 1], diffs[k % 2], out=term)
-        np.maximum(term, -1.0, out=term)
+    for k, (sign, diff) in enumerate(((-1.0, down), (1.0, up), (1.0, down), (-1.0, up))):
+        np.multiply(sign * scale[:, k:k + 1], diff, out=work)
+        np.maximum(work, -1.0, out=work)
         with np.errstate(divide="ignore"):
-            np.log1p(term, out=term)
-        term *= counts[:, k:k + 1]
-        total += term
+            np.log1p(work, out=work)
+        work *= counts[:, k:k + 1]
+        total += work
     return total
 
 
@@ -291,46 +336,6 @@ def _ratio_scale(counts: np.ndarray, ref: np.ndarray, params: ModelParams) -> np
     return np.where(counted, params.visibility / np.where(counted, 4.0 * probs, 1.0), 0.0)
 
 
-def _narrow(counts, params, lo, hi, best, h):
-    """The modes of narrow pieces and their intervals shrunk to where the
-    quadratic model of log L has dropped by _NARROW_DROP nats (step 2 of the
-    module notes).  A piece whose curvature is not negative keeps its
-    interval."""
-    counted = counts.T > 0.0
-
-    def slope_curvature(phi):
-        probs, dprobs = outcome_probs(phi, params), outcome_dprobs(phi, params)
-        safe = np.where(counted, probs, 1.0)
-        score = np.where(counted, dprobs / safe, 0.0)
-        # p_k'' = 1 - 4 p_k
-        curv = np.where(counted, (1.0 - 4.0 * probs) / safe, 0.0) - score * score
-        return (counts.T * score).sum(axis=0), (counts.T * curv).sum(axis=0)
-
-    def possible(phi):
-        return ~(counted & (outcome_probs(phi, params) == 0.0)).any(axis=0)
-
-    mode = best
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            slope, curv = slope_curvature(mode)
-            step = np.where(curv < 0.0, -slope / curv, np.copysign(h, slope))
-            trial = np.clip(mode + np.clip(step, -h, h), lo, hi)
-            # a step onto a zero of a counted outcome's probability goes
-            # halfway instead
-            mode = np.where(possible(trial), trial, 0.5 * (mode + trial))
-        slope, curv = slope_curvature(mode)
-        root = np.sqrt(slope * slope - 2.0 * _NARROW_DROP * curv)
-        reach = []
-        for g in (-slope, slope):
-            # the positive root x of g x + curv x**2 / 2 = -_NARROW_DROP
-            reach.append(np.where(g > 0.0, (g + root) / -curv,
-                                  2.0 * _NARROW_DROP / (root - g)))
-        keep = ~(curv < 0.0)
-        lo = np.where(keep, lo, np.maximum(lo, mode - reach[0]))
-        hi = np.where(keep, hi, np.minimum(hi, mode + reach[1]))
-    return mode, lo, hi
-
-
 def _check_orders(beta) -> np.ndarray:
     """One moment order or an array of them as floats; each must be a finite
     real >= 1 (numpy reals included, bools not)."""
@@ -340,51 +345,57 @@ def _check_orders(beta) -> np.ndarray:
     return betas.astype(float)
 
 
-def _integrate(counts, params, row, lo, hi, ref, betas):
+def _integrate(counts, params, row, ref, end, level, betas):
     """phi_hat and Delta_beta (rows, len(betas)) of the rows of pieces
     (step 3 of the module notes) with (P, 4) counts, their rows, ascending,
-    and their intervals and reference points."""
+    their peaks, other ends and the levels of their peaks."""
     scale = _ratio_scale(counts, ref, params)
     head = np.ones(row.size, dtype=bool)
     head[1:] = row[1:] != row[:-1]
     heads = np.flatnonzero(head)
     rows = np.cumsum(head) - 1
-    base = ref[heads][rows]
-    # each piece's level at its reference point, the row's highest at 0
-    level = _log_ratio(counts, _ratio_scale(counts, base, params), base,
-                       (ref - base)[:, np.newaxis])[:, 0]
-    level -= np.maximum.reduceat(level, heads)[rows]
 
-    def segments(anchor, end, rule):
-        """phi - ref and the density times the rule's weight at
-        phi = anchor + (end - anchor) * s**2, s in [0, 1], on (P, m)
-        segments, each (P, nodes).  The substitution makes a segment smooth
-        in s where its anchor is phi_hat, the kink of the moments."""
+    def segments(pieces, anchor, stop, rule):
+        """phi - anchor and the density times the rule's weight at
+        phi = anchor + (stop - anchor) * s**2, s in [0, 1], on (p, m)
+        segments of the given pieces, each (p, nodes)."""
         nodes, weights, segment = rule
-        span = (end - anchor)[:, segment]
-        delta = (anchor - ref[:, np.newaxis])[:, segment] + span * nodes * nodes
-        mass = np.exp(_log_ratio(counts, scale, ref, delta) + level[:, np.newaxis])
-        # d phi = 2 (end - anchor) s ds
+        span = (stop - anchor)[:, segment]
+        offset = span * nodes * nodes
+        delta = (anchor - ref[pieces, np.newaxis])[:, segment] + offset
+        mass = _log_ratio(counts[pieces], scale[pieces], ref[pieces], delta)
+        mass += level[pieces, np.newaxis]
+        np.exp(mass, out=mass)
+        # d phi = 2 (stop - anchor) s ds
         mass *= np.abs(span) * (2.0 * nodes * weights)
-        return delta, mass
+        return offset, mass
 
     # normaliser and phi_hat
-    delta, mass = segments(np.stack([ref, ref], axis=1), np.stack([lo, hi], axis=1),
-                           _PIECE_RULE)
+    offset, mass = segments(slice(None), ref[:, np.newaxis], end[:, np.newaxis], _PIECE_RULE)
     norm = np.add.reduceat(mass.sum(axis=1), heads)
-    first = ((ref - base)[:, np.newaxis] + delta) * mass
-    phi_hat = ref[heads] + np.add.reduceat(first.sum(axis=1), heads) / norm
+    base = ref[heads]
+    first = ((ref - base[rows])[:, np.newaxis] + offset) * mass
+    phi_hat = base + np.add.reduceat(first.sum(axis=1), heads) / norm
 
-    # moments: a piece that holds phi_hat is split there too
+    # moments: on a piece that holds phi_hat, from phi_hat to either end,
+    # less the stretch back to the far end from beyond it
     center = phi_hat[rows]
-    kink = np.where((lo < center) & (center < hi), center, ref)
-    near, far = np.minimum(kink, ref), np.maximum(kink, ref)
-    delta, kernel = segments(np.stack([near, far, kink], axis=1),
-                             np.stack([lo, hi, near + far - kink], axis=1), _MOMENT_RULE)
-    dist = np.abs(delta - (center - ref)[:, np.newaxis])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        along = (center - ref) / (end - ref)
+    holds = (along >= 0.0) & (along <= 1.0 + _KINK_REACH)
+    rest = np.flatnonzero(~holds)
+    dist, mass = np.abs(offset[rest] - (center - ref)[rest, np.newaxis]), mass[rest]
+    holds = np.flatnonzero(holds)
+    inner, kernel = segments(holds, np.stack([center[holds]] * 2, axis=1),
+                             np.stack([ref[holds], end[holds]], axis=1), _MOMENT_RULE)
+    inner = np.abs(inner)
+    kernel[along[holds] > 1.0, _MIDDLE_NODES:] *= -1.0
     # one scalar power per order: with an array of orders np.power takes
     # x * x for some rows and pow(x, 2) for others, depending on the shape
-    moments = np.stack([(np.power(dist, b) * kernel).sum(axis=1) for b in betas.tolist()])
+    moments = np.empty((betas.size, row.size))
+    for i, b in enumerate(betas.tolist()):
+        moments[i, rest] = (np.power(dist, b) * mass).sum(axis=1)
+        moments[i, holds] = (np.power(inner, b) * kernel).sum(axis=1)
     deltas = np.add.reduceat(moments, heads, axis=1) / norm
     return phi_hat, deltas.T
 
@@ -397,11 +408,11 @@ def _evaluate_counts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """feasible (E,), phi_hat (E,) and Delta_beta (E, len(betas)) for each row
     of an (E, 4) counts table under params; an infeasible row, whose counts
-    are impossible at every grid node, has ``nan`` phi_hat and deltas.
+    are impossible on the whole domain, has ``nan`` phi_hat and deltas.
 
-    Rows are scanned and integrated in blocks (module notes); a row's
-    results do not depend on its blockmates.  The orders must be validated
-    by the caller.
+    Rows are split and integrated in blocks (module notes); a row's results
+    do not depend on its blockmates.  The orders must be validated by the
+    caller.
     """
     counts = np.asarray(counts, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -409,22 +420,15 @@ def _evaluate_counts(
     feasible = np.zeros(n, dtype=bool)
     phi_hat = np.full(n, math.nan)
     deltas = np.full((n, betas.size), math.nan)
-    grid = domain.grid()
     for i in range(0, n, _BATCH_ROWS):
         batch = counts[i:i + _BATCH_ROWS]
-        ok, row, lo, hi, ref, narrow = _pieces(batch, domain, params)
+        ok, row, ref, end, level = _split(batch, params, domain)
         feasible[i:i + _BATCH_ROWS] = ok
         if not row.size:
             continue
-        piece_counts = batch[row]
-        lo, hi, ref = grid[lo], grid[hi], grid[ref]
-        if narrow.any():
-            ref[narrow], lo[narrow], hi[narrow] = _narrow(
-                piece_counts[narrow], params, lo[narrow], hi[narrow], ref[narrow],
-                domain.spacing)
         # every feasible row has a piece, the one of its peak
         rows = i + np.flatnonzero(ok)
-        phi_hat[rows], deltas[rows] = _integrate(piece_counts, params, row, lo, hi, ref, betas)
+        phi_hat[rows], deltas[rows] = _integrate(batch[row], params, row, ref, end, level, betas)
     return feasible, phi_hat, deltas
 
 
@@ -506,7 +510,7 @@ def _block_reports(
 class CountsReport(NamedTuple):
     """The analysis of an (E, 4) counts table, one row per counts row.
 
-    An infeasible row, whose counts are impossible at every grid node, is
+    An infeasible row, whose counts are impossible on the whole domain, is
     ``nan`` throughout.  ``nan`` also marks a kappa without shots or
     information and a Gaussianity ratio of a posterior without spread.
     """

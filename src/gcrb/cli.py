@@ -112,11 +112,11 @@ def parse_value_list(specs) -> list[float]:
     return values
 
 
-def parse_domain(spec: str, grid_points: int) -> PhaseDomain:
+def parse_domain(spec: str) -> PhaseDomain:
     pieces = str(spec).split(":")
     if len(pieces) != 2:
         raise ValueError(f"domain must be lo:hi, got {spec!r}")
-    return PhaseDomain(float(pieces[0]), float(pieces[1]), grid_points)
+    return PhaseDomain(float(pieces[0]), float(pieces[1]))
 
 
 def _write_atomic(path: Path, lines) -> None:
@@ -199,7 +199,7 @@ def _campaign_lines(config: CampaignConfig) -> tuple[bool, str]:
 
 
 def cmd_simulate(args) -> int:
-    domain = parse_domain(args.domain, args.grid_points)
+    domain = parse_domain(args.domain)
     v_est_values = parse_value_list(args.v_est)
     betas = tuple(parse_value_list(args.beta))
     base = CampaignConfig(
@@ -231,7 +231,6 @@ def cmd_simulate(args) -> int:
         "experiments": args.experiments,
         "beta": list(betas),
         "domain": {"lower": domain.lower, "upper": domain.upper},
-        "grid_points": domain.grid_points,
         "sigma_window": args.sigma_window,
         "violation_rule": args.violation_rule,
         "window_scale": args.window_scale,
@@ -291,7 +290,7 @@ def _report_lines(counts: np.ndarray, labels: list[str], betas, domain: PhaseDom
 
 
 def cmd_analyze(args) -> int:
-    domain = parse_domain(args.domain, args.grid_points)
+    domain = parse_domain(args.domain)
     v_est_values = parse_value_list(args.v_est)
     betas = tuple(parse_value_list(args.beta))
     try:
@@ -321,7 +320,6 @@ def cmd_analyze(args) -> int:
         "v_est": v_est_values,
         "beta": list(betas),
         "domain": {"lower": domain.lower, "upper": domain.upper},
-        "grid_points": domain.grid_points,
         "fold": bool(args.fold),
     }
     # one string per (record, v_est), in that order
@@ -340,10 +338,6 @@ def _add_common(parser, *, with_domain=True):
     if with_domain:
         parser.add_argument("--domain", default=DEFAULT_DOMAIN_SPEC,
                             help="prior support lo:hi in radians (default [0, pi/2])")
-        parser.add_argument("--grid-points", type=int, default=4096,
-                            help="nodes of the grid that scans each posterior for its "
-                                 "support; lobes closer than a few spacings merge "
-                                 "(default 4096)")
     parser.add_argument("--out", required=True, help="output CSV path")
 
 

@@ -104,7 +104,7 @@ def test_criterion_2_posterior_oracle_equivalence():
         # each tally has its own v, so each is a one-row table
         ms = report_counts(tally[np.newaxis], ModelParams(v), DEFAULT_DOMAIN, BETAS)
         est_o, deltas_o = oracle_posterior_moments(
-            tally, v, DEFAULT_DOMAIN, 10 * DEFAULT_DOMAIN.grid_points, BETAS
+            tally, v, DEFAULT_DOMAIN, 40960, BETAS
         )
         estimate = float(ms.phi_hat[0])
         worst_est = max(worst_est, abs(estimate - est_o) / max(abs(est_o), 1e-3))

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrb.bayes import (
+    _CUT_DROP,
+    _CUT_SLACK,
     DEFAULT_DOMAIN,
     _block_reports,
     _evaluate_counts,
-    _log_prob_grid,
     _moment_orders,
-    _pieces,
-    MAX_GRID_POINTS,
+    _split,
+    _split_points,
     PhaseDomain,
     gaussian_abs_moment,
     kappa,
@@ -110,20 +111,7 @@ def test_phase_domain_validation():
         PhaseDomain(1.0, 0.5)
     with pytest.raises(ValueError):
         PhaseDomain(0.0, PI + 0.1)
-    with pytest.raises(ValueError):
-        PhaseDomain(0.0, 1.0, grid_points=32)
-    d = PhaseDomain(0.0, L, 4096)
-    assert d.spacing == pytest.approx(L / 4095.0, rel=1e-15)
-
-
-def test_phase_domain_grid_points_are_bounded_integers():
-    # inf used to raise an OverflowError, and 1e9 points passed, to be
-    # allocated (8 GB per grid) before any other check
-    for bad in (math.inf, math.nan, 100.5, True, "4096", MAX_GRID_POINTS + 1, 10 ** 9):
-        with pytest.raises(ValueError, match="grid_points must be an integer in"):
-            PhaseDomain(0.0, 1.0, bad)
-    for good in (64, 1000.0, np.int64(4096), MAX_GRID_POINTS):
-        assert PhaseDomain(0.0, 1.0, good).grid_points == int(good)
+    assert PhaseDomain(0.0, L).width == L
 
 
 def test_phase_domain_endpoints_are_real_and_stored_as_floats():
@@ -160,15 +148,17 @@ def test_moments_match_a_dense_reference():
     # two-lobed posteriors around pi/4 (v_est > v_true), with M from 0 to
     # 1e6, at three visibilities; two rows whose posterior has two lobes: a
     # single rule across both misses 2.2e-5, and a Newton MAP with a +-12 sd
-    # interval 97%; and two lobes with a far shoulder, which rules of 32
-    # nodes either side of the peak and of 48 in the moments' outer segments
-    # missed by 1e-7 and 3e-10
+    # interval 97%; two lobes with a far shoulder, which rules of 32 nodes
+    # either side of the peak and of 48 in the moments' outer segments
+    # missed by 1e-7 and 3e-10; and two lobes split by the zero of p_3 at
+    # pi/4, whose phi_hat lies in the valley between them, 3.7e-9 off with
+    # 16 nodes from the peak to phi_hat
     rng = np.random.default_rng(71)
     phases = (0.6, 1e-3, L - 1e-3, PI / 4.0, PI / 4.0 + 0.01, PI / 4.0 - 0.03)
     tallies = [rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
                for m in (0, 30, 2000, 10 ** 6) for phase in phases]
     tallies += [(259, 512, 261, 13), (580, 1098, 570, 32), (464, 893, 447, 17),
-                (1110, 2076, 1140, 61)]
+                (1110, 2076, 1140, 61), (336, 608, 335, 14)]
     counts = np.array(tallies)
     orders = _moment_orders(BETAS)
     for v in (0.95, 0.985, 0.99, 0.995, 1.0):
@@ -284,9 +274,9 @@ def test_evaluator_rows_match_one_row_calls():
 
 def test_rows_of_every_piece_layout_match_their_one_row_calls():
     # M from 30 to 1e8 at phases that put pieces against the domain ends,
-    # narrow and wide pieces, two-lobed rows, an empty tally and a row
-    # infeasible at v = 1, on two grids and over more rows than one block
-    # holds: each row of one evaluator call has the bits of its one-row call
+    # cut and uncut pieces, two-lobed rows, an empty tally and a row
+    # infeasible at v = 1, shuffled into more rows than one batch holds:
+    # each row of one evaluator call has the bits of its one-row call
     rng = np.random.default_rng(41)
     phases = (0.0, 1e-3, L - 1e-4, 0.6, PI / 4.0)
     tallies = [rng.multinomial(int(m), outcome_probs(phase, ModelParams(0.98)))
@@ -294,19 +284,24 @@ def test_rows_of_every_piece_layout_match_their_one_row_calls():
     counts = np.array(tallies + [[259, 512, 261, 13], [0, 0, 0, 0], [1e308] * 4],
                       dtype=float)[rng.permutation(38)]
     params, orders = ModelParams(1.0), _moment_orders(BETAS)
-    for domain in (DEFAULT_DOMAIN, PhaseDomain(0.0, L, 1000)):
+    with np.errstate(over="ignore"):
+        feasible, row, _, end, _ = _split(counts, params, DEFAULT_DOMAIN)
+        points = _split_points(counts, params, DEFAULT_DOMAIN)
+        _, two, _, _, _ = _split(counts, ModelParams(0.995), DEFAULT_DOMAIN)
+        ok, phi_hat, deltas = _evaluate_counts(np.tile(counts, (7, 1)), params, DEFAULT_DOMAIN,
+                                               orders)
+    assert ok.tolist() == np.tile(feasible, 7).tolist() and feasible.sum() == 37
+    # pieces cut short of their far split point and pieces that reach it,
+    # and a row of two lobes, four pieces, at v = 0.995
+    cut = np.array([e not in points[r] for r, e in zip(row, end)])
+    assert cut.any() and not cut.all()
+    assert np.bincount(two).max() >= 4
+    for i in range(38):
         with np.errstate(over="ignore"):
-            feasible, _, _, _, _, narrow = _pieces(counts, domain, params)
-            _, row, _, _, _, _ = _pieces(counts, domain, ModelParams(0.995))
-            ok, phi_hat, deltas = _evaluate_counts(counts, params, domain, orders)
-            assert ok.tolist() == feasible.tolist() and feasible.sum() == 37
-            # narrow and wide pieces, and a row of two pieces at v = 0.995
-            assert narrow.any() and not narrow.all()
-            assert (row[1:] == row[:-1]).any()
-            for i in range(38):
-                alone = _evaluate_counts(counts[i:i + 1], params, domain, orders)
-                for got, want in zip((ok, phi_hat, deltas), alone):
-                    assert got[i:i + 1].tobytes() == want.tobytes(), (domain.grid_points, i)
+            alone = _evaluate_counts(counts[i:i + 1], params, DEFAULT_DOMAIN, orders)
+        for got, want in zip((ok, phi_hat, deltas), alone):
+            for copy in range(7):
+                assert got[38 * copy + i:38 * copy + i + 1].tobytes() == want.tobytes(), i
 
 
 def test_block_reports_leave_infeasible_rows_nan():
@@ -328,8 +323,8 @@ def test_block_reports_leave_infeasible_rows_nan():
     # report_counts is the same chain, each row's shots its count sum: the
     # infeasible row is flagged and nan throughout.  It takes counts up to
     # 2**53 only, so its infeasible row counts setting 2, which v = 1 makes
-    # impossible wherever cos 2phi rounds to 1, here at every grid node
-    params, domain = ModelParams(1.0), PhaseDomain(0.0, 1e-9, 64)
+    # impossible wherever cos 2phi rounds to 1, here on the whole domain
+    params, domain = ModelParams(1.0), PhaseDomain(0.0, 1e-9)
     counts = np.array([[900, 400, 0, 600], [900, 400, 1, 600]])
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, orders)
     columns = _block_reports(phi_hat, moments, counts.sum(axis=1).astype(float), params, BETAS)
@@ -341,27 +336,50 @@ def test_block_reports_leave_infeasible_rows_nan():
 
 
 def test_densities_beyond_the_floor_are_exactly_zero():
-    # the pieces of a row cover its live nodes, those within 100 nats of its
-    # peak, each run padded by one dead node: nodes beyond the floor carry no
-    # density.  A wide, a narrow and a two-lobed row share one block
+    # the pieces of a row cover its live points, those within 100 nats of
+    # its peak, and no point more than _CUT_SLACK * _CUT_DROP nats below it:
+    # points beyond the cuts carry no density.  A wide, a narrow and a
+    # two-lobed row share one block
     params = ModelParams(0.995)
-    logp = np.log(outcome_probs(DEFAULT_DOMAIN.grid(), params))
+    grid = np.linspace(0.0, L, 2 ** 16)
+    logp = np.log(outcome_probs(grid, params))
     rng = np.random.default_rng(6)
     counts = np.array([rng.multinomial(m, outcome_probs(phase, ModelParams(0.95)))
                        for m, phase in ((2000, PI / 8.0), (10 ** 5, 0.5))]
                       + [[580, 1098, 570, 32]])
-    _, row, lo, hi, _, _ = _pieces(counts, DEFAULT_DOMAIN, params)
-    assert row.tolist() == [0, 1, 2, 2]
+    _, row, ref, end, _ = _split(counts.astype(float), params, DEFAULT_DOMAIN)
+    # each lobe is two pieces, split at its peak
+    assert np.bincount(row).tolist() == [2, 2, 4]
     for i, tally in enumerate(counts):
         log_post = tally @ logp
-        live = log_post >= log_post.max() - 100.0
-        covered = np.zeros(live.size, dtype=bool)
-        for a, b in zip(lo[row == i], hi[row == i]):
-            covered[a:b + 1] = True
-        assert not (live & ~covered).any()
-        # the only covered nodes beyond the floor are the run ends' neighbours
-        beside_live = np.r_[False, live[:-1]] | np.r_[live[1:], False]
-        assert beside_live[covered & ~live].all()
+        log_post -= log_post.max()
+        covered = np.zeros(grid.size, dtype=bool)
+        for a, b in zip(np.minimum(ref, end)[row == i], np.maximum(ref, end)[row == i]):
+            covered |= (grid >= a) & (grid <= b)
+        assert not ((log_post >= -100.0) & ~covered).any()
+        assert log_post[covered].min() >= -_CUT_DROP * _CUT_SLACK - 1e-6
+
+
+def test_split_points_hold_every_local_maximum():
+    # log L is monotone between split points, so every local maximum of a
+    # dense scan lies within one scan spacing of a split point: random
+    # tallies, and the three rows of lobes split by the zero of p_3 at pi/4
+    grid = np.linspace(0.0, L, 2 ** 16)
+    rng = np.random.default_rng(19)
+    cases = [(rng.integers(0, 600, size=4), v) for v in (0.95, 1.0) for _ in range(40)]
+    cases += [((336, 608, 335, 14), 1.0), ((554, 597, 556, 268), 0.967),
+              ((259, 512, 261, 13), 1.0)]
+    for tally, v in cases:
+        points = _split_points(np.array([tally], dtype=float), ModelParams(v), DEFAULT_DOMAIN)[0]
+        probs = outcome_probs(grid, ModelParams(v))
+        with np.errstate(divide="ignore"):
+            log_post = sum(c * np.log(p) for c, p in zip(tally, probs) if c)
+        rises = np.r_[True, log_post[1:] > log_post[:-1]]
+        falls = np.r_[log_post[:-1] > log_post[1:], True]
+        peaks = grid[rises & falls & np.isfinite(log_post)]
+        assert peaks.size
+        gaps = np.abs(peaks[:, np.newaxis] - points).min(axis=1)
+        assert (gaps <= grid[1]).all(), (tally, v)
 
 
 def test_estimate_of_symmetric_peak():
@@ -414,17 +432,16 @@ def test_absolute_moment_validates_order():
 
 
 def test_grid_refinement_convergence():
-    # the grid only scans for the support: results do not depend on its
-    # resolution, from a posterior about 10 spacings wide at 1,000 points to
-    # one narrower than a spacing
+    # no grid sets the resolution: from a flat posterior to one of 10**8
+    # shots, about 1e-4 wide, the results match the dense reference
     params = ModelParams(0.95)
     counts = np.array([sample_tally(PI / 8.0, 0.95, m, experiment_rng(42, 0))
                        for m in (0, 30, 2000, 18000, 10 ** 6, 10 ** 8)])
-    results = {points: report_counts(counts, params, PhaseDomain(0.0, L, points))
-               for points in (1000, 4096, 8192)}
-    for points in (1000, 8192):
-        assert np.abs(results[points].phi_hat - results[4096].phi_hat).max() <= 1e-12
-        assert np.abs(results[points].deltas / results[4096].deltas - 1.0).max() <= 1e-10
+    report = report_counts(counts, params)
+    for row, tally in enumerate(counts):
+        mean, want = dense_reference(tally, 0.95)
+        assert abs(report.phi_hat[row] - mean) <= 1e-12
+        assert np.abs(report.deltas[row] / want - 1.0).max() <= 1e-10
 
 
 @given(

@@ -70,19 +70,6 @@ def test_non_finite_range_exit_code(tmp_path):
         assert not (tmp_path / "b.csv").exists()
 
 
-def test_grid_points_beyond_the_cap_are_a_usage_error(tmp_path, capsys):
-    # 1e9 grid points used to be allocated (8 GB per grid) before any check
-    counts = tmp_path / "c.csv"
-    counts.write_text("phase_rad,c0,c1,c2,c3\n0.3,510,600,490,400\n", encoding="utf-8")
-    for argv in (["analyze", str(counts), "--v-est", "0.95"],
-                 ["simulate", "--experiments", "2", "--v-est", "0.95"]):
-        out = tmp_path / "out.csv"
-        assert main([*argv, "--grid-points", "1000000000", "--out", str(out)]) == 1
-        assert not out.exists()
-        assert capsys.readouterr().err == (
-            "gcrb: error: grid_points must be an integer in [64, 1048576], got 1000000000\n")
-
-
 def test_failed_stream_leaves_the_old_output(tmp_path):
     # a line iterator that raises partway leaves no temporary file, and the
     # previous output and its manifest keep their bytes

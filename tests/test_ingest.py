@@ -152,7 +152,7 @@ def test_fold_phase():
     assert 0.0 <= folded < PI / 2.0
     assert fold_phase(0.7, DEFAULT_DOMAIN) == pytest.approx(0.7, rel=1e-15)
     assert 0.0 <= fold_phase(-0.1, DEFAULT_DOMAIN) < PI / 2.0
-    other = PhaseDomain(0.5, 1.5, 64)
+    other = PhaseDomain(0.5, 1.5)
     assert 0.5 <= fold_phase(9.9, other) < 1.5
 
 
@@ -161,6 +161,6 @@ def test_fold_phase_stays_below_upper():
     assert fold_phase(-1e-17, DEFAULT_DOMAIN) == 0.0
     for k in (-3, -1, 0, 1, 2, 5):
         assert fold_phase(k * DEFAULT_DOMAIN.width, DEFAULT_DOMAIN) == 0.0
-    other = PhaseDomain(0.5, 1.5, 64)
+    other = PhaseDomain(0.5, 1.5)
     assert fold_phase(math.nextafter(0.5, 0.0), other) == 0.5
     assert fold_phase(3.5, other) == 0.5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrb.bayes import DEFAULT_DOMAIN, _log_ratio, _pieces, _ratio_scale
+from gcrb.bayes import DEFAULT_DOMAIN, _log_ratio, _ratio_scale, _split
 from gcrb.fisher import generalized_fisher
 from gcrb.ingest import CountsRecord
 from gcrb.model import ModelParams, check_counts, outcome_dprobs, outcome_probs
@@ -157,17 +157,19 @@ def test_log_likelihood_cases():
     assert np.isfinite(log_ratio((1, 0, 0, 0), ModelParams(1.0), 0.3, [0.0, 1e-3])).all()
     post = log_ratio((0, 0, 1, 0), ModelParams(1.0), 0.3, [0.0, 1e-3, L])
     assert post[0] == -np.inf and np.isfinite(post[1:]).all()
-    # the scan: grid node phi = 0 is dead, and the one piece starts there,
-    # padded out to it, and ends at the other end of the domain
-    _, row, lo, hi, _, _ = _pieces(np.array([[0.0, 0.0, 1.0, 0.0]]), DEFAULT_DOMAIN,
-                                   ModelParams(1.0))
-    assert row.tolist() == [0] and (lo[0], hi[0]) == (0, DEFAULT_DOMAIN.grid_points - 1)
+    # the split points: phi = 0 is dead, and the row's pieces run from its
+    # peak at the other end of the domain to a cut short of phi = 0, where
+    # the density has fallen below e**-38 of its peak
+    _, row, ref, end, _ = _split(np.array([[0.0, 0.0, 1.0, 0.0]]), ModelParams(1.0),
+                                 DEFAULT_DOMAIN)
+    ends = np.sort(np.r_[ref, end])
+    assert set(row.tolist()) == {0} and ends[-1] == L and 0.0 < ends[0] < 1e-8
 
 
 def test_log_likelihood_is_sum_of_count_weighted_logs():
     params = ModelParams(0.87)
     tally = (10, 20, 5, 7)
-    grid = DEFAULT_DOMAIN.grid()
+    grid = np.linspace(0.0, L, 4096)
 
     def log_likelihood(phi):
         return sum(c * math.log(p) for c, p in zip(tally, outcome_probs(phi, params)))
