@@ -14,15 +14,21 @@ their column mean Sigma_beta (sigma_frac).
 `bounds` computes every f_alpha from one `generalized_fisher` call and the
 bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
-`simulate` and `analyze` validate every v_est value, then evaluate the values
-on forked worker processes (`_map_in_order`), one per CPU in the affinity
-mask and at most one per value; `simulate` draws the campaign's tallies
-before the fork, so that the workers share one draw.  The workers format
-their own rows and return finished CSV lines; the parent only puts them in
-order, (record, v_est) for `analyze` and value order for `simulate`, and
-writes the warnings in the same order.  The output bytes do not depend on the worker count, and
-one CPU (``taskset -c 0``) runs the values in-process.  On Python >= 3.12 the
-fork may emit a DeprecationWarning, because OpenBLAS threads make the process
+`simulate` and `analyze` validate every v_est value, then share the values
+between this process and forked children (`_map_in_order`): n processes, one
+per CPU in the affinity mask and at most one per value, where process w takes
+every n-th value from the w-th.  This process computes its own share and
+forks one child for each other share; `simulate` draws the campaign's tallies
+before the fork, so that all share one draw.  Every process formats its own
+rows as finished CSV lines, and each child sends its lines back pickled over
+a pipe.  The parent puts them in order, (record, v_est) for `analyze` and
+value order for `simulate`, and writes the warnings in the same order.  A
+child's exception is raised in the parent; a child that dies without a result
+is an error naming its exit status, and a failure in the parent's share kills
+the children.  Either way no child outlives the call and no output is
+written.  The output bytes do not depend on the process count, and one CPU
+(``taskset -c 0``) runs the values in-process.  On Python >= 3.12 the fork
+may emit a DeprecationWarning, because OpenBLAS threads make the process
 multi-threaded.
 
 Every output CSV is streamed line by line into a temporary file that then
@@ -40,6 +46,7 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
 from dataclasses import replace
@@ -154,35 +161,92 @@ def _manifest(command: str, seed, config: dict, outputs: list[str]) -> dict:
     }
 
 
-def _map_in_order(func, values) -> list:
-    """``[func(v) for v in values]``, computed on forked worker processes, one
-    per CPU in this process's affinity mask and at most one per value.
+def _run_share(func, share, write_fd):
+    """In a forked child: write ``(True, results)`` for the share, or
+    ``(False, exception)``, pickled to write_fd, and leave by `os._exit`, which
+    runs none of the parent's exit handlers.  A payload that does not pickle
+    or reach the pipe leaves status 1 and no result."""
+    status = 1
+    try:
+        try:
+            payload = (True, [func(v) for v in share])
+        except BaseException as exc:
+            payload = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
-    It runs in-process when one worker would do, or where the platform lacks
-    `os.sched_getaffinity` or the fork start method.  func and the values must
-    pickle; the first exception in value order is not guaranteed to be the one
-    raised, so callers validate their values first.
+
+def _map_in_order(func, values) -> list:
+    """``[func(v) for v in values]``, shared between this process and forked
+    children: with n = min(len(values), CPUs in the affinity mask), process w
+    computes ``values[w::n]``.  This process computes share 0; each child
+    pickles its results, or its exception, to its own pipe, and the parent
+    reads each pipe to the end, reaps the child and interleaves the results.
+
+    It runs in-process when n is 1, or where the platform lacks
+    `os.sched_getaffinity` or `os.fork`.  Results and exceptions must pickle.
+    A child's exception is raised here as itself, and a child that leaves no
+    result raises ChildProcessError naming its exit status; if this process's
+    share raises, the children are killed and reaped first.  Which share's
+    exception is raised does not follow value order, so callers validate
+    their values first.
     """
     try:
-        workers = min(len(values), len(os.sched_getaffinity(0)))
+        n = min(len(values), len(os.sched_getaffinity(0)))
     except AttributeError:
-        workers = 1
-    if workers > 1:
-        # imported here: multiprocessing.pool adds ~25 ms to every start-up
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            pool = multiprocessing.get_context("fork").Pool(workers)
+        n = 1
+    if n < 2 or not hasattr(os, "fork"):
+        return [func(v) for v in values]
+    # a child that prints would write the parent's buffered output again
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
             try:
-                results = pool.map(func, values, chunksize=1)
-            except BaseException:
-                pool.terminate()
-                pool.join()
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
                 raise
-            pool.close()
-            pool.join()
-            return results
-    return [func(v) for v in values]
+            if pid == 0:
+                os.close(read_fd)
+                for _, fd in children:
+                    os.close(fd)
+                _run_share(func, values[w::n], write_fd)
+            # closed at once, so that the pipe ends when the child exits
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [None] * len(values)
+        results[0::n] = [func(v) for v in values[0::n]]
+        for w in range(1, n):
+            pid, read_fd = children[0]
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(read_fd)
+            del children[0]
+            if code != 0 or not payload:
+                raise ChildProcessError(f"worker process {pid} exited with status {code} "
+                                        f"and no result")
+            ok, share = pickle.loads(payload)
+            if not ok:
+                raise share
+            results[w::n] = share
+        return results
+    except BaseException:
+        # imported here: only a failure needs it
+        import signal
+
+        for pid, read_fd in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+        raise
 
 
 def _campaign_lines(config: CampaignConfig) -> tuple[bool, str]:
@@ -281,12 +345,14 @@ def _report_lines(counts: np.ndarray, labels: list[str], betas, domain: PhaseDom
     report = report_counts(counts, params, domain, betas)
     v_est = repr(params.visibility)
     orders = [repr(b) for b in betas]
-    return report.feasible, [
-        "\n".join(f"{label},{v_est},{b},{phi!r},{d!r},{k!r},{g!r}"
-                  for b, d, k, g in zip(orders, *cells))
-        for label, phi, *cells in zip(labels, report.phi_hat.tolist(), report.deltas.tolist(),
-                                      report.kappas.tolist(), report.gauss_ratios.tolist())
-    ]
+    lines = []
+    for label, phi, *cells in zip(labels, report.phi_hat.tolist(), report.deltas.tolist(),
+                                  report.kappas.tolist(), report.gauss_ratios.tolist()):
+        # formatted once per row, not once per order
+        lead, phi = f"{label},{v_est},", repr(phi)
+        lines.append("\n".join(f"{lead}{b},{phi},{d!r},{k!r},{g!r}"
+                               for b, d, k, g in zip(orders, *cells)))
+    return report.feasible, lines
 
 
 def cmd_analyze(args) -> int:

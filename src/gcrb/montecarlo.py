@@ -22,7 +22,8 @@ A moment is flagged through a statistical window of half-width
 Experiments derive their RNG streams from (seed, experiment index), so
 campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
 v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
-separate campaigns on forked workers, with the same bytes as in one process.
+separate campaigns, shared between its own process and forked children, with
+the same bytes as in one process.
 A tally does not depend on v_est, so a campaign's tallies are drawn once per
 process and shared by every v_est it evaluates (`campaign_tallies`); the CLI
 draws them before it forks.  They go through the counts evaluator under
@@ -238,7 +239,7 @@ def _campaign_tallies(
 def campaign_tallies(config: CampaignConfig) -> np.ndarray:
     """The read-only (n_experiments, 4) tallies of a campaign, drawn once per
     process for every v_est: `gcrb.cli` draws them before it forks its
-    workers, which then share them."""
+    children, which then share them."""
     return _campaign_tallies(config.seed, config.phase_true, config.v_true,
                              config.shots, config.n_experiments)
 

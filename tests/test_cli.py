@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import gcrb.cli
 import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
+from gcrb.errors import EstimationError, UndefinedRatioError
 from gcrb.ingest import CountsRecord, write_counts
 from gcrb.montecarlo import CampaignConfig, experiment_rng, run_campaign, sample_tally
 
@@ -358,21 +360,41 @@ def test_missing_subcommand_exit_code():
     assert err.value.code == 1
 
 
-# --- v_est values on forked workers -----------------------------------------
+# --- v_est values shared between the process and forked children -----------
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test after 60 s, so that a pipe that never ends or a child that
+    is never reaped fails the test instead of hanging the suite.  Children
+    forked during the test inherit no alarm."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran for over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
 
 def use_cpus(monkeypatch, cpus):
-    """Make the affinity mask hold `cpus` CPUs, and so the pool that many
-    workers at most."""
+    """Make the affinity mask hold `cpus` CPUs, and so the v_est values run
+    on that many processes at most."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(monkeypatch, capsys, tmp_path, cpus, argv):
     """Exit code, output bytes and stderr of one CLI run on `cpus` CPUs; no
-    worker may outlive it."""
+    child process may outlive it."""
     use_cpus(monkeypatch, cpus)
     out = tmp_path / f"cpus{cpus}" / "out.csv"
     code = main([*argv, "--out", str(out)])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     files = [p.read_bytes() if p.exists() else None
              for p in (out, out.with_name(out.name + ".manifest.json"))]
     return code, files, capsys.readouterr().err
@@ -389,15 +411,90 @@ def reject_two(value):
 
 
 def test_map_in_order_forks_one_worker_per_cpu(monkeypatch):
+    parent = os.getpid()
     use_cpus(monkeypatch, 1)
-    assert _map_in_order(pid_of, [0, 1, 2]) == [os.getpid()] * 3
+    assert _map_in_order(pid_of, [0, 1, 2]) == [parent] * 3
     use_cpus(monkeypatch, 2)
-    pids = _map_in_order(pid_of, [0, 1, 2, 3])
-    assert os.getpid() not in pids and len(set(pids)) <= 2
+    pids = _map_in_order(pid_of, [0, 1, 2, 3, 4])
+    # the parent computes values[0::2] and one child values[1::2]
+    assert pids[0::2] == [parent] * 3
+    assert len(set(pids[1::2])) == 1 and parent not in pids[1::2]
+    assert_no_child_left()
+    use_cpus(monkeypatch, 3)
+    pids = _map_in_order(pid_of, [0, 1, 2, 3, 4])
+    assert pids[0::3] == [parent] * 2 and len(set(pids)) == 3
+    assert pids[1] == pids[4]
+    # no more processes than values
+    assert _map_in_order(pid_of, [0]) == [parent]
+    assert len(set(_map_in_order(pid_of, [0, 1]))) == 2
     assert _map_in_order(reject_two, [0, 1, 3]) == [0, 1, 3]
-    with pytest.raises(ValueError, match="two"):
-        _map_in_order(reject_two, [1, 2, 3])
-    assert multiprocessing.active_children() == []
+    for values in ([1, 2, 3], [2, 1, 3], [1, 3, 2]):
+        with pytest.raises(ValueError, match="two"):
+            _map_in_order(reject_two, values)
+        assert_no_child_left()
+
+
+def test_a_child_without_a_result_is_an_error(monkeypatch):
+    parent = os.getpid()
+
+    def die_in_child(value):
+        if os.getpid() != parent:
+            os._exit(3)
+        return value
+
+    for cpus in (2, 3):
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(ChildProcessError, match="exited with status 3 and no result"):
+            _map_in_order(die_in_child, [0, 1, 2])
+        assert_no_child_left()
+
+
+def test_a_child_exception_reaches_the_parent_as_itself(monkeypatch):
+    def reject_odd(value):
+        if value == 1:
+            raise EstimationError("degenerate posterior")
+        if value == 3:
+            raise UndefinedRatioError("no information")
+        return value
+
+    use_cpus(monkeypatch, 2)
+    for values, kind, message in (([0, 1], EstimationError, "degenerate posterior"),
+                                  ([0, 3], UndefinedRatioError, "no information")):
+        with pytest.raises(EstimationError) as err:
+            _map_in_order(reject_odd, values)
+        assert type(err.value) is kind and err.value.args == (message,)
+        assert_no_child_left()
+
+
+def test_a_failing_parent_share_kills_the_children(monkeypatch):
+    parent = os.getpid()
+
+    def sleep_in_child(value):
+        if os.getpid() != parent:
+            time.sleep(60)
+            return value
+        raise ValueError("parent share")
+
+    use_cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="parent share"):
+        _map_in_order(sleep_in_child, [0, 1, 2])
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def large(value):
+    return bytes([value]) * (4 << 20)
+
+
+def test_results_larger_than_a_pipe_buffer_round_trip(monkeypatch):
+    # a child blocks writing until the parent reads its pipe
+    for cpus in (2, 3):
+        use_cpus(monkeypatch, cpus)
+        results = _map_in_order(large, [0, 1, 2])
+        assert [len(r) for r in results] == [4 << 20] * 3
+        assert [r[0] for r in results] == [0, 1, 2] and results[2] == large(2)
+        assert_no_child_left()
 
 
 def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
@@ -450,12 +547,27 @@ def test_first_bad_v_est_is_reported_whatever_the_worker_count(monkeypatch, caps
         assert err == "gcrb: error: v_est must lie in [0, 1], got 2.0\n"
 
 
-def test_importing_the_cli_does_not_import_multiprocessing():
+def test_importing_the_cli_does_not_import_multiprocessing(tmp_path):
+    # nor does an analyze run whose three v_est values are split between the
+    # process and one forked child
+    counts = tmp_path / "counts.csv"
+    write_synthetic_counts(counts, 0.4, v_true=0.95, shots=2000, n_rows=3)
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import os, sys\n"
+        "import gcrb.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "code = gcrb.cli.main(['analyze', sys.argv[1], '--v-est', '0.9,0.95,1.0',\n"
+        "                      '--out', sys.argv[2]])\n"
+        "print(code, len(forks), sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'multiprocessing'))\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, gcrb.cli; print(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+        [sys.executable, "-c", script, str(counts), str(tmp_path / "report.csv")],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "0 1 []\n"
+    assert read(tmp_path / "report.csv").count("\n") == 1 + 3 * 3 * 4
