@@ -39,6 +39,17 @@ operation is elementwise, one eigenvalue problem per row or a reduction over
 one row's own pieces, so a row's results are the same bits whichever rows
 share its block.
 
+The (pieces, nodes) arrays of step 3, `_log_ratio`'s temporaries on that
+path included, are C-contiguous views on a pool of flat float buffers
+(`_pooled`), one per name, each grown to the largest batch and never
+shrunk, so that their pages are faulted once per process, not once per
+batch.  Each use writes every element of its view before any is read in the
+same batch, so what an earlier batch left is never read.  Each row's sums
+over its nodes run along a C-contiguous row, in the order of a one-row
+call, however many pieces its batch holds.  `_split` and `_cut` allocate
+their own small arrays.  The pool is per thread and empty at import; the CLI
+forks before it evaluates anything, so each child fills a pool of its own.
+
 `report_counts` is the analysis routine of the library and of `gcrb analyze`:
 it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
 kappa_beta and Gaussianity ratios, one row per counts row.  It chains
@@ -51,6 +62,7 @@ broadcast over orders, so the reports are array expressions over the
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
@@ -74,9 +86,12 @@ _CUT_DROP = 105.0
 _CUT_SLACK = 1.25
 _CUT_STEPS = 64
 
-# rows split and integrated together: enough to amortise the numpy calls,
-# few enough that the (pieces, nodes) arrays stay near 200 KiB each
-_BATCH_ROWS = 256
+# rows split and integrated together.  With the arrays pooled, a batch costs
+# numpy calls and memory, not page faults: 512 rows amortise the calls over
+# twice as many rows as 256 and keep a 400-row campaign in one batch (its
+# serial evaluation at 11 v_est 52 -> 47 ms, 2,048 rows 2% faster), for a
+# pool of about 4 MB at two pieces a row, eleven buffers of up to 384 KiB
+_BATCH_ROWS = 512
 
 # Gauss-Legendre nodes per segment (step 3 above): the normaliser's one per
 # piece, and on a piece that holds phi_hat the moments' one outward from
@@ -144,6 +159,10 @@ def _rule(*sizes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _PIECE_RULE = _rule(_PIECE_NODES)
 _MOMENT_RULE = _rule(_MIDDLE_NODES, _MOMENT_NODES)
+
+# the flat float buffers of `_pooled` by name, one set per thread (module
+# notes)
+_pool = threading.local()
 
 # the angles u_j = j pi / 8 at which each row's polynomial is sampled
 _SAMPLES = np.arange(16) * (PI / 8.0)
@@ -285,7 +304,7 @@ def _split(counts: np.ndarray, params: ModelParams, domain: PhaseDomain):
 
 
 def _log_ratio(counts: np.ndarray, scale: np.ndarray, ref: np.ndarray,
-               delta: np.ndarray) -> np.ndarray:
+               delta: np.ndarray, out=None) -> np.ndarray:
     """log L(ref + delta) - log L(ref) for pieces with (P, 4) counts, (P,)
     reference points and (P, n) offsets from them.
 
@@ -297,27 +316,31 @@ def _log_ratio(counts: np.ndarray, scale: np.ndarray, ref: np.ndarray,
     c_k.  An argument rounded below -1, at a zero of p_k, is read as -1:
     density 0.  sin d and cos d come from t = tan(d / 2), which numpy
     vectorises and sin and cos not, as 2 t and 1 - t**2 over 1 + t**2.
+
+    delta is overwritten.  out holds four (P, n) arrays, three for the
+    temporaries and the last for the result; by default they are new.
     """
-    # each step writes into one of four arrays, as fresh temporaries of this
-    # size cost page faults.  sin_d holds 2 sin d
-    sin_d = np.multiply(delta, 0.5)
+    work, cos_d, down, total = out or [np.empty(delta.shape) for _ in range(4)]
+    # each step writes into one of these arrays or delta.  sin_d holds 2 sin d
+    sin_d = delta
+    sin_d *= 0.5
     np.tan(sin_d, out=sin_d)
-    work = sin_d * sin_d
-    cos_d = 1.0 - work
+    np.multiply(sin_d, sin_d, out=work)
+    np.subtract(1.0, work, out=cos_d)
     work += 1.0
     cos_d /= work
     sin_d *= 4.0
     sin_d /= work
     cos_r, sin_r = np.cos(2.0 * ref)[:, np.newaxis], np.sin(2.0 * ref)[:, np.newaxis]
     # the cos and sin differences are -down and up
-    down = sin_r * cos_d
+    np.multiply(sin_r, cos_d, out=down)
     down += np.multiply(0.5 * cos_r, sin_d, out=work)
     down *= sin_d
     up = cos_d
     up *= cos_r
     up -= np.multiply(0.5 * sin_r, sin_d, out=work)
     up *= sin_d
-    total = np.zeros(delta.shape)
+    total.fill(0.0)
     for k, (sign, diff) in enumerate(((-1.0, down), (1.0, up), (1.0, down), (-1.0, up))):
         np.multiply(sign * scale[:, k:k + 1], diff, out=work)
         np.maximum(work, -1.0, out=work)
@@ -345,6 +368,16 @@ def _check_orders(beta) -> np.ndarray:
     return betas.astype(float)
 
 
+def _pooled(name: str, rows: int, cols: int) -> np.ndarray:
+    """A C-contiguous (rows, cols) float array on the pooled buffer `name`
+    (module notes), holding whatever its last use left there."""
+    pool = _pool.__dict__
+    flat = pool.get(name)
+    if flat is None or flat.size < rows * cols:
+        flat = pool[name] = np.empty(rows * cols)
+    return flat[:rows * cols].reshape(rows, cols)
+
+
 def _integrate(counts, params, row, ref, end, level, betas):
     """phi_hat and Delta_beta (rows, len(betas)) of the rows of pieces
     (step 3 of the module notes) with (P, 4) counts, their rows, ascending,
@@ -355,26 +388,36 @@ def _integrate(counts, params, row, ref, end, level, betas):
     heads = np.flatnonzero(head)
     rows = np.cumsum(head) - 1
 
-    def segments(pieces, anchor, stop, rule):
+    def segments(pieces, anchor, stop, rule, offset, mass):
         """phi - anchor and the density times the rule's weight at
         phi = anchor + (stop - anchor) * s**2, s in [0, 1], on (p, m)
-        segments of the given pieces, each (p, nodes)."""
+        segments of the given pieces, written into the (p, nodes) arrays
+        offset and mass."""
         nodes, weights, segment = rule
-        span = (stop - anchor)[:, segment]
-        offset = span * nodes * nodes
-        delta = (anchor - ref[pieces, np.newaxis])[:, segment] + offset
-        mass = _log_ratio(counts[pieces], scale[pieces], ref[pieces], delta)
+        p, n = offset.shape
+        span, delta = _pooled("span", p, n), _pooled("delta", p, n)
+        np.take(stop - anchor, segment, axis=1, out=span, mode="clip")
+        np.multiply(span, nodes, out=offset)
+        offset *= nodes
+        np.take(anchor - ref[pieces, np.newaxis], segment, axis=1, out=delta, mode="clip")
+        delta += offset
+        _log_ratio(counts[pieces], scale[pieces], ref[pieces], delta,
+                   [_pooled(name, p, n) for name in ("work", "cos", "down")] + [mass])
         mass += level[pieces, np.newaxis]
         np.exp(mass, out=mass)
         # d phi = 2 (stop - anchor) s ds
-        mass *= np.abs(span) * (2.0 * nodes * weights)
-        return offset, mass
+        np.abs(span, out=span)
+        span *= 2.0 * nodes * weights
+        mass *= span
 
     # normaliser and phi_hat
-    offset, mass = segments(slice(None), ref[:, np.newaxis], end[:, np.newaxis], _PIECE_RULE)
+    offset, mass = (_pooled(name, row.size, _PIECE_NODES) for name in ("offset", "mass"))
+    segments(slice(None), ref[:, np.newaxis], end[:, np.newaxis], _PIECE_RULE, offset, mass)
     norm = np.add.reduceat(mass.sum(axis=1), heads)
     base = ref[heads]
-    first = ((ref - base[rows])[:, np.newaxis] + offset) * mass
+    first = np.add((ref - base[rows])[:, np.newaxis], offset,
+                   out=_pooled("work", row.size, _PIECE_NODES))
+    first *= mass
     phi_hat = base + np.add.reduceat(first.sum(axis=1), heads) / norm
 
     # moments: on a piece that holds phi_hat, from phi_hat to either end,
@@ -384,18 +427,28 @@ def _integrate(counts, params, row, ref, end, level, betas):
         along = (center - ref) / (end - ref)
     holds = (along >= 0.0) & (along <= 1.0 + _KINK_REACH)
     rest = np.flatnonzero(~holds)
-    dist, mass = np.abs(offset[rest] - (center - ref)[rest, np.newaxis]), mass[rest]
+    # the other pieces reuse the normaliser's nodes: their distances from
+    # phi_hat and their masses
+    dist, far = (_pooled(name, rest.size, _PIECE_NODES) for name in ("dist", "far"))
+    np.take(offset, rest, axis=0, out=dist, mode="clip")
+    dist -= (center - ref)[rest, np.newaxis]
+    np.abs(dist, out=dist)
+    np.take(mass, rest, axis=0, out=far, mode="clip")
     holds = np.flatnonzero(holds)
-    inner, kernel = segments(holds, np.stack([center[holds]] * 2, axis=1),
-                             np.stack([ref[holds], end[holds]], axis=1), _MOMENT_RULE)
-    inner = np.abs(inner)
+    inner, kernel = (_pooled(name, holds.size, _MIDDLE_NODES + _MOMENT_NODES)
+                     for name in ("inner", "kernel"))
+    segments(holds, np.stack([center[holds]] * 2, axis=1),
+             np.stack([ref[holds], end[holds]], axis=1), _MOMENT_RULE, inner, kernel)
+    np.abs(inner, out=inner)
     kernel[along[holds] > 1.0, _MIDDLE_NODES:] *= -1.0
     # one scalar power per order: with an array of orders np.power takes
     # x * x for some rows and pow(x, 2) for others, depending on the shape
     moments = np.empty((betas.size, row.size))
     for i, b in enumerate(betas.tolist()):
-        moments[i, rest] = (np.power(dist, b) * mass).sum(axis=1)
-        moments[i, holds] = (np.power(inner, b) * kernel).sum(axis=1)
+        for pieces, x, weight in ((rest, dist, far), (holds, inner, kernel)):
+            product = np.power(x, b, out=_pooled("work", *x.shape))
+            product *= weight
+            moments[i, pieces] = product.sum(axis=1)
     deltas = np.add.reduceat(moments, heads, axis=1) / norm
     return phi_hat, deltas.T
 

@@ -16,3 +16,7 @@ class CountsParseError(EstimationError):
         self.line_errors = list(line_errors)
         detail = "; ".join(f"line {n}: {msg}" for n, msg in self.line_errors)
         super().__init__(f"invalid counts table: {detail}")
+
+    def __reduce__(self):
+        # args hold the message, not the line errors __init__ takes
+        return type(self), (self.line_errors,)

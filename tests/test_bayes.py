@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrb.bayes import (
+    _BATCH_ROWS,
     _CUT_DROP,
     _CUT_SLACK,
     DEFAULT_DOMAIN,
     _block_reports,
     _evaluate_counts,
     _moment_orders,
+    _pool,
     _split,
     _split_points,
     PhaseDomain,
@@ -275,8 +279,8 @@ def test_evaluator_rows_match_one_row_calls():
 def test_rows_of_every_piece_layout_match_their_one_row_calls():
     # M from 30 to 1e8 at phases that put pieces against the domain ends,
     # cut and uncut pieces, two-lobed rows, an empty tally and a row
-    # infeasible at v = 1, shuffled into more rows than one batch holds:
-    # each row of one evaluator call has the bits of its one-row call
+    # infeasible at v = 1, shuffled and tiled into more rows than one batch
+    # holds: each row of one evaluator call has the bits of its one-row call
     rng = np.random.default_rng(41)
     phases = (0.0, 1e-3, L - 1e-4, 0.6, PI / 4.0)
     tallies = [rng.multinomial(int(m), outcome_probs(phase, ModelParams(0.98)))
@@ -284,13 +288,14 @@ def test_rows_of_every_piece_layout_match_their_one_row_calls():
     counts = np.array(tallies + [[259, 512, 261, 13], [0, 0, 0, 0], [1e308] * 4],
                       dtype=float)[rng.permutation(38)]
     params, orders = ModelParams(1.0), _moment_orders(BETAS)
+    copies = _BATCH_ROWS // 38 + 1
     with np.errstate(over="ignore"):
         feasible, row, _, end, _ = _split(counts, params, DEFAULT_DOMAIN)
         points = _split_points(counts, params, DEFAULT_DOMAIN)
         _, two, _, _, _ = _split(counts, ModelParams(0.995), DEFAULT_DOMAIN)
-        ok, phi_hat, deltas = _evaluate_counts(np.tile(counts, (7, 1)), params, DEFAULT_DOMAIN,
-                                               orders)
-    assert ok.tolist() == np.tile(feasible, 7).tolist() and feasible.sum() == 37
+        ok, phi_hat, deltas = _evaluate_counts(np.tile(counts, (copies, 1)), params,
+                                               DEFAULT_DOMAIN, orders)
+    assert ok.tolist() == np.tile(feasible, copies).tolist() and feasible.sum() == 37
     # pieces cut short of their far split point and pieces that reach it,
     # and a row of two lobes, four pieces, at v = 0.995
     cut = np.array([e not in points[r] for r, e in zip(row, end)])
@@ -300,8 +305,84 @@ def test_rows_of_every_piece_layout_match_their_one_row_calls():
         with np.errstate(over="ignore"):
             alone = _evaluate_counts(counts[i:i + 1], params, DEFAULT_DOMAIN, orders)
         for got, want in zip((ok, phi_hat, deltas), alone):
-            for copy in range(7):
+            for copy in range(copies):
                 assert got[38 * copy + i:38 * copy + i + 1].tobytes() == want.tobytes(), i
+
+
+def lobed_rows():
+    """700 tallies at pi/4 (v = 0.95, M from 100 to 1e5), whose posteriors at
+    v_est 0.99 have several lobes, and those parameters and orders."""
+    rng = np.random.default_rng(43)
+    probs = outcome_probs(PI / 4.0, ModelParams(0.95))
+    counts = np.array([rng.multinomial(m, probs) for m in rng.integers(100, 10 ** 5, 700)])
+    return counts, ModelParams(0.99), _moment_orders(BETAS)
+
+
+def test_pooled_buffers_are_written_before_they_are_read():
+    # the evaluator's pooled buffers, filled with nan before each call, and
+    # a smaller call between two larger ones, so that it works on views of
+    # buffers grown for more rows: each call has the bits of the same call
+    # on an empty pool
+    big, params, orders = lobed_rows()
+    small = big[np.random.default_rng(44).permutation(700)[:37]]
+    assert np.bincount(_split(big, params, DEFAULT_DOMAIN)[1]).max() >= 4
+    calls = (big, small, big)
+    want = []
+    for counts in calls:
+        _pool.__dict__.clear()
+        want.append(_evaluate_counts(counts, params, DEFAULT_DOMAIN, orders))
+    _pool.__dict__.clear()
+    for counts, alone in zip(calls, want):
+        for buffer in _pool.__dict__.values():
+            buffer.fill(np.nan)
+        got = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
+        assert _pool.__dict__
+        for a, b in zip(got, alone):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_rows_of_many_piece_batches_match_their_one_row_calls():
+    # batches of more than 683 pieces, whose (pieces, 48) temporaries reach
+    # 256 KiB: numpy computes a * b in place of such a temporary a, so a
+    # column-major a, as an indexed (pieces, 1) column gives, summed each
+    # row in another order than a one-row call does
+    counts, params, orders = lobed_rows()
+    assert _split(counts[:_BATCH_ROWS], params, DEFAULT_DOMAIN)[1].size > 683
+    ok, phi_hat, deltas = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
+    for row in range(0, 700, 7):
+        alone = _evaluate_counts(counts[row:row + 1], params, DEFAULT_DOMAIN, orders)
+        for got, want in zip((ok, phi_hat, deltas), alone):
+            assert got[row:row + 1].tobytes() == want.tobytes(), row
+
+
+def test_threads_evaluate_on_pools_of_their_own():
+    # four threads switching often, each evaluating rows of several lobes
+    # at its own v_est: each result has the bits of the same call made alone
+    counts, _, orders = lobed_rows()
+    params = [ModelParams(v) for v in (0.97, 0.98, 0.99, 1.0)]
+    want = [_evaluate_counts(counts, p, DEFAULT_DOMAIN, orders) for p in params]
+    got = [[] for _ in params]
+
+    def work(i):
+        for _ in range(3):
+            got[i].append(_evaluate_counts(counts, params[i], DEFAULT_DOMAIN, orders))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(params))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results, alone in zip(got, want):
+        assert len(results) == 3
+        for result in results:
+            for a, b in zip(result, alone):
+                assert a.tobytes() == b.tobytes()
 
 
 def test_block_reports_leave_infeasible_rows_nan():

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_all_bad_lines_are_reported():
     with pytest.raises(CountsParseError) as err:
         parse_text(text)
     assert [n for n, _ in err.value.line_errors] == [3, 4, 5]
+
+
+def test_parse_error_survives_a_pickle_round_trip():
+    # a forked child hands its exception to the parent pickled
+    err = CountsParseError([(3, "bad"), (5, "c1 is negative")])
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is CountsParseError
+    assert back.line_errors == err.line_errors
+    assert str(back) == str(err)
 
 
 def test_bad_header_rejected():
