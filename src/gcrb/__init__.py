@@ -43,6 +43,7 @@ from .model import (
 from .montecarlo import (
     CampaignConfig,
     ExperimentTable,
+    campaign_tallies,
     experiment_rng,
     run_campaign,
     run_experiment,
@@ -63,6 +64,7 @@ __all__ = [
     "ModelParams",
     "PhaseDomain",
     "UndefinedRatioError",
+    "campaign_tallies",
     "conjugate_exponent",
     "experiment_rng",
     "fold_phase",

@@ -53,7 +53,7 @@ forks before it evaluates anything, so each child fills a pool of its own.
 `report_counts` is the analysis routine of the library and of `gcrb analyze`:
 it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
 kappa_beta and Gaussianity ratios, one row per counts row.  It chains
-`_evaluate_counts`, which `simulate` shares, with `_block_reports`, which
+`_evaluate_counts`, which `simulate` shares, with `_reports`, which
 adds the kappa and Gaussianity columns.  `gaussian_abs_moment` and `kappa`
 broadcast over orders, so the reports are array expressions over the
 (E, n_beta) columns; kappa is Delta_beta over `gcrb.fisher.order_bound`.
@@ -524,7 +524,7 @@ def _moment_orders(betas) -> np.ndarray:
     return np.array(sorted({*_check_orders(betas).tolist(), 2.0}))
 
 
-def _block_reports(
+def _reports(
     phi_hat: np.ndarray,
     moments: np.ndarray,
     shots: np.ndarray,
@@ -596,4 +596,4 @@ def report_counts(
         raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {counts.shape}")
     shots = counts.sum(axis=1).astype(float)
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
-    return CountsReport(feasible, phi_hat, *_block_reports(phi_hat, moments, shots, params, betas))
+    return CountsReport(feasible, phi_hat, *_reports(phi_hat, moments, shots, params, betas))

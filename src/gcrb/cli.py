@@ -18,10 +18,11 @@ bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 between this process and forked children (`_map_in_order`): n processes, one
 per CPU in the affinity mask and at most one per value, where process w takes
 every n-th value from the w-th.  This process computes its own share and
-forks one child for each other share; `simulate` draws the campaign's tallies
-before the fork, so that all share one draw.  Every process formats its own
-rows as finished CSV lines, and each child sends its lines back pickled over
-a pipe.  The parent puts them in order, (record, v_est) for `analyze` and
+forks one child for each other share.  `simulate` draws the campaign's
+tallies, and `analyze` reads its counts, once before the fork, and each
+value's task takes that one table as an argument.  Every process formats its
+own rows as finished CSV lines, and each child sends its lines back pickled
+over a pipe.  The parent puts them in order, (record, v_est) for `analyze` and
 value order for `simulate`, and writes the warnings in the same order.  A
 child's exception is raised in the parent; a child that dies without a result
 is an error naming its exit status, and a failure in the parent's share kills
@@ -249,13 +250,13 @@ def _map_in_order(func, values) -> list:
         raise
 
 
-def _campaign_lines(config: CampaignConfig) -> tuple[bool, str]:
-    """Whether Sigma_beta is defined at the campaign's v_est, and the
-    campaign's CSV lines joined by newlines.  Where it is undefined (no Fisher
-    information at phase_true) the lines carry nan, and the sweep goes on."""
+def _campaign_lines(counts: np.ndarray, config: CampaignConfig) -> tuple[bool, str]:
+    """Whether Sigma_beta is defined at the campaign's v_est, and the CSV lines
+    of the campaign on counts joined by newlines.  Where it is undefined (no
+    Fisher information at phase_true) the lines carry nan, and the sweep goes on."""
     v_est, n = config.v_est, config.n_experiments
     try:
-        flags = run_campaign(config).flags
+        flags = run_campaign(config, counts).flags
     except UndefinedRatioError:
         return False, "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list)
     return True, "\n".join(f"{v_est!r},{b!r},{c / n!r},{c},{n}"
@@ -282,9 +283,9 @@ def cmd_simulate(args) -> int:
     # every config is validated here, so that a bad v_est gives the same
     # error whichever worker would have met it first
     configs = [replace(base, v_est=v_est) for v_est in v_est_values]
-    # drawn here, before the fork, so that the workers share one draw
-    campaign_tallies(base)
-    results = _map_in_order(_campaign_lines, configs)
+    # drawn once, before the fork: a tally does not depend on v_est
+    counts = campaign_tallies(base)
+    results = _map_in_order(partial(_campaign_lines, counts), configs)
     undefined = [v_est for v_est, (defined, _) in zip(v_est_values, results) if not defined]
     out = Path(args.out)
     config = {
@@ -376,7 +377,7 @@ def cmd_analyze(args) -> int:
               for r in records]
     # every v_est is validated here, before the first fork
     params = [ModelParams(v_est) for v_est in v_est_values]
-    # one report per v_est, so that each log-likelihood table is built once
+    # one report_counts call per v_est on the whole table
     results = _map_in_order(partial(_report_lines, counts, labels, betas, domain), params)
     # each (records, v_est)
     feasible = np.stack([f for f, _ in results], axis=1)

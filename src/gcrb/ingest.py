@@ -48,9 +48,10 @@ class CountsRecord:
         object.__setattr__(self, "counts", tuple(counts.tolist()))
 
 
-def _open_text(source: TextIO | str | Path):
+def _open_text(source: TextIO | str | Path, mode: str = "r"):
+    """The text stream of a path, opened in mode, or source itself; and whether it was opened."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
+        return open(source, mode, encoding="utf-8", newline=""), True
     return source, False
 
 
@@ -120,11 +121,7 @@ def write_counts(records, dest: TextIO | str | Path) -> None:
     records = list(records)
     with_id = any(r.acquisition_id for r in records)
     header = COUNTS_COLUMNS + (ID_COLUMN,) if with_id else COUNTS_COLUMNS
-    if isinstance(dest, (str, Path)):
-        stream = open(dest, "w", encoding="utf-8", newline="")
-        owned = True
-    else:
-        stream, owned = dest, False
+    stream, owned = _open_text(dest, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)

@@ -24,14 +24,13 @@ campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
 v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
 separate campaigns, shared between its own process and forked children, with
 the same bytes as in one process.
-A tally does not depend on v_est, so a campaign's tallies are drawn once per
-process and shared by every v_est it evaluates (`campaign_tallies`); the CLI
-draws them before it forks.  They go through the counts evaluator under
-`analyze`'s `gcrb.bayes.report_counts` (`gcrb.bayes._evaluate_counts`; a
-row's results do not depend on which rows share its block) and are flagged
-by array comparison against the per-order bounds, windows and Gaussian
-centres of the rule, all taken from one `generalized_fisher` call at
-(phase_true, v_est).
+A tally does not depend on v_est, so a sweep draws a campaign's tallies once
+(`campaign_tallies`) and passes them to each v_est's `run_campaign`.  They go
+through the counts evaluator under `analyze`'s `gcrb.bayes.report_counts`
+(`gcrb.bayes._evaluate_counts`; a row's results do not depend on which rows
+share its block) and are flagged by array comparison against the per-order
+bounds, windows and Gaussian centres of the rule, all taken from one
+`generalized_fisher` call at (phase_true, v_est).
 
 `run_campaign` returns the experiments as one `ExperimentTable` of columns,
 and `run_experiment` recomputes any single experiment, drawn from its own
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .bayes import (
 )
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import ModelParams, is_real, is_whole, outcome_probs
+from .model import N_SETTINGS, ModelParams, check_counts, is_real, is_whole, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -218,30 +216,18 @@ def _evaluate(config: CampaignConfig, index: np.ndarray, counts: np.ndarray) -> 
     return ExperimentTable(index, counts, feasible, phi_hat, deltas, flags)
 
 
-def _draw(seed: int, phase_true: float, v_true: float, shots: int, rows: range) -> np.ndarray:
-    """(len(rows), 4) tallies of the given experiments, each drawn with v_true
-    from its own (seed, index) stream."""
-    probs = outcome_probs(phase_true, ModelParams(v_true))
-    return np.array([experiment_rng(seed, i).multinomial(shots, probs) for i in rows])
-
-
-@lru_cache(maxsize=8)
-def _campaign_tallies(
-    seed: int, phase_true: float, v_true: float, shots: int, n_experiments: int
-) -> np.ndarray:
-    """The read-only tallies of a whole campaign.  They do not depend on
-    v_est, so a v_est sweep draws them once."""
-    counts = _draw(seed, phase_true, v_true, shots, range(n_experiments))
-    counts.setflags(write=False)
-    return counts
+def _draw(config: CampaignConfig, rows: range) -> np.ndarray:
+    """(len(rows), 4) tallies of the given experiments of a campaign, each
+    drawn with v_true from its own (seed, index) stream."""
+    probs = outcome_probs(config.phase_true, ModelParams(config.v_true))
+    return np.array([experiment_rng(config.seed, i).multinomial(config.shots, probs) for i in rows])
 
 
 def campaign_tallies(config: CampaignConfig) -> np.ndarray:
-    """The read-only (n_experiments, 4) tallies of a campaign, drawn once per
-    process for every v_est: `gcrb.cli` draws them before it forks its
-    children, which then share them."""
-    return _campaign_tallies(config.seed, config.phase_true, config.v_true,
-                             config.shots, config.n_experiments)
+    """The (n_experiments, 4) tallies of a campaign.  They do not depend on
+    v_est, so a v_est sweep draws them once and passes them to the
+    `run_campaign` of each v_est."""
+    return _draw(config, range(config.n_experiments))
 
 
 def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentTable:
@@ -250,10 +236,21 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
     Returns a one-row table, deterministic given (config.seed, experiment_index).
     """
     rows = range(experiment_index, experiment_index + 1)
-    counts = _draw(config.seed, config.phase_true, config.v_true, config.shots, rows)
-    return _evaluate(config, np.arange(rows.start, rows.stop), counts)
+    return _evaluate(config, np.arange(rows.start, rows.stop), _draw(config, rows))
 
 
-def run_campaign(config: CampaignConfig) -> ExperimentTable:
-    """Every experiment of one campaign, in index order."""
-    return _evaluate(config, np.arange(config.n_experiments), campaign_tallies(config))
+def run_campaign(config: CampaignConfig, counts=None) -> ExperimentTable:
+    """Every experiment of one campaign, in index order, analyzed from the
+    given (n_experiments, 4) tallies, or from the campaign's own draw
+    (`campaign_tallies`) when none are given.  Raises ValueError unless the
+    given tallies have that shape, pass `gcrb.model.check_counts` and hold
+    config.shots shots in every row, the M of the bounds."""
+    if counts is None:
+        counts = campaign_tallies(config)
+    else:
+        counts = check_counts(counts)
+        if (counts.shape != (config.n_experiments, N_SETTINGS)
+                or (counts.sum(axis=1) != config.shots).any()):
+            raise ValueError(f"counts must be an ({config.n_experiments}, {N_SETTINGS}) table "
+                             f"of rows summing to shots={config.shots}")
+    return _evaluate(config, np.arange(config.n_experiments), counts)

@@ -13,10 +13,10 @@ from gcrb.bayes import (
     _CUT_DROP,
     _CUT_SLACK,
     DEFAULT_DOMAIN,
-    _block_reports,
     _evaluate_counts,
     _moment_orders,
     _pool,
+    _reports,
     _split,
     _split_points,
     PhaseDomain,
@@ -396,8 +396,8 @@ def test_block_reports_leave_infeasible_rows_nan():
         feasible, phi_hat, moments = _evaluate_counts(counts, params, DEFAULT_DOMAIN, orders)
     assert feasible.tolist() == [True, False]
     shots = np.array([2000.0, 2000.0])
-    columns = _block_reports(phi_hat, moments, shots, params, BETAS)
-    alone = _block_reports(phi_hat[:1], moments[:1], shots[:1], params, BETAS)
+    columns = _reports(phi_hat, moments, shots, params, BETAS)
+    alone = _reports(phi_hat[:1], moments[:1], shots[:1], params, BETAS)
     for got, want in zip(columns, alone):
         assert np.isnan(got[1]).all()
         assert got[:1].tobytes() == want.tobytes()
@@ -408,7 +408,7 @@ def test_block_reports_leave_infeasible_rows_nan():
     params, domain = ModelParams(1.0), PhaseDomain(0.0, 1e-9)
     counts = np.array([[900, 400, 0, 600], [900, 400, 1, 600]])
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, orders)
-    columns = _block_reports(phi_hat, moments, counts.sum(axis=1).astype(float), params, BETAS)
+    columns = _reports(phi_hat, moments, counts.sum(axis=1).astype(float), params, BETAS)
     report = report_counts(counts, params, domain, BETAS)
     assert report.feasible.tolist() == [True, False]
     assert report.phi_hat.tobytes() == phi_hat.tobytes() and np.isnan(report.phi_hat[1])
@@ -598,8 +598,8 @@ def test_degenerate_posterior_rejected():
     # a posterior without spread has no Gaussian reference: its ratios are nan
     orders = _moment_orders((2.0, 3.0, 4.0))
     moments = np.array([[0.0, 0.0, 0.0]])
-    _, _, ratios = _block_reports(np.array([0.5]), moments, np.array([2000.0]),
-                                  ModelParams(0.95), (2.0, 3.0, 4.0))
+    _, _, ratios = _reports(np.array([0.5]), moments, np.array([2000.0]),
+                            ModelParams(0.95), (2.0, 3.0, 4.0))
     assert orders.tolist() == [2.0, 3.0, 4.0]
     assert np.isnan(ratios).all()
 

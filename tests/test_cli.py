@@ -508,19 +508,33 @@ def test_simulate_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, t
 
 
 def test_simulate_draws_the_tallies_once_before_the_fork(monkeypatch, tmp_path):
-    # the workers inherit the parent's draw instead of each drawing again
-    tallies = gcrb.montecarlo._campaign_tallies
-    tallies.cache_clear()
-    drawn = []
+    # the workers take the parent's draw as an argument instead of each
+    # drawing again; every draw, a child's too, leaves its pid in a file
+    draws = tmp_path / "draws"
+    draw = gcrb.montecarlo._draw
+    map_in_order = gcrb.cli._map_in_order
+
+    def logged_draw(config, rows):
+        with open(draws, "a", encoding="utf-8") as log:
+            log.write(f"{os.getpid()}\n")
+        return draw(config, rows)
 
     def in_order(func, values):
-        drawn.append(tallies.cache_info().currsize)
-        return [func(v) for v in values]
+        drawn_before.append(draws.read_text(encoding="utf-8").split())
+        return map_in_order(func, values)
 
+    monkeypatch.setattr(gcrb.montecarlo, "_draw", logged_draw)
     monkeypatch.setattr(gcrb.cli, "_map_in_order", in_order)
-    assert main(["simulate", "--v-est", "0.9,0.95,1.0", "--experiments", "5",
-                 "--out", str(tmp_path / "sim.csv")]) == 0
-    assert drawn == [1] and tallies.cache_info().misses == 1
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        draws.write_text("", encoding="utf-8")
+        drawn_before = []
+        assert main(["simulate", "--v-est", "0.9,0.95,1.0", "--experiments", "5",
+                     "--out", str(tmp_path / f"sim{cpus}.csv")]) == 0
+        assert_no_child_left()
+        parent = [str(os.getpid())]
+        assert drawn_before == [parent], cpus
+        assert draws.read_text(encoding="utf-8").split() == parent, cpus
 
 
 def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):

@@ -12,6 +12,7 @@ from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
     ExperimentTable,
+    campaign_tallies,
     experiment_rng,
     run_campaign,
     run_experiment,
@@ -201,8 +202,8 @@ def test_posterior_sd_windows_are_standard_error_windows_times_sqrt_shots():
 
 
 def test_infeasible_experiment_counts_as_violation():
-    # one row of a block gets counts so large that their likelihood underflows
-    # to zero at every grid node; only that row is infeasible and flagged
+    # one row of a block gets counts so large that its likelihood is zero
+    # everywhere on the domain; only that row is infeasible and flagged
     config = small_config(v_est=0.99, n_experiments=8)
     clean = run_campaign(config)
     counts = clean.counts.astype(float)
@@ -234,17 +235,40 @@ def test_campaign_blocks_match_single_experiments():
 
 
 def test_sweep_shares_one_draw_of_the_tallies():
-    # tallies do not depend on v_est: a sweep draws them once, and its counts
+    # tallies do not depend on v_est: a sweep draws them once, and its tables
     # equal those of campaigns that draw their own
     base = small_config(n_experiments=30, seed=9)
-    mc._campaign_tallies.cache_clear()
-    shared = [run_campaign(dataclasses.replace(base, v_est=v)) for v in (0.95, 0.97, 0.99)]
-    assert mc._campaign_tallies.cache_info().misses == 1
-    for v, table in zip((0.95, 0.97, 0.99), shared):
-        mc._campaign_tallies.cache_clear()
-        fresh = run_campaign(dataclasses.replace(base, v_est=v))
-        assert np.array_equal(fresh.flags, table.flags)
-        assert np.array_equal(fresh.feasible, table.feasible)
+    counts = campaign_tallies(base)
+    for v in (0.95, 0.97, 0.99):
+        config = dataclasses.replace(base, v_est=v)
+        shared, fresh = run_campaign(config, counts), run_campaign(config)
+        assert shared.flags.tobytes() == fresh.flags.tobytes()
+        assert shared.feasible.tobytes() == fresh.feasible.tobytes()
+
+
+def test_campaign_on_given_tallies():
+    # given tallies are outside input: checked, then analyzed as the
+    # campaign's own draw would be
+    config = small_config(v_est=0.97, n_experiments=12, seed=4)
+    counts = campaign_tallies(config)
+    assert counts.shape == (12, 4) and (counts.sum(axis=1) == config.shots).all()
+    own, given = run_campaign(config), run_campaign(config, counts)
+    for f in dataclasses.fields(ExperimentTable):
+        got, want = getattr(given, f.name), getattr(own, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+    # integer-valued floats are counts too
+    assert run_campaign(config, counts.astype(float)).flags.tobytes() == own.flags.tobytes()
+    negative = counts.copy()
+    negative[0, :2] = (-1, negative[0, 0] + negative[0, 1] + 1)
+    fractional = counts.astype(float)
+    fractional[0, :2] += (0.5, -0.5)
+    with_bool = counts.tolist()
+    with_bool[0][0] = True
+    for bad in (counts[:-1], counts[:, :3], counts[0], np.stack([counts, counts]),
+                negative, fractional, with_bool, counts.astype(bool), counts + 1,
+                np.full(counts.shape, np.nan), counts.astype(str)):
+        with pytest.raises(ValueError):
+            run_campaign(config, bad)
 
 
 def test_zero_information_campaign_is_undefined():
@@ -256,9 +280,7 @@ def test_zero_information_campaign_is_undefined():
 
 def test_violation_fractions_deterministic_and_exact():
     config = small_config(v_est=1.0, n_experiments=25)
-    mc._campaign_tallies.cache_clear()
     flags_a = run_campaign(config).flags
-    mc._campaign_tallies.cache_clear()
     flags_b = run_campaign(config).flags
     assert np.array_equal(flags_a, flags_b)
     for frac, count in zip(flags_a.mean(axis=0).tolist(), flags_a.sum(axis=0).tolist()):
