@@ -11,8 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from gcrb.bayes import DEFAULT_DOMAIN
-from gcrb.ingest import CountsRecord, fold_phase, write_counts
+from gcrb.ingest import CountsTable, fold_phase, write_counts
 from gcrb.montecarlo import experiment_rng, sample_tally
 
 
@@ -28,16 +30,14 @@ def main() -> int:
                         help="fold phases into the default domain before sampling")
     args = parser.parse_args()
 
-    records = []
-    for i, phase in enumerate(args.phase):
-        target = fold_phase(phase, DEFAULT_DOMAIN) if args.fold else phase
-        rng = experiment_rng(args.seed, i)
-        tally = sample_tally(target, args.v_true, args.shots, rng)
-        records.append(CountsRecord(phase_label=phase, counts=tally,
-                                    acquisition_id=f"synthetic-{i:04d}"))
+    phases = np.array(args.phase)
+    targets = fold_phase(phases, DEFAULT_DOMAIN) if args.fold else phases
+    counts = np.array([sample_tally(target, args.v_true, args.shots, experiment_rng(args.seed, i))
+                       for i, target in enumerate(targets.tolist())])
+    ids = tuple(f"synthetic-{i:04d}" for i in range(len(phases)))
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_counts(records, args.out)
-    print(f"wrote {args.out} ({len(records)} rows)")
+    write_counts(CountsTable(phases, counts, ids), args.out)
+    print(f"wrote {args.out} ({len(phases)} rows)")
     return 0
 
 

@@ -3,8 +3,8 @@
 
 For each true phase in {pi/8, 3pi/16, pi/4} this sweeps the assumed
 visibility over [0.90, 1.00] and records the violation fractions Sigma_beta
-(400 experiments of 2000 shots each, v_true = 0.95).  It takes a few
-seconds (about 3 s on a 2-core Xeon VM).
+(400 experiments of 2000 shots each, v_true = 0.95).  It takes about
+0.4-0.5 s on a 2-core Xeon VM.
 """
 
 import argparse

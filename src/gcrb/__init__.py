@@ -29,7 +29,7 @@ from .fisher import (
     order_bound,
 )
 from .ingest import (
-    CountsRecord,
+    CountsTable,
     fold_phase,
     parse_counts,
     write_counts,
@@ -55,8 +55,8 @@ __all__ = [
     "__version__",
     "CampaignConfig",
     "CountsParseError",
-    "CountsRecord",
     "CountsReport",
+    "CountsTable",
     "DEFAULT_DOMAIN",
     "EstimationError",
     "ExperimentTable",

@@ -592,8 +592,6 @@ def report_counts(
     the orders.
     """
     counts = check_counts(counts)
-    if counts.ndim != 2:
-        raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {counts.shape}")
     shots = counts.sum(axis=1).astype(float)
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
     return CountsReport(feasible, phi_hat, *_reports(phi_hat, moments, shots, params, betas))

@@ -22,7 +22,7 @@ forks one child for each other share.  `simulate` draws the campaign's
 tallies, and `analyze` reads its counts, once before the fork, and each
 value's task takes that one table as an argument.  Every process formats its
 own rows as finished CSV lines, and each child sends its lines back pickled
-over a pipe.  The parent puts them in order, (record, v_est) for `analyze` and
+over a pipe.  The parent puts them in order, (row, v_est) for `analyze` and
 value order for `simulate`, and writes the warnings in the same order.  A
 child's exception is raised in the parent; a child that dies without a result
 is an error naming its exit status, and a failure in the parent's share kills
@@ -361,7 +361,7 @@ def cmd_analyze(args) -> int:
     v_est_values = parse_value_list(args.v_est)
     betas = tuple(parse_value_list(args.beta))
     try:
-        records = parse_counts(args.counts)
+        table = parse_counts(args.counts)
     except OSError as exc:
         print(f"gcrb: data error: cannot read counts file: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -369,17 +369,15 @@ def cmd_analyze(args) -> int:
         print(f"gcrb: data error: counts file {args.counts!r} is not UTF-8 text: {exc}",
               file=sys.stderr)
         return EXIT_DATA
-    # a header-only file gives a (0, 4) table
-    counts = np.array([r.counts for r in records], dtype=np.int64).reshape(-1, 4)
     # cells are formatted with repr, the full round-trip decimal form of a
     # Python float, which no locale changes
-    labels = [repr(float(fold_phase(r.phase_label, domain) if args.fold else r.phase_label))
-              for r in records]
+    phases = fold_phase(table.phase_label, domain) if args.fold else table.phase_label
+    labels = [repr(phase) for phase in phases.tolist()]
     # every v_est is validated here, before the first fork
     params = [ModelParams(v_est) for v_est in v_est_values]
     # one report_counts call per v_est on the whole table
-    results = _map_in_order(partial(_report_lines, counts, labels, betas, domain), params)
-    # each (records, v_est)
+    results = _map_in_order(partial(_report_lines, table.counts, labels, betas, domain), params)
+    # each (row, v_est)
     feasible = np.stack([f for f, _ in results], axis=1)
     out = Path(args.out)
     config = {
@@ -389,12 +387,13 @@ def cmd_analyze(args) -> int:
         "domain": {"lower": domain.lower, "upper": domain.upper},
         "fold": bool(args.fold),
     }
-    # one string per (record, v_est), in that order
+    # one string per (row, v_est), in that order
     lines = chain.from_iterable(zip(*(value_lines for _, value_lines in results)))
     _emit(out, ("phase_label", "v_est", "beta", "phi_hat", "delta_beta", "kappa_beta", "gauss_ratio"),
           lines, _manifest("analyze", None, config, [out.name]))
+    # the file's label as a Python float: numpy 2 writes np.float64(0.3)
     for ir, iv in zip(*np.nonzero(~feasible)):
-        print(f"warning: infeasible row flagged: phase_rad={records[ir].phase_label!r} "
+        print(f"warning: infeasible row flagged: phase_rad={float(table.phase_label[ir])!r} "
               f"v_est={v_est_values[iv]!r}", file=sys.stderr)
     return EXIT_OK
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
+
+import numpy as np
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
@@ -30,22 +31,12 @@ _COUNT = re.compile(r"[0-9]+")
 _PHASE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    """One acquisition row: nominal phase plus the four setting counts."""
+class CountsTable(NamedTuple):
+    """A counts file as columns, one entry per acquisition row, in file order."""
 
-    phase_label: float
-    counts: tuple[int, int, int, int]
-    acquisition_id: str = ""
-
-    def __post_init__(self) -> None:
-        if not (is_real(self.phase_label) and math.isfinite(self.phase_label)):
-            raise ValueError(f"phase label must be a finite real, got {self.phase_label!r}")
-        object.__setattr__(self, "phase_label", float(self.phase_label))
-        counts = check_counts(self.counts)
-        if counts.ndim != 1:
-            raise ValueError(f"need one row of {N_SETTINGS} counts, got shape {counts.shape}")
-        object.__setattr__(self, "counts", tuple(counts.tolist()))
+    phase_label: np.ndarray             # (E,) float64 nominal phases
+    counts: np.ndarray                  # (E, 4) int64 setting counts
+    acquisition_id: tuple[str, ...]     # E ids, "" where the file has none
 
 
 def _open_text(source: TextIO | str | Path, mode: str = "r"):
@@ -55,11 +46,11 @@ def _open_text(source: TextIO | str | Path, mode: str = "r"):
     return source, False
 
 
-def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
-    """Parse a counts CSV into records, preserving row order.
+def parse_counts(source: TextIO | str | Path) -> CountsTable:
+    """Parse a counts CSV into a table, preserving row order.
 
     Every malformed line is collected and reported together in a single
-    CountsParseError; a header-only file yields an empty list.
+    CountsParseError; a header-only file yields a table of no rows.
     """
     stream, owned = _open_text(source)
     try:
@@ -74,7 +65,9 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
                 [(1, f"header must be {','.join(COUNTS_COLUMNS)}[,{ID_COLUMN}], got {','.join(header)}")]
             )
         has_id = len(header) == len(COUNTS_COLUMNS) + 1
-        records: list[CountsRecord] = []
+        phases: list[float] = []
+        counts: list[int] = []
+        ids: list[str] = []
         problems: list[tuple[int, str]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -87,7 +80,7 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
             phase = float(cell) if _PHASE.fullmatch(cell) else math.nan
             if not math.isfinite(phase):
                 problems.append((lineno, f"phase_rad is not a finite number: {row[0]!r}"))
-            counts = []
+            row_counts = []
             for name, cell in zip(COUNTS_COLUMNS[1:], row[1:5]):
                 digits = cell.strip()
                 if not _COUNT.fullmatch(digits):
@@ -98,49 +91,53 @@ def parse_counts(source: TextIO | str | Path) -> list[CountsRecord]:
                     problems.append((lineno, f"{name} exceeds 2**53, the largest count "
                                              "held exactly"))
                     continue
-                counts.append(int(digits))
+                row_counts.append(int(digits))
             if len(problems) > problems_before:
                 continue
-            records.append(
-                CountsRecord(
-                    phase_label=phase,
-                    counts=tuple(counts),
-                    acquisition_id=row[5].strip() if has_id else "",
-                )
-            )
+            phases.append(phase)
+            counts.extend(row_counts)
+            ids.append(row[5].strip() if has_id else "")
         if problems:
             raise CountsParseError(problems)
-        return records
+        return CountsTable(np.array(phases, dtype=np.float64),
+                           np.array(counts, dtype=np.int64).reshape(-1, N_SETTINGS), tuple(ids))
     finally:
         if owned:
             stream.close()
 
 
-def write_counts(records, dest: TextIO | str | Path) -> None:
-    """Serialize records to the counts CSV schema (round-trips exactly)."""
-    records = list(records)
-    with_id = any(r.acquisition_id for r in records)
-    header = COUNTS_COLUMNS + (ID_COLUMN,) if with_id else COUNTS_COLUMNS
+def write_counts(table: CountsTable, dest: TextIO | str | Path) -> None:
+    """Serialize a table to the counts CSV schema (round-trips exactly).
+    Raises ValueError unless the labels are finite reals, the counts pass
+    `gcrb.model.check_counts` and the three columns have the same length."""
+    # element by element, so that a bool among floats is not read as a number
+    labels = np.asarray(table.phase_label, dtype=object)
+    if labels.ndim != 1 or not all(is_real(x) and math.isfinite(x) for x in labels):
+        raise ValueError("phase labels must be a column of finite reals")
+    counts = check_counts(table.counts)
+    ids = tuple(table.acquisition_id)
+    if not len(labels) == len(counts) == len(ids):
+        raise ValueError(f"columns differ in length: {len(labels)} phase labels, "
+                         f"{len(counts)} counts rows and {len(ids)} acquisition ids")
+    header = COUNTS_COLUMNS + (ID_COLUMN,) if any(ids) else COUNTS_COLUMNS
     stream, owned = _open_text(dest, "w")
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for r in records:
-            row = [repr(float(r.phase_label)), *[str(c) for c in r.counts]]
-            if with_id:
-                row.append(r.acquisition_id)
-            writer.writerow(row)
+        for label, row, acquisition_id in zip(labels, counts.tolist(), ids):
+            writer.writerow([repr(float(label)), *map(str, row), acquisition_id][:len(header)])
     finally:
         if owned:
             stream.close()
 
 
-def fold_phase(phase: float, domain: PhaseDomain) -> float:
-    """Map a nominal phase into [domain.lower, domain.upper) by width-modular
-    reduction.  Never applied implicitly."""
-    folded = domain.lower + math.fmod(phase - domain.lower, domain.width)
-    if folded < domain.lower:
-        folded += domain.width
+def fold_phase(phase, domain: PhaseDomain):
+    """Map nominal phases into [domain.lower, domain.upper) by width-modular
+    reduction, elementwise; a scalar gives a float.  Never applied
+    implicitly."""
+    folded = domain.lower + np.fmod(np.subtract(phase, domain.lower), domain.width)
+    folded = np.where(folded < domain.lower, folded + domain.width, folded)
     # a remainder within rounding of one width lands on upper, which is
     # congruent to lower
-    return domain.lower if folded >= domain.upper else folded
+    folded = np.where(folded >= domain.upper, domain.lower, folded)
+    return folded if folded.ndim else float(folded)

@@ -49,13 +49,13 @@ def is_whole(value) -> bool:
 
 
 def check_counts(counts) -> np.ndarray:
-    """Setting counts, one row of four or a table of such rows, as an int64
-    array of the same shape.  Raises ValueError unless every count is an
+    """An (E, 4) table of setting counts, one row per experiment, as int64.
+    Raises ValueError unless it has that shape and every count is an
     integer-valued real in [0, MAX_COUNT]: bools, nan, inf, objects and
     strings are not counts."""
     values = np.asarray(counts)
-    if values.ndim == 0 or values.shape[-1] != N_SETTINGS:
-        raise ValueError(f"need {N_SETTINGS} counts per row, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[1] != N_SETTINGS:
+        raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {values.shape}")
     # asarray turns a bool among ints into an int, so the elements of a
     # sequence are looked at too
     cells = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object).flat

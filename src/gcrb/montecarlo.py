@@ -57,7 +57,7 @@ from .bayes import (
 )
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import N_SETTINGS, ModelParams, check_counts, is_real, is_whole, outcome_probs
+from .model import ModelParams, check_counts, is_real, is_whole, outcome_probs
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -234,23 +234,26 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
     """Sample one experiment with v_true, analyze it with v_est, flag violations.
 
     Returns a one-row table, deterministic given (config.seed, experiment_index).
+    Raises ValueError unless the index is an integer in [0, n_experiments).
     """
-    rows = range(experiment_index, experiment_index + 1)
-    return _evaluate(config, np.arange(rows.start, rows.stop), _draw(config, rows))
+    if not (is_whole(experiment_index) and 0 <= experiment_index < config.n_experiments):
+        raise ValueError(f"experiment_index must be an integer in [0, {config.n_experiments}), "
+                         f"got {experiment_index!r}")
+    index = int(experiment_index)
+    return _evaluate(config, np.array([index]), _draw(config, range(index, index + 1)))
 
 
 def run_campaign(config: CampaignConfig, counts=None) -> ExperimentTable:
     """Every experiment of one campaign, in index order, analyzed from the
     given (n_experiments, 4) tallies, or from the campaign's own draw
     (`campaign_tallies`) when none are given.  Raises ValueError unless the
-    given tallies have that shape, pass `gcrb.model.check_counts` and hold
-    config.shots shots in every row, the M of the bounds."""
+    given tallies pass `gcrb.model.check_counts`, have n_experiments rows and
+    hold config.shots shots in every row, the M of the bounds."""
     if counts is None:
         counts = campaign_tallies(config)
     else:
         counts = check_counts(counts)
-        if (counts.shape != (config.n_experiments, N_SETTINGS)
-                or (counts.sum(axis=1) != config.shots).any()):
-            raise ValueError(f"counts must be an ({config.n_experiments}, {N_SETTINGS}) table "
-                             f"of rows summing to shots={config.shots}")
+        if len(counts) != config.n_experiments or (counts.sum(axis=1) != config.shots).any():
+            raise ValueError(f"counts must have {config.n_experiments} rows, "
+                             f"each summing to shots={config.shots}")
     return _evaluate(config, np.arange(config.n_experiments), counts)

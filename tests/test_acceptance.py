@@ -18,7 +18,7 @@ from gcrb.bayes import (
     report_counts,
 )
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
-from gcrb.ingest import CountsRecord, parse_counts, write_counts
+from gcrb.ingest import CountsTable, parse_counts, write_counts
 from gcrb.model import ModelParams, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
@@ -226,20 +226,19 @@ def test_criterion_4d_violations_peak_where_information_is_minimal(sigma_table):
 def test_criterion_6_beta3_bias_signature(tmp_path):
     shots, v_true = 10000, 0.96
     folded = DEFAULT_DOMAIN.lower + math.fmod(2.8 - DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.width)
-    records = []
-    for seed in range(20):
-        tally = sample_tally(folded, v_true, shots, experiment_rng(seed, 0))
-        records.append(CountsRecord(phase_label=2.8, counts=tally))
+    tallies = np.array([sample_tally(folded, v_true, shots, experiment_rng(seed, 0))
+                        for seed in range(20)])
     path = tmp_path / "synthetic.csv"
-    write_counts(records, path)
+    write_counts(CountsTable(np.full(20, 2.8), tallies, ("",) * 20), path)
     parsed = parse_counts(path)
-    assert parsed == records
+    assert parsed.phase_label.tolist() == [2.8] * 20
+    assert np.array_equal(parsed.counts, tallies) and parsed.acquisition_id == ("",) * 20
 
     hits = {}
     for v_est in (0.98, 0.99, 1.0):
         params = ModelParams(v_est)
         signature = 0
-        ms = report_counts([record.counts for record in parsed], params, DEFAULT_DOMAIN, (2.0, 3.0))
+        ms = report_counts(parsed.counts, params, DEFAULT_DOMAIN, (2.0, 3.0))
         for estimate, row in zip(ms.phi_hat.tolist(), ms.deltas.tolist()):
             info = generalized_fisher(2.0, estimate, params)
             flags = {}
@@ -308,13 +307,14 @@ def test_criterion_7_property_suites():
     first, second = run_campaign(cfg), run_campaign(cfg)
     checks["determinism"] = np.array_equal(first.flags, second.flags)
 
-    records = [
-        CountsRecord(0.125, (1, 2, 3, 4), "r1"),
-        CountsRecord(2.8, (9990, 3, 17, 0), "r2"),
-    ]
+    table = CountsTable(np.array([0.125, 2.8]), np.array([[1, 2, 3, 4], [9990, 3, 17, 0]]),
+                        ("r1", "r2"))
     buf = io.StringIO()
-    write_counts(records, buf)
-    checks["csv-round-trip"] = parse_counts(io.StringIO(buf.getvalue())) == records
+    write_counts(table, buf)
+    back = parse_counts(io.StringIO(buf.getvalue()))
+    checks["csv-round-trip"] = (back.phase_label.tolist() == table.phase_label.tolist()
+                                and np.array_equal(back.counts, table.counts)
+                                and back.acquisition_id == table.acquisition_id)
 
     ok = all(checks.values())
     report("7", ok, ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in checks.items()))

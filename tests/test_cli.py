@@ -15,7 +15,7 @@ import gcrb.cli
 import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.errors import EstimationError, UndefinedRatioError
-from gcrb.ingest import CountsRecord, write_counts
+from gcrb.ingest import CountsTable, write_counts
 from gcrb.montecarlo import CampaignConfig, experiment_rng, run_campaign, sample_tally
 
 PI = math.pi
@@ -199,12 +199,15 @@ def test_bounds_sweep_extrema(tmp_path):
     assert min(abs(valley - x) for x in (0.0, PI / 4.0, PI / 2.0)) <= 1.1e-3
 
 
+def counts_table(labels, tallies):
+    """The CountsTable of the labels and their tallies, without ids."""
+    return CountsTable(np.array(labels, dtype=float), np.array(tallies).reshape(-1, 4),
+                       ("",) * len(labels))
+
+
 def write_synthetic_counts(path, phase, v_true, shots, n_rows, seed=0):
-    records = []
-    for i in range(n_rows):
-        tally = sample_tally(phase, v_true, shots, experiment_rng(seed, i))
-        records.append(CountsRecord(phase_label=phase, counts=tally))
-    write_counts(records, path)
+    tallies = [sample_tally(phase, v_true, shots, experiment_rng(seed, i)) for i in range(n_rows)]
+    write_counts(counts_table([phase] * n_rows, tallies), path)
 
 
 def test_analyze_kappa_near_one_at_matching_visibility(tmp_path):
@@ -239,7 +242,7 @@ def test_analyze_fold_option_changes_label_only(tmp_path):
     # counts generated at the folded phase but labeled with the nominal 2.8 rad
     counts = tmp_path / "counts.csv"
     tally = sample_tally(2.8 - PI / 2.0, 0.96, 5000, experiment_rng(0, 0))
-    write_counts([CountsRecord(phase_label=2.8, counts=tally)], counts)
+    write_counts(counts_table([2.8], [tally]), counts)
     for fold in (False, True):
         out = tmp_path / f"fold_{fold}.csv"
         args = ["analyze", str(counts), "--v-est", "0.96", "--beta", "2", "--out", str(out)]
@@ -282,32 +285,43 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_analyze_warns_of_infeasible_rows_by_their_file_label(tmp_path, capsys):
+    # at v_est = 1 the second row's c2 count is impossible on [0, 1e-9]; the
+    # warning prints the label as a Python float, unfolded under --fold too
+    counts = tmp_path / "counts.csv"
+    counts.write_text("phase_rad,c0,c1,c2,c3\n2.5e-10,900,400,0,600\n0.3,900,400,1,600\n",
+                      encoding="utf-8")
+    for fold in ([], ["--fold"]):
+        assert main(["analyze", str(counts), "--v-est", "0.95,1.0", "--domain", "0:1e-9",
+                     "--beta", "2", *fold, "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: infeasible row flagged: phase_rad=0.3 v_est=1.0\n")
+
+
 def test_analyze_missing_file_exit_code(tmp_path):
     code = main(["analyze", str(tmp_path / "nope.csv"), "--v-est", "0.95",
                  "--out", str(tmp_path / "r.csv")])
     assert code == 2
 
 
-def spread_records(rng):
+def spread_table(rng):
     """Twenty counts rows, two per set phase, with M from 1e3 to 1e6."""
     labels = np.repeat(rng.uniform(0.0, PI / 2.0, 10), 2)
     shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, labels.size)).astype(int)
-    records = []
-    for phase, m in zip(labels, shots):
-        tally = sample_tally(float(phase), 0.95, int(m), rng)
-        records.append(CountsRecord(float(phase), tally))
-    return records
+    return counts_table(labels, [sample_tally(float(phase), 0.95, int(m), rng)
+                                 for phase, m in zip(labels, shots)])
 
 
 def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
-    # a shuffled file puts each record in other blockmates' company; its
+    # a shuffled file puts each row in other blockmates' company; its
     # output rows keep their bytes
     rng = np.random.default_rng(4)
-    records = spread_records(rng)
-    perm = rng.permutation(len(records))
+    table = spread_table(rng)
+    perm = rng.permutation(len(table.counts))
     per_record = 2 * 2  # v_est values x orders
     outputs = []
-    for name, rows in (("a", records), ("b", [records[i] for i in perm])):
+    shuffled_table = counts_table(table.phase_label[perm], table.counts[perm])
+    for name, rows in (("a", table), ("b", shuffled_table)):
         counts = tmp_path / f"{name}.csv"
         write_counts(rows, counts)
         out = tmp_path / f"{name}.out.csv"
@@ -316,7 +330,7 @@ def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
         lines = read(out).splitlines()[1:]
         outputs.append([lines[i:i + per_record] for i in range(0, len(lines), per_record)])
     original, shuffled = outputs
-    assert len(original) == len(records)
+    assert len(original) == len(table.counts)
     for k, i in enumerate(perm):
         assert shuffled[k] == original[i]
 
@@ -324,17 +338,17 @@ def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
 def test_analyze_cells_do_not_depend_on_the_labels(tmp_path):
     # blocks are filled in order of each row's likelihood peak, taken from
     # the counts: the same counts labelled all 0.0 give the same cells
-    records = spread_records(np.random.default_rng(5))
+    table = spread_table(np.random.default_rng(5))
     cells = []
-    for name, rows in (("true", records),
-                       ("zero", [CountsRecord(0.0, r.counts) for r in records])):
+    for name, rows in (("true", table),
+                       ("zero", table._replace(phase_label=np.zeros(len(table.counts))))):
         counts = tmp_path / f"{name}.csv"
         write_counts(rows, counts)
         out = tmp_path / f"{name}.out.csv"
         assert main(["analyze", str(counts), "--v-est", "0.95,1.0", "--out", str(out)]) == 0
         cells.append([{k: row[k] for k in ("phi_hat", "delta_beta", "kappa_beta", "gauss_ratio")}
                       for row in rows_of(out)])
-    assert len(cells[0]) == len(records) * 2 * 4
+    assert len(cells[0]) == len(table.counts) * 2 * 4
     assert cells[0] == cells[1]
 
 
@@ -540,7 +554,7 @@ def test_simulate_draws_the_tallies_once_before_the_fork(monkeypatch, tmp_path):
 def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):
     # each worker formats its value's lines, and the parent interleaves them
     counts = tmp_path / "counts.csv"
-    write_counts(spread_records(np.random.default_rng(6)), counts)
+    write_counts(spread_table(np.random.default_rng(6)), counts)
     empty = tmp_path / "empty.csv"
     empty.write_text("phase_rad,c0,c1,c2,c3\n", encoding="utf-8")
     for args, n_lines in (([str(counts), "--v-est", "0.95,0.97,0.99,1.0"], 20 * 4 * 2),

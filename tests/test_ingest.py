@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gcrb.bayes import DEFAULT_DOMAIN, PhaseDomain
 from gcrb.errors import CountsParseError
 from gcrb.ingest import (
-    CountsRecord,
+    CountsTable,
     fold_phase,
     parse_counts,
     write_counts,
@@ -23,20 +23,32 @@ def parse_text(text):
     return parse_counts(io.StringIO(text))
 
 
+def assert_tables_equal(got, want):
+    """Same columns: float64 labels and an int64 (E, 4) counts table with
+    the same values, and the same ids."""
+    assert got.phase_label.dtype == np.float64 and got.counts.dtype == np.int64
+    assert got.counts.shape == (len(got.phase_label), 4)
+    assert got.phase_label.tolist() == list(want.phase_label)
+    assert got.counts.tolist() == [list(row) for row in want.counts]
+    assert got.acquisition_id == tuple(want.acquisition_id)
+
+
 def test_header_only_file_is_empty():
-    assert parse_text("phase_rad,c0,c1,c2,c3\n") == []
+    table = parse_text("phase_rad,c0,c1,c2,c3\n")
+    assert_tables_equal(table, CountsTable([], [], ()))
+    assert table.counts.shape == (0, 4)
 
 
 def test_single_row_maps_directly():
-    records = parse_text("phase_rad,c0,c1,c2,c3\n0.0,500,250,0,250\n")
-    assert records == [CountsRecord(0.0, (500, 250, 0, 250))]
+    table = parse_text("phase_rad,c0,c1,c2,c3\n0.0,500,250,0,250\n")
+    assert_tables_equal(table, CountsTable([0.0], [(500, 250, 0, 250)], ("",)))
 
 
 def test_acquisition_id_column():
-    records = parse_text(
+    table = parse_text(
         "phase_rad,c0,c1,c2,c3,acquisition_id\n1.5,1,2,3,4,run-007\n"
     )
-    assert records[0].acquisition_id == "run-007"
+    assert table.acquisition_id == ("run-007",)
 
 
 def test_negative_count_is_rejected_with_line_number():
@@ -92,15 +104,16 @@ def test_digit_separators_and_non_ascii_digits_rejected():
         parse_text("phase_rad,c0,c1,c2,c3\n0.5,1,2,3,4\n\u0661.5,\u0661\u0662,2,3,4\n")
     assert [n for n, _ in err.value.line_errors] == [3, 3]
     # plain decimal and exponent forms, with surrounding blanks, still parse
-    records = parse_text("phase_rad,c0,c1,c2,c3\n-1.5e-3, 12 ,0,7,3\n.25,1,2,3,4\n")
-    assert records == [CountsRecord(-1.5e-3, (12, 0, 7, 3)), CountsRecord(0.25, (1, 2, 3, 4))]
+    table = parse_text("phase_rad,c0,c1,c2,c3\n-1.5e-3, 12 ,0,7,3\n.25,1,2,3,4\n")
+    assert_tables_equal(table, CountsTable([-1.5e-3, 0.25], [(12, 0, 7, 3), (1, 2, 3, 4)],
+                                           ("", "")))
 
 
 def test_count_beyond_float64_precision_rejected():
     # counts are analyzed as float64, which holds integers exactly up to 2**53
     top = 2 ** 53
-    records = parse_text(f"phase_rad,c0,c1,c2,c3\n0.1,{top},0,0,{top:025d}\n")
-    assert records[0].counts == (top, 0, 0, top)
+    table = parse_text(f"phase_rad,c0,c1,c2,c3\n0.1,{top},0,0,{top:025d}\n")
+    assert table.counts.tolist() == [[top, 0, 0, top]]
     huge = "1" + "0" * 5000
     with pytest.raises(CountsParseError) as err:
         parse_text(f"phase_rad,c0,c1,c2,c3\n0.1,{top + 1},0,0,0\n0.2,1,{10 ** 400},2,{huge}\n")
@@ -108,52 +121,91 @@ def test_count_beyond_float64_precision_rejected():
         (2, "c0"), (3, "c1"), (3, "c3")]
 
 
-record_strategy = st.builds(
-    CountsRecord,
-    phase_label=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
-    counts=st.tuples(*[st.integers(min_value=0, max_value=10 ** 7)] * 4),
-    acquisition_id=st.text(
+row_strategy = st.tuples(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    st.tuples(*[st.integers(min_value=0, max_value=10 ** 7)] * 4),
+    st.text(
         alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd"), whitelist_characters="-_"),
         max_size=12,
     ),
 )
 
 
-@given(records=st.lists(record_strategy, max_size=20))
+def table_of(rows):
+    """The CountsTable of (label, counts, id) rows."""
+    labels, counts, ids = zip(*rows) if rows else ((), (), ())
+    return CountsTable(np.array(labels, dtype=float),
+                       np.array(counts, dtype=np.int64).reshape(-1, 4), ids)
+
+
+@given(rows=st.lists(row_strategy, max_size=20))
 @settings(max_examples=100, deadline=None)
-def test_round_trip(records):
+def test_round_trip(rows):
+    table = table_of(rows)
     buf = io.StringIO()
-    write_counts(records, buf)
-    assert parse_text(buf.getvalue()) == records
+    write_counts(table, buf)
+    assert_tables_equal(parse_text(buf.getvalue()), table)
 
 
 def test_round_trip_via_file(tmp_path):
-    records = [
-        CountsRecord(0.125, (10, 20, 30, 40), "a1"),
-        CountsRecord(2.8, (9990, 3, 17, 0), "a2"),
-    ]
     path = tmp_path / "counts.csv"
-    write_counts(records, path)
-    assert parse_counts(path) == records
+    # the id column is written when some id is non-empty, and a file without
+    # one parses to empty ids
+    for ids, header in ((("a1", "a2"), "phase_rad,c0,c1,c2,c3,acquisition_id"),
+                        (("", "a2"), "phase_rad,c0,c1,c2,c3,acquisition_id"),
+                        (("", ""), "phase_rad,c0,c1,c2,c3")):
+        table = CountsTable(np.array([0.125, 2.8]), np.array([[10, 20, 30, 40], [9990, 3, 17, 0]]),
+                            ids)
+        write_counts(table, path)
+        text = path.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == header
+        assert_tables_equal(parse_counts(path), table)
+        write_counts(parse_counts(path), path)
+        assert path.read_text(encoding="utf-8") == text
 
 
 def test_to_tally():
-    # a record's counts are its tally, a row of the integer counts table that
-    # report_counts takes; the metadata are dropped
-    records = [CountsRecord(0.0, (500, 250, 0, 250)), CountsRecord(0.3, (0, 0, 0, 0)),
-               CountsRecord(2.8, (2600, 2500, 2400, 2500), "big")]
-    table = np.array([r.counts for r in records])
-    assert table.dtype.kind == "i"
-    assert table.sum(axis=1).tolist() == [1000, 0, 10000]
+    # the parsed counts are the integer (E, 4) table that report_counts
+    # takes, and each row sums to its shot count; the labels and ids are
+    # columns of their own
+    table = parse_text("phase_rad,c0,c1,c2,c3,acquisition_id\n"
+                       "0.0,500,250,0,250,\n0.3,0,0,0,0,\n2.8,2600,2500,2400,2500,big\n")
+    assert table.counts.dtype == np.int64 and table.counts.shape == (3, 4)
+    assert table.counts.sum(axis=1).tolist() == [1000, 0, 10000]
+    assert table.acquisition_id == ("", "", "big")
 
 
-def test_phase_labels_are_finite_reals_stored_as_floats():
+def test_phase_labels_are_finite_reals_stored_as_floats(tmp_path):
+    # write_counts is where library labels enter: each is written as the
+    # repr of its float
+    path = tmp_path / "counts.csv"
     for label in (np.float64(0.3), np.int64(1), 2):
-        record = CountsRecord(label, (1, 2, 3, 4))
-        assert type(record.phase_label) is float and record.phase_label == float(label)
-    for label in (True, np.True_, "0.3", None, math.nan, math.inf):
+        write_counts(CountsTable([label], np.array([[1, 2, 3, 4]]), ("",)), path)
+        assert parse_counts(path).phase_label.tolist() == [float(label)]
+    for labels in ([True], [np.True_], ["0.3"], [None], [math.nan], [math.inf],
+                   [0.1, True], np.array([0.2, math.nan]), 0.3, [[0.3]]):
         with pytest.raises(ValueError, match="phase label"):
-            CountsRecord(label, (1, 2, 3, 4))
+            write_counts(CountsTable(labels, np.ones((np.size(labels), 4), int),
+                                     ("",) * np.size(labels)), path)
+
+
+def test_written_counts_and_column_lengths_are_checked(tmp_path):
+    path = tmp_path / "counts.csv"
+    counts = np.array([[1, 2, 3, 4]])
+    # counts go through check_counts: integers in [0, 2**53], one row of
+    # four per label; integer-valued floats are counts too
+    write_counts(CountsTable([0.1], np.array([[1.0, 2, 3, 4]]), ("",)), path)
+    assert parse_counts(path).counts.tolist() == [[1, 2, 3, 4]]
+    for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, -1, 1.5, True, "5"):
+        with pytest.raises(ValueError, match="counts must be"):
+            write_counts(CountsTable([0.1], [[0, 0, bad, 0]], ("",)), path)
+    for bad in ([1, 2, 3, 4], [[1, 2, 3]], np.ones((1, 1, 4), int)):
+        with pytest.raises(ValueError, match=r"\(E, 4\) table"):
+            write_counts(CountsTable([0.1], bad, ("",)), path)
+    # the columns have one entry per row
+    for labels, ids in (([0.1, 0.2], ("",)), ([0.1], ("", "")), ([0.1, 0.2], ("", ""))):
+        with pytest.raises(ValueError, match="length"):
+            write_counts(CountsTable(labels, counts, ids), path)
 
 
 def test_fold_phase():
@@ -164,6 +216,26 @@ def test_fold_phase():
     assert 0.0 <= fold_phase(-0.1, DEFAULT_DOMAIN) < PI / 2.0
     other = PhaseDomain(0.5, 1.5)
     assert 0.5 <= fold_phase(9.9, other) < 1.5
+    assert type(folded) is float
+
+
+def test_fold_phase_folds_arrays_elementwise():
+    # an array folds to the bits of each element folded alone by math.fmod
+    def fold_one(phase, domain):
+        folded = domain.lower + math.fmod(phase - domain.lower, domain.width)
+        if folded < domain.lower:
+            folded += domain.width
+        return domain.lower if folded >= domain.upper else folded
+
+    rng = np.random.default_rng(8)
+    phases = np.concatenate([rng.uniform(-20.0, 20.0, 2000), 10.0 ** rng.uniform(-20, 3, 500),
+                             [0.0, -0.0, -1e-17, 0.5, 1.5, 3.5, PI / 2.0, -PI, 2.8, 9.9]])
+    for domain in (DEFAULT_DOMAIN, PhaseDomain(0.5, 1.5), PhaseDomain(-1e-3, 2.0)):
+        folded = fold_phase(phases, domain)
+        assert isinstance(folded, np.ndarray) and folded.shape == phases.shape
+        want = np.array([fold_one(p, domain) for p in phases.tolist()])
+        assert folded.tobytes() == want.tobytes()
+        assert fold_phase(phases.reshape(5, -1), domain).tobytes() == want.tobytes()
 
 
 def test_fold_phase_stays_below_upper():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gcrb.bayes import DEFAULT_DOMAIN, _log_ratio, _ratio_scale, _split
 from gcrb.fisher import generalized_fisher
-from gcrb.ingest import CountsRecord
 from gcrb.model import ModelParams, check_counts, outcome_dprobs, outcome_probs
 
 PI = math.pi
@@ -43,29 +42,28 @@ def test_params_domain():
 
 
 def test_tally_validation():
-    row = check_counts((1, 2, 3, 4))
-    assert row.dtype == np.int64 and row.tolist() == [1, 2, 3, 4]
+    table = check_counts([(1, 2, 3, 4)])
+    assert table.dtype == np.int64 and table.tolist() == [[1, 2, 3, 4]]
     with pytest.raises(ValueError):
-        check_counts((1, 2, 3))
+        check_counts([(1, -2, 3, 4)])
     with pytest.raises(ValueError):
-        check_counts((1, -2, 3, 4))
-    with pytest.raises(ValueError):
-        check_counts((1.5, 0, 0, 0))
+        check_counts([(1.5, 0, 0, 0)])
     # counts are analyzed as float64, which holds every integer up to 2**53
     # exactly: larger, non-finite and non-numeric counts are rejected
-    assert check_counts((2 ** 53, 0, 0, np.int64(7))).tolist() == [2 ** 53, 0, 0, 7]
-    assert check_counts((np.float64(3.0), 0, 0, 0)).tolist() == [3, 0, 0, 0]
-    # a table keeps its shape
+    assert check_counts([(2 ** 53, 0, 0, np.int64(7))]).tolist() == [[2 ** 53, 0, 0, 7]]
+    assert check_counts([(np.float64(3.0), 0, 0, 0)]).tolist() == [[3, 0, 0, 0]]
     table = check_counts([[1, 2, 3, 4], [5.0, 6, 7, 8]])
     assert table.dtype == np.int64 and table.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]]
-    assert CountsRecord(0.1, np.array([1.0, 2, 3, 4])).counts == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
-        CountsRecord(0.1, [[1, 2, 3, 4]])
+    assert check_counts(np.zeros((0, 4))).shape == (0, 4)
+    # a table has rows of four: one row alone, or any other shape, is not one
+    for shape in ((4,), (1, 3), (2, 5), (1, 1, 4), (0,), ()):
+        with pytest.raises(ValueError, match=r"\(E, 4\) table"):
+            check_counts(np.ones(shape, dtype=int))
     for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, True, "5"):
         with pytest.raises(ValueError):
-            check_counts((bad, 0, 0, 0))
+            check_counts([(bad, 0, 0, 0)])
         with pytest.raises(ValueError):
-            CountsRecord(0.1, (0, 0, bad, 0))
+            check_counts([(0, 0, 0, 0), (0, 0, bad, 0)])
 
 
 def test_outcome_prob_values():

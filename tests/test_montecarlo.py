@@ -140,6 +140,13 @@ def test_run_experiment_is_deterministic():
     second = run_experiment(config, 7)
     assert first.index.tolist() == [7]
     assert_row_identical(first, 0, second)
+    # an index names one of the campaign's experiments: an integer, not a
+    # bool, in [0, n_experiments)
+    assert_row_identical(run_experiment(config, np.int64(7)), 0, first)
+    five = small_config(n_experiments=5)
+    for bad in (-1, 1.5, 5, 7, True, np.True_, "1", None):
+        with pytest.raises(ValueError, match="experiment_index"):
+            run_experiment(five, bad)
 
 
 def test_run_experiment_flags_are_recomputable():
