@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import (N_SETTINGS, PI, ModelParams, check_counts, is_real, outcome_dprobs,
-                    outcome_probs)
+from .model import (N_SETTINGS, PI, ModelParams, check_counts, check_orders, check_real,
+                    outcome_dprobs, outcome_probs)
 
 # moment orders analyzed when none are given
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
@@ -115,10 +115,8 @@ class PhaseDomain:
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
-            end = getattr(self, name)
-            if not (is_real(end) and math.isfinite(end)):
-                raise ValueError(f"domain endpoints must be finite reals, got {end!r}")
-            object.__setattr__(self, name, float(end))
+            end = check_real(getattr(self, name), f"domain {name}", ndim=0)
+            object.__setattr__(self, name, end)
         if not self.lower < self.upper:
             raise ValueError("domain lower bound must be below the upper bound")
         if self.width > PI + 1e-12:
@@ -359,15 +357,6 @@ def _ratio_scale(counts: np.ndarray, ref: np.ndarray, params: ModelParams) -> np
     return np.where(counted, params.visibility / np.where(counted, 4.0 * probs, 1.0), 0.0)
 
 
-def _check_orders(beta) -> np.ndarray:
-    """One moment order or an array of them as floats; each must be a finite
-    real >= 1 (numpy reals included, bools not)."""
-    betas = np.asarray(beta)
-    if not (betas.dtype.kind in "iuf" and ((betas >= 1.0) & (betas < math.inf)).all()):
-        raise ValueError(f"moment order must be a finite real >= 1, got {beta!r}")
-    return betas.astype(float)
-
-
 def _pooled(name: str, rows: int, cols: int) -> np.ndarray:
     """A C-contiguous (rows, cols) float array on the pooled buffer `name`
     (module notes), holding whatever its last use left there."""
@@ -492,10 +481,8 @@ def gaussian_abs_moment(beta, sigma):
     beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  Orders
     broadcast against sigmas; scalars give a float.
     """
-    betas = _check_orders(beta)
-    sigmas = np.asarray(sigma, dtype=float)
-    if not np.all(np.isfinite(sigmas) & (sigmas >= 0.0)):
-        raise ValueError(f"standard deviation must be finite and >= 0, got {sigma!r}")
+    betas = check_orders(beta)
+    sigmas = np.asarray(check_real(sigma, "standard deviation", 0))
     gammas = np.array([math.gamma((b + 1.0) / 2.0) for b in betas.flat]).reshape(betas.shape)
     value = sigmas ** betas * 2.0 ** (betas / 2.0) * gammas / math.sqrt(PI)
     return float(value) if value.ndim == 0 else value
@@ -511,8 +498,7 @@ def kappa(delta_beta, f_alpha, shots, beta):
     """
     if np.any(np.asarray(f_alpha) <= 0.0):
         raise UndefinedRatioError(
-            "saturation ratio undefined: generalized Fisher information vanishes"
-        )
+            "saturation ratio undefined: generalized Fisher information vanishes")
     value = np.asarray(delta_beta, dtype=float) / order_bound(beta, f_alpha, shots)
     return float(value) if value.ndim == 0 else value
 
@@ -521,7 +507,7 @@ def _moment_orders(betas) -> np.ndarray:
     """The moment orders a report on betas needs: the validated orders
     themselves and 2, the Gaussianity ratios' reference, ascending."""
     # np.union1d, through np.unique, would import numpy.ma (half a megabyte)
-    return np.array(sorted({*_check_orders(betas).tolist(), 2.0}))
+    return np.array(sorted({*check_orders(betas, ndim=1).tolist(), 2.0}))
 
 
 def _reports(
@@ -541,7 +527,7 @@ def _reports(
     shots or f_alpha is undefined (beta = 1) or vanishes; the Gaussianity
     ratio is ``nan`` when Delta_2 = 0.
     """
-    betas = _check_orders(betas)
+    betas = check_orders(betas)
     orders = _moment_orders(betas)
     deltas = moments[:, np.searchsorted(orders, betas)]
     d2 = moments[:, np.searchsorted(orders, 2.0)]

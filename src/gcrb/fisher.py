@@ -18,11 +18,10 @@ turns arrays of f_alpha into the bounds.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .model import ModelParams, is_whole, outcome_dprobs, outcome_probs
+from .model import (ModelParams, check_orders, check_real, check_whole, outcome_dprobs,
+                    outcome_probs)
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -35,14 +34,10 @@ VISIBILITY_CLAMP = 1e-14
 
 def conjugate_exponent(beta):
     """Hoelder conjugate alpha = beta / (beta - 1) of one order or an array of
-    orders, each a finite real > 1 (numpy reals included, bools not); a
-    scalar gives a float and an array an array of the same shape.  This is
-    the one check of bound orders.
+    orders, each > 1 (`gcrb.model.check_orders`); a scalar gives a float and
+    an array an array of the same shape.
     """
-    betas = np.asarray(beta)
-    if not (betas.dtype.kind in "iuf" and ((betas > 1.0) & (betas < math.inf)).all()):
-        raise ValueError(f"moment order must be a finite real > 1, got {beta!r}")
-    betas = betas.astype(float)
+    betas = check_orders(beta, bounded=True)
     alphas = betas / (betas - 1.0)
     return float(alphas) if alphas.ndim == 0 else alphas
 
@@ -51,23 +46,17 @@ def generalized_fisher(alpha, phases, params: ModelParams):
     """alpha-th absolute moment of the score, sum_x |dp|^alpha * p^(1-alpha).
 
     A scalar phase gives a float and an array of phases an array of the same
-    shape.  ``alpha`` is one order or a sequence of orders; a sequence adds a
-    leading axis to the result and shares one model evaluation.  Outcomes with
-    exactly zero probability contribute nothing (they never occur).  Any real
-    alpha > 1 is accepted.
+    shape.  ``alpha`` is one order > 1 or an array of them; an array puts its
+    axes before the phase axes of the result, and all orders share one model
+    evaluation.  Outcomes with zero probability contribute nothing (they never occur).
     """
-    orders = np.asarray(alpha, dtype=float)
-    if orders.ndim > 1 or not ((orders > 1.0) & (orders < math.inf)).all():
-        raise ValueError(f"information order must be a finite real > 1, got {alpha!r}")
+    orders = check_orders(alpha, bounded=True)
     effective = ModelParams(min(params.visibility, 1.0 - VISIBILITY_CLAMP))
     p = outcome_probs(phases, effective)
     dp = np.abs(outcome_dprobs(phases, effective))
-    if orders.ndim == 0:
-        a = float(orders)
-    else:
-        # orders on a new axis after the outcome axis
-        p, dp = p[:, np.newaxis], dp[:, np.newaxis]
-        a = orders.reshape(orders.shape + (1,) * (p.ndim - 2))
+    # the orders on axes between the outcome axis and the phase axes
+    a = orders.reshape(orders.shape + (1,) * (p.ndim - 1))
+    p, dp = (x.reshape(x.shape[:1] + (1,) * orders.ndim + x.shape[1:]) for x in (p, dp))
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0)
     total = terms[0] + terms[1] + terms[2] + terms[3]
@@ -79,17 +68,13 @@ def order_bound(beta, f_alpha, shots):
     M = shots repetitions, or the +inf marker where f_alpha vanishes
     (unbounded uncertainty).
 
-    Orders, informations and shot counts broadcast against each other;
-    scalars give a float.
+    Orders, informations (finite reals >= 0) and shot counts (whole numbers
+    >= 1, uncapped) broadcast against each other; scalars give a float.
     """
     alphas = conjugate_exponent(beta)
     betas = np.asarray(beta, dtype=float)
-    infos = np.asarray(f_alpha, dtype=float)
-    if not (np.isfinite(infos) & (infos >= 0.0)).all():
-        raise ValueError(
-            f"generalized Fisher information must be finite and >= 0, got {f_alpha!r}")
-    if not (is_whole(shots) and np.all(np.asarray(shots) >= 1)):
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    infos = np.asarray(check_real(f_alpha, "generalized Fisher information", 0))
+    shots = np.asarray(check_whole(shots, "shots", 1), dtype=float)
     with np.errstate(divide="ignore"):
-        bound = np.asarray(shots, dtype=float) ** (-betas / 2.0) * infos ** (-betas / alphas)
+        bound = shots ** (-betas / 2.0) * infos ** (-betas / alphas)
     return float(bound) if bound.ndim == 0 else bound

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bayes import PhaseDomain
 from .errors import CountsParseError
-from .model import MAX_COUNT, N_SETTINGS, check_counts, is_real
+from .model import MAX_COUNT, N_SETTINGS, check_counts, check_real
 
 COUNTS_COLUMNS = ("phase_rad", "c0", "c1", "c2", "c3")
 ID_COLUMN = "acquisition_id"
@@ -108,12 +108,9 @@ def parse_counts(source: TextIO | str | Path) -> CountsTable:
 
 def write_counts(table: CountsTable, dest: TextIO | str | Path) -> None:
     """Serialize a table to the counts CSV schema (round-trips exactly).
-    Raises ValueError unless the labels are finite reals, the counts pass
-    `gcrb.model.check_counts` and the three columns have the same length."""
-    # element by element, so that a bool among floats is not read as a number
-    labels = np.asarray(table.phase_label, dtype=object)
-    if labels.ndim != 1 or not all(is_real(x) and math.isfinite(x) for x in labels):
-        raise ValueError("phase labels must be a column of finite reals")
+    Raises ValueError unless the labels are a column of finite reals, the
+    counts pass `gcrb.model.check_counts` and the columns have one length."""
+    labels = check_real(table.phase_label, "phase labels", ndim=1)
     counts = check_counts(table.counts)
     ids = tuple(table.acquisition_id)
     if not len(labels) == len(counts) == len(ids):
@@ -124,8 +121,8 @@ def write_counts(table: CountsTable, dest: TextIO | str | Path) -> None:
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for label, row, acquisition_id in zip(labels, counts.tolist(), ids):
-            writer.writerow([repr(float(label)), *map(str, row), acquisition_id][:len(header)])
+        for label, row, acquisition_id in zip(labels.tolist(), counts.tolist(), ids):
+            writer.writerow([repr(label), *map(str, row), acquisition_id][:len(header)])
     finally:
         if owned:
             stream.close()

@@ -13,12 +13,17 @@ argument is reduced with an exact remainder so that periodicity holds bitwise.
 
 The model is evaluated on whole phase arrays: :func:`outcome_probs` and
 :func:`outcome_dprobs` return one row per setting.
+
+Every number given to gcrb is checked here, with a ValueError for any bad
+value: `check_real` and `check_whole` take finite reals and whole numbers in
+a range, `check_orders` moment orders and `check_counts` counts tables.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,38 +39,77 @@ MODEL_NAME = "noon2-4setting"
 MAX_COUNT = 2 ** 53
 
 
-def is_real(value) -> bool:
-    """A real number, numpy scalars included; bools are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _checked(values, name: str, lo, hi, whole: bool, ndim) -> tuple[np.ndarray, np.ndarray]:
+    """values as a numeric array and as floats, checked: each element a finite
+    real in [lo, hi] and, if whole, a whole number, and ndim axes unless ndim
+    is None; otherwise a ValueError naming the first element that is not."""
+    array = np.asarray(values)
+    # arrays of whole numbers are returned as int64
+    hi = min(hi, 2 ** 63 - 1) if whole and array.ndim else hi
+    kind = "whole number" if whole else "finite real"
+    dims = array.ndim if ndim is None else ndim
+    what = (f"a {kind}" if dims == 0 else f"{kind}s" if ndim is None
+            else f"a {ndim}-d array of {kind}s")
+    where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo}, {hi}]"
+    rule = f"{name} must be {what}{where}, got"
+    if array.ndim != dims:
+        raise ValueError(f"{rule} {values!r}")
+    # asarray reads a bool among numbers as a number, and None, a string or an
+    # int beyond int64 make an object array: so the elements of all but a
+    # numeric ndarray are looked at one by one, ints beyond float range too
+    if array.dtype.kind not in "iuf" or not isinstance(values, np.ndarray):
+        for cell in np.asarray(values, dtype=object).flat:
+            if (isinstance(cell, (bool, np.bool_)) or not isinstance(cell, numbers.Real)
+                    or isinstance(cell, int) and abs(cell) > sys.float_info.max):
+                raise ValueError(f"{rule} {cell!r}")
+    reals = array.astype(float)
+    if array.dtype.kind == "f":
+        # float(2**63 - 1) is 2**63: floats meet the floats nearest inside [lo, hi]
+        lo = math.nextafter(float(lo), math.inf) if float(lo) < lo else float(lo)
+        hi = math.nextafter(float(hi), -math.inf) if float(hi) > hi else float(hi)
+    # nan fails every comparison
+    ok = np.isfinite(reals) & (array >= lo) & (array <= hi)
+    if whole:
+        ok &= reals == np.floor(reals)
+    if not ok.all():
+        raise ValueError(f"{rule} {array[~ok].tolist()[0]!r}")
+    return array, reals
 
 
-def is_whole(value) -> bool:
-    """An integer-valued real, numpy scalars included, or a numeric array of
-    them; bools, nan and inf are not."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf" and bool(np.all(np.isfinite(value)
-                                                         & (value == np.floor(value))))
-    return is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+def check_real(values, name: str, lo=-math.inf, hi=math.inf, *, ndim=None):
+    """A finite real in [lo, hi] as a float, or an array of them (of ndim axes
+    unless ndim is None) as a float array, read elementwise.  Raises
+    ValueError for any other value: nan, inf, bools (also among numbers),
+    strings, None, complex numbers, objects and ints beyond float range."""
+    _, reals = _checked(values, name, lo, hi, False, ndim)
+    return float(reals) if reals.ndim == 0 else reals
+
+
+def check_whole(values, name: str, lo=-math.inf, hi=math.inf, *, ndim=None):
+    """A whole number in [lo, hi] as an int, or an array of them, each within
+    int64, as an int64 array: an integer or an integer-valued float, under the
+    rules of `check_real`."""
+    array, _ = _checked(values, name, lo, hi, True, ndim)
+    return int(array.tolist()) if array.ndim == 0 else array.astype(np.int64)
+
+
+def check_orders(values, bounded: bool = False, *, ndim=None) -> np.ndarray:
+    """Moment orders beta as a float array of their shape, under the rules of
+    `check_real`: finite reals >= 1, and > 1 where bounded, since an order-beta
+    bound needs the conjugate exponent beta / (beta - 1)."""
+    orders = np.asarray(check_real(values, "moment order", 1, ndim=ndim))
+    if bounded and (orders == 1.0).any():
+        raise ValueError(f"moment order of a bound must be > 1, got {values!r}")
+    return orders
 
 
 def check_counts(counts) -> np.ndarray:
-    """An (E, 4) table of setting counts, one row per experiment, as int64.
-    Raises ValueError unless it has that shape and every count is an
-    integer-valued real in [0, MAX_COUNT]: bools, nan, inf, objects and
-    strings are not counts."""
-    values = np.asarray(counts)
-    if values.ndim != 2 or values.shape[1] != N_SETTINGS:
-        raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {values.shape}")
-    # asarray turns a bool among ints into an int, so the elements of a
-    # sequence are looked at too
-    cells = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object).flat
-    if values.dtype.kind not in "iuf" or any(isinstance(c, (bool, np.bool_)) for c in cells):
-        raise ValueError("counts must be integer-valued reals, not bools, strings or objects")
-    # nan fails every comparison
-    bad = ~((values >= 0) & (values <= MAX_COUNT) & (values == np.floor(values)))
-    if bad.any():
-        raise ValueError(f"counts must be integers in [0, 2**53], got {values[bad][0].item()!r}")
-    return values.astype(np.int64)
+    """An (E, 4) table of setting counts, one row per experiment, as int64:
+    whole numbers in [0, MAX_COUNT] (`check_whole`)."""
+    table = check_whole(counts, "counts", 0, MAX_COUNT)
+    if np.ndim(table) != 2 or table.shape[1] != N_SETTINGS:
+        raise ValueError(f"counts must be an (E, {N_SETTINGS}) table, got shape {np.shape(table)}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -75,10 +119,8 @@ class ModelParams:
     visibility: float
 
     def __post_init__(self) -> None:
-        v = self.visibility
-        if not (is_real(v) and math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise ValueError(f"visibility must lie in [0, 1], got {v!r}")
-        object.__setattr__(self, "visibility", float(v))
+        visibility = check_real(self.visibility, "visibility", 0, 1, ndim=0)
+        object.__setattr__(self, "visibility", visibility)
 
 
 def _phase_trig(phases) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,10 @@ v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
 separate campaigns, shared between its own process and forked children, with
 the same bytes as in one process.
 A tally does not depend on v_est, so a sweep draws a campaign's tallies once
-(`campaign_tallies`) and passes them to each v_est's `run_campaign`.  They go
-through the counts evaluator under `analyze`'s `gcrb.bayes.report_counts`
+(`campaign_tallies`) and passes them to each v_est's `run_campaign`.  A
+campaign's shots are at most 2**53 (`gcrb.model.MAX_COUNT`), so its own
+tallies pass the counts check that given tallies face.  Tallies go through
+the counts evaluator under `analyze`'s `gcrb.bayes.report_counts`
 (`gcrb.bayes._evaluate_counts`; a row's results do not depend on which rows
 share its block) and are flagged by array comparison against the per-order
 bounds, windows and Gaussian centres of the rule, all taken from one
@@ -57,7 +59,8 @@ from .bayes import (
 )
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import ModelParams, check_counts, is_real, is_whole, outcome_probs
+from .model import (MAX_COUNT, ModelParams, check_counts, check_orders, check_real, check_whole,
+                    outcome_probs)
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -80,31 +83,21 @@ class CampaignConfig:
     window_scale: str = "standard-error"
 
     def __post_init__(self) -> None:
-        if not (is_real(self.phase_true) and math.isfinite(self.phase_true)):
-            raise ValueError(f"phase_true must be a finite real, got {self.phase_true!r}")
-        for name in ("v_true", "v_est"):
-            v = getattr(self, name)
-            if not (is_real(v) and math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        for name in ("shots", "n_experiments"):
-            if not (is_whole(getattr(self, name)) and getattr(self, name) >= 1):
-                raise ValueError(f"{name} must be a positive integer")
-        # every order needs a conjugate one: a finite real > 1
-        conjugate_exponent(self.beta_list)
-        if not (is_whole(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.violation_rule not in VIOLATION_RULES:
-            raise ValueError(f"violation_rule must be one of {VIOLATION_RULES}")
-        if self.window_scale not in WINDOW_SCALES:
-            raise ValueError(f"window_scale must be one of {WINDOW_SCALES}")
-        if not (is_real(self.sigma_window) and math.isfinite(self.sigma_window)
-                and self.sigma_window >= 0.0):
-            raise ValueError("sigma_window must be >= 0")
-        for name in ("phase_true", "v_true", "v_est", "sigma_window"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("shots", "n_experiments", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "beta_list", tuple(float(b) for b in self.beta_list))
+        for name, allowed in (("violation_rule", VIOLATION_RULES), ("window_scale", WINDOW_SCALES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
+        for name, value in {
+            "phase_true": check_real(self.phase_true, "phase_true", ndim=0),
+            "v_true": ModelParams(self.v_true).visibility,
+            "v_est": ModelParams(self.v_est).visibility,
+            "shots": check_whole(self.shots, "shots", 1, MAX_COUNT, ndim=0),
+            "n_experiments": check_whole(self.n_experiments, "n_experiments", 1, ndim=0),
+            # every order needs a conjugate one
+            "beta_list": tuple(check_orders(self.beta_list, bounded=True, ndim=1).tolist()),
+            "seed": check_whole(self.seed, "seed", 0, 2 ** 64 - 1, ndim=0),
+            "sigma_window": check_real(self.sigma_window, "sigma_window", 0, ndim=0),
+        }.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -137,20 +130,17 @@ def sample_tally(
 ) -> np.ndarray:
     """M i.i.d. categorical draws over the settings, returned as the (4,)
     integer array of per-setting counts."""
-    if not (is_whole(shots) and shots >= 0):
-        raise ValueError("shots must be a non-negative integer")
-    return rng.multinomial(int(shots), outcome_probs(phase_true, ModelParams(v_true)))
+    probs = outcome_probs(check_real(phase_true, "phase_true", ndim=0), ModelParams(v_true))
+    return rng.multinomial(check_whole(shots, "shots", 0, MAX_COUNT, ndim=0), probs)
 
 
 def sigma_beta(beta, shots: int, fisher_info: float):
     """Standard deviation of |phi - phi_hat|**beta under the asymptotic Gaussian
     posterior of width sigma = 1/sqrt(M * F), for one order or an array of
     orders; a scalar order gives a float."""
-    if not fisher_info > 0.0:
+    if not check_real(fisher_info, "Fisher information", 0, ndim=0) > 0.0:
         raise ValueError("sigma_beta undefined for vanishing Fisher information")
-    if not (is_whole(shots) and shots >= 1):
-        raise ValueError("shots must be a positive integer")
-    sigma = 1.0 / math.sqrt(shots * fisher_info)
+    sigma = 1.0 / math.sqrt(check_whole(shots, "shots", 1, ndim=0) * fisher_info)
     mean = gaussian_abs_moment(beta, sigma)
     variance = gaussian_abs_moment(2.0 * np.asarray(beta), sigma) - mean ** 2
     # clip the tiny negative excursions float cancellation can produce
@@ -236,10 +226,7 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
     Returns a one-row table, deterministic given (config.seed, experiment_index).
     Raises ValueError unless the index is an integer in [0, n_experiments).
     """
-    if not (is_whole(experiment_index) and 0 <= experiment_index < config.n_experiments):
-        raise ValueError(f"experiment_index must be an integer in [0, {config.n_experiments}), "
-                         f"got {experiment_index!r}")
-    index = int(experiment_index)
+    index = check_whole(experiment_index, "experiment_index", 0, config.n_experiments - 1, ndim=0)
     return _evaluate(config, np.array([index]), _draw(config, range(index, index + 1)))
 
 

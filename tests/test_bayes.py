@@ -504,8 +504,9 @@ def test_absolute_moment_validates_order():
     tally = (0, 0, 0, 0)
     with pytest.raises(ValueError):
         one_row(tally, ModelParams(0.95), betas=(2.0, 0.5))
-    # a bool is not an order; numpy reals, integers included, are
-    for bad in ([True], [np.True_]):
+    # a bool is not an order, alone or among floats; numpy reals, integers
+    # included, are
+    for bad in ([True], [np.True_], (1.5, True), (1.5, np.True_)):
         with pytest.raises(ValueError):
             one_row(tally, ModelParams(0.95), betas=bad)
     assert (one_row(tally, ModelParams(0.95), betas=np.array([2, 3])).deltas
@@ -545,8 +546,9 @@ def test_gaussian_abs_moment_values():
     with pytest.raises(ValueError):
         gaussian_abs_moment(3.0, -1.0)
     assert gaussian_abs_moment(np.int64(4), 1.0) == gaussian_abs_moment(4.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_abs_moment(True, 1.0)
+    for bad in (True, np.True_, [2.0, True], (2.0, np.True_)):
+        with pytest.raises(ValueError):
+            gaussian_abs_moment(bad, 1.0)
 
 
 def test_gaussian_abs_moment_broadcasts():
@@ -616,7 +618,8 @@ def test_saturation_report_shape():
     # raised a TypeError
     for bad in ([[-5, 10, 10, 10]], [[2 ** 60, 1, 1, 1]], [[math.nan, 1, 1, 1]],
                 np.ones((1, 4), dtype=bool), [[True, 1, 1, 1]], [["5", "1", "1", "1"]],
-                [[10 ** 400, 1, 1, 1]], [[1.5, 1, 1, 1]]):
+                [[10 ** 400, 1, 1, 1]], [[1.5, 1, 1, 1]], [[np.True_, 1, 1, 1]],
+                [[None, 1, 1, 1]], [[1 + 0j, 1, 1, 1]]):
         with pytest.raises(ValueError, match="counts must be"):
             report_counts(bad, ModelParams(0.95))
     report = one_row(tally, ModelParams(0.95))

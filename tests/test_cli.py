@@ -154,6 +154,22 @@ def test_simulate_invalid_config_leaves_no_output(tmp_path):
     assert not (tmp_path / "bad.csv.manifest.json").exists()
 
 
+def test_oversized_shot_counts_are_usage_errors(tmp_path, capsys):
+    # a campaign's shots stop at 2**53 and any count at float range: one
+    # error line, exit code 1 and no output, not an OverflowError
+    out = tmp_path / "out.csv"
+    for argv in (["simulate", "--shots", "1" + "0" * 30, "--v-est", "0.95", "--experiments", "2"],
+                 ["simulate", "--shots", str(2 ** 60), "--v-est", "0.95", "--experiments", "2"],
+                 ["bounds", "--shots", "1" + "0" * 400]):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gcrb: error: shots must be") and err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()
+    # the bounds themselves have no count limit
+    assert main(["bounds", "--shots", "1" + "0" * 20, "--out", str(out)]) == 0
+    assert all(float(row["bound_delta_beta"]) > 0.0 for row in rows_of(out))
+
+
 def test_simulate_zero_information_v_est_flags_its_own_rows(tmp_path, capsys):
     # v_est = 0 leaves Sigma_beta undefined; its rows are nan and the other
     # rows match a sweep without it
@@ -572,7 +588,7 @@ def test_first_bad_v_est_is_reported_whatever_the_worker_count(monkeypatch, caps
         code, files, err = run_cli(monkeypatch, capsys, tmp_path, cpus,
                                    ["simulate", "--v-est", "0.95,2.0,1.5", "--experiments", "5"])
         assert code == 1 and files == [None, None]
-        assert err == "gcrb: error: v_est must lie in [0, 1], got 2.0\n"
+        assert err == "gcrb: error: visibility must be a finite real in [0, 1], got 2.0\n"
 
 
 def test_importing_the_cli_does_not_import_multiprocessing(tmp_path):

@@ -48,7 +48,8 @@ def test_conjugate_examples():
 
 
 def test_conjugate_rejects_bad_orders():
-    for bad in (1.0, 0.5, -2.0, float("nan"), float("inf"), True, np.True_):
+    for bad in (1.0, 0.5, -2.0, float("nan"), float("inf"), True, np.True_, 10 ** 400, "1",
+                None, 1 + 0j, [2.0, True], [2.0, np.True_]):
         with pytest.raises(ValueError):
             conjugate_exponent(bad)
 

@@ -183,7 +183,8 @@ def test_phase_labels_are_finite_reals_stored_as_floats(tmp_path):
         write_counts(CountsTable([label], np.array([[1, 2, 3, 4]]), ("",)), path)
         assert parse_counts(path).phase_label.tolist() == [float(label)]
     for labels in ([True], [np.True_], ["0.3"], [None], [math.nan], [math.inf],
-                   [0.1, True], np.array([0.2, math.nan]), 0.3, [[0.3]]):
+                   [0.1, True], np.array([0.2, math.nan]), 0.3, [[0.3]], [10 ** 400],
+                   [0.1, 10 ** 400], [1 + 0j], [0.1, np.True_]):
         with pytest.raises(ValueError, match="phase label"):
             write_counts(CountsTable(labels, np.ones((np.size(labels), 4), int),
                                      ("",) * np.size(labels)), path)
@@ -196,7 +197,8 @@ def test_written_counts_and_column_lengths_are_checked(tmp_path):
     # four per label; integer-valued floats are counts too
     write_counts(CountsTable([0.1], np.array([[1.0, 2, 3, 4]]), ("",)), path)
     assert parse_counts(path).counts.tolist() == [[1, 2, 3, 4]]
-    for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, -1, 1.5, True, "5"):
+    for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, -1, 1.5, True, "5",
+                np.True_, None, 1 + 0j):
         with pytest.raises(ValueError, match="counts must be"):
             write_counts(CountsTable([0.1], [[0, 0, bad, 0]], ("",)), path)
     for bad in ([1, 2, 3, 4], [[1, 2, 3]], np.ones((1, 1, 4), int)):

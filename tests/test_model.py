@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcrb.bayes import DEFAULT_DOMAIN, _log_ratio, _ratio_scale, _split
-from gcrb.fisher import generalized_fisher
-from gcrb.model import ModelParams, check_counts, outcome_dprobs, outcome_probs
+from gcrb.bayes import (DEFAULT_DOMAIN, PhaseDomain, _log_ratio, _ratio_scale, _split,
+                        gaussian_abs_moment, report_counts)
+from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
+from gcrb.model import ModelParams, check_counts, check_whole, outcome_dprobs, outcome_probs
+from gcrb.montecarlo import CampaignConfig, experiment_rng, sample_tally, sigma_beta
 
 PI = math.pi
 L = PI / 2.0
+
+# not a number of any kind gcrb takes: beyond float range, bools, nan, inf, a
+# string, None and a complex number
+BAD_NUMBERS = (10 ** 400, True, np.True_, math.nan, math.inf, "1", None, 1 + 0j)
 
 
 def log_ratio(tally, params, ref, phases):
@@ -34,7 +40,7 @@ def test_setting_table():
 def test_params_domain():
     assert ModelParams(0.0).visibility == 0.0
     assert ModelParams(1.0).visibility == 1.0
-    for bad in (-0.01, 1.01, float("nan"), float("inf"), True, np.True_):
+    for bad in (-0.01, 1.01, [0.5], *BAD_NUMBERS):
         with pytest.raises(ValueError):
             ModelParams(bad)
     assert ModelParams(np.int64(1)) == ModelParams(1.0)
@@ -59,11 +65,61 @@ def test_tally_validation():
     for shape in ((4,), (1, 3), (2, 5), (1, 1, 4), (0,), ()):
         with pytest.raises(ValueError, match=r"\(E, 4\) table"):
             check_counts(np.ones(shape, dtype=int))
-    for bad in (2 ** 53 + 1, 10 ** 400, math.inf, math.nan, 1e300, True, "5"):
-        with pytest.raises(ValueError):
+    for bad in (2 ** 53 + 1, 1e300, *BAD_NUMBERS):
+        with pytest.raises(ValueError, match="counts must be"):
             check_counts([(bad, 0, 0, 0)])
         with pytest.raises(ValueError):
             check_counts([(0, 0, 0, 0), (0, 0, bad, 0)])
+
+
+def test_whole_numbers_are_compared_exactly():
+    # a float bound would round: float(2**64 - 1) is 2**64, float(2**63 - 1)
+    # is 2**63, the first float beyond the int64 of a whole-number array
+    assert check_whole(2 ** 64 - 1, "seed", 0, 2 ** 64 - 1) == 2 ** 64 - 1
+    assert check_whole(10 ** 20, "shots", 1) == 10 ** 20
+    assert check_whole(np.array([2.0 ** 62]), "shots").tolist() == [2 ** 62]
+    for bad, hi in ((2.0 ** 64, 2 ** 64 - 1), (2 ** 64, 2 ** 64 - 1),
+                    (np.array([2.0 ** 63]), math.inf), (np.array([2 ** 63], np.uint64), math.inf)):
+        with pytest.raises(ValueError):
+            check_whole(bad, "x", 0, hi)
+
+
+def test_every_entry_point_rejects_every_bad_number():
+    # each checked parameter of a public constructor or function: its form, a
+    # good value and a call on the value.  "array" parameters take numbers and
+    # arrays of them, "sequence" parameters sequences only.  Every bad number
+    # raises ValueError, alone and among good numbers, never OverflowError or
+    # TypeError.  Visibilities, counts, phase labels, experiment indices,
+    # sample_tally's shots and conjugate_exponent have tests of their own.
+    base = dict(phase_true=0.4, v_true=0.95, v_est=0.95, n_experiments=3)
+    checked = [
+        ("scalar", 0.5, lambda x: PhaseDomain(x, 1.0)),
+        ("scalar", 1.0, lambda x: PhaseDomain(0.0, x)),
+        *(("scalar", 1, lambda x, name=name: CampaignConfig(**{**base, name: x}))
+          for name in ("phase_true", "v_true", "v_est", "shots", "n_experiments", "seed",
+                       "sigma_window")),
+        ("sequence", 2.0, lambda x: CampaignConfig(**base, beta_list=x)),
+        ("scalar", 0.4, lambda x: sample_tally(x, 0.95, 10, experiment_rng(0, 0))),
+        ("scalar", 0.95, lambda x: sample_tally(0.4, x, 10, experiment_rng(0, 0))),
+        ("array", 2.0, lambda x: sigma_beta(x, 2000, 1.8)),
+        ("scalar", 2000, lambda x: sigma_beta(2.0, x, 1.8)),
+        ("scalar", 1.8, lambda x: sigma_beta(2.0, 2000, x)),
+        ("array", 2.0, lambda x: order_bound(x, 1.8, 2000)),
+        ("array", 1.8, lambda x: order_bound(2.0, x, 2000)),
+        ("array", 2000, lambda x: order_bound(2.0, 1.8, x)),
+        ("array", 2.0, lambda x: gaussian_abs_moment(x, 0.1)),
+        ("array", 0.1, lambda x: gaussian_abs_moment(2.0, x)),
+        ("array", 2.0, lambda x: generalized_fisher(x, 0.4, ModelParams(0.95))),
+        ("sequence", 2.0, lambda x: report_counts([[1, 2, 3, 4]], ModelParams(0.95), betas=x)),
+    ]
+    for form, good, call in checked:
+        call((good,) if form == "sequence" else good)
+        for bad in BAD_NUMBERS:
+            values = [(bad,), (good, bad)] if form == "sequence" else [bad]
+            values += [[good, bad]] if form == "array" else []
+            for value in values:
+                with pytest.raises(ValueError):
+                    call(value)
 
 
 def test_outcome_prob_values():

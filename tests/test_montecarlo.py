@@ -73,7 +73,7 @@ def test_config_validation():
     for bad in (dict(shots=True), dict(n_experiments=True), dict(seed=True),
                 dict(v_true=True), dict(v_est=True), dict(phase_true=True),
                 dict(phase_true="0.3"), dict(shots=2000.5), dict(shots=math.inf),
-                dict(sigma_window=True)):
+                dict(sigma_window=True), dict(seed=2.0 ** 64)):
         with pytest.raises(ValueError):
             small_config(**bad)
     # numpy scalars are accepted and stored as Python floats and ints
@@ -93,7 +93,7 @@ def test_sample_tally_zero_shots():
     assert tally.shape == (4,) and tally.dtype.kind == "i"
     assert sample_tally(0.3, 0.9, np.int64(0), experiment_rng(0, 0)).tolist() == [0, 0, 0, 0]
     # a bool is not a number of shots (True used to draw one)
-    for bad in (True, False, 2.5, -1):
+    for bad in (True, False, np.True_, 2.5, -1, 10 ** 400, math.nan, math.inf, "1", None, 1 + 0j):
         with pytest.raises(ValueError):
             sample_tally(0.3, 0.9, bad, experiment_rng(0, 0))
 
@@ -144,7 +144,8 @@ def test_run_experiment_is_deterministic():
     # bool, in [0, n_experiments)
     assert_row_identical(run_experiment(config, np.int64(7)), 0, first)
     five = small_config(n_experiments=5)
-    for bad in (-1, 1.5, 5, 7, True, np.True_, "1", None):
+    for bad in (-1, 1.5, 5, 7, True, np.True_, "1", None, 10 ** 400, math.nan, math.inf, 1 + 0j,
+                [3]):
         with pytest.raises(ValueError, match="experiment_index"):
             run_experiment(five, bad)
 
@@ -276,6 +277,24 @@ def test_campaign_on_given_tallies():
                 np.full(counts.shape, np.nan), counts.astype(str)):
         with pytest.raises(ValueError):
             run_campaign(config, bad)
+
+
+def test_campaign_shots_are_capped_at_the_largest_exact_count():
+    # a campaign's shots are whole numbers in [1, 2**53], sample_tally's in
+    # [0, 2**53]: at 2**60 run_campaign used to evaluate its own draw, with
+    # counts near 4.8e17, which the check of given tallies rejects
+    for shots in (2 ** 53 + 1, 2 ** 60, 10 ** 30, 10 ** 400, float(2 ** 60)):
+        with pytest.raises(ValueError, match="shots"):
+            small_config(shots=shots)
+        with pytest.raises(ValueError, match="shots"):
+            sample_tally(0.4, 0.95, shots, experiment_rng(0, 0))
+    assert sample_tally(0.4, 0.95, 2 ** 53, experiment_rng(0, 0)).sum() == 2 ** 53
+    # at the cap a campaign's own draw passes the check of given tallies
+    config = small_config(shots=2 ** 53, n_experiments=2)
+    own, given = run_campaign(config), run_campaign(config, campaign_tallies(config))
+    assert own.counts.max() > 2 ** 50 and own.feasible.all()
+    assert own.flags.tobytes() == given.flags.tobytes()
+    assert own.deltas.tobytes() == given.deltas.tobytes()
 
 
 def test_zero_information_campaign_is_undefined():
