@@ -15,7 +15,7 @@ import numpy as np
 
 from gcrb.bayes import DEFAULT_DOMAIN
 from gcrb.ingest import CountsTable, fold_phase, write_counts
-from gcrb.montecarlo import experiment_rng, sample_tally
+from gcrb.montecarlo import draw_tallies
 
 
 def main() -> int:
@@ -32,8 +32,7 @@ def main() -> int:
 
     phases = np.array(args.phase)
     targets = fold_phase(phases, DEFAULT_DOMAIN) if args.fold else phases
-    counts = np.array([sample_tally(target, args.v_true, args.shots, experiment_rng(args.seed, i))
-                       for i, target in enumerate(targets.tolist())])
+    counts = draw_tallies(targets, args.v_true, args.shots, args.seed, np.arange(len(phases)))
     ids = tuple(f"synthetic-{i:04d}" for i in range(len(phases)))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_counts(CountsTable(phases, counts, ids), args.out)

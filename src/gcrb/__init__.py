@@ -44,10 +44,9 @@ from .montecarlo import (
     CampaignConfig,
     ExperimentTable,
     campaign_tallies,
-    experiment_rng,
+    draw_tallies,
     run_campaign,
     run_experiment,
-    sample_tally,
     sigma_beta,
 )
 
@@ -66,7 +65,7 @@ __all__ = [
     "UndefinedRatioError",
     "campaign_tallies",
     "conjugate_exponent",
-    "experiment_rng",
+    "draw_tallies",
     "fold_phase",
     "gaussian_abs_moment",
     "generalized_fisher",
@@ -78,7 +77,6 @@ __all__ = [
     "report_counts",
     "run_campaign",
     "run_experiment",
-    "sample_tally",
     "sigma_beta",
     "write_counts",
 ]

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UndefinedRatioError
-from .fisher import conjugate_exponent, generalized_fisher, order_bound
+from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
 from .model import (N_SETTINGS, PI, ModelParams, check_counts, check_orders, check_real,
                     outcome_dprobs, outcome_probs)
 
@@ -104,6 +104,9 @@ _PIECE_NODES = 48
 _MOMENT_NODES = 56
 _MIDDLE_NODES = 32
 _KINK_REACH = 0.125
+
+# the largest order whose Gaussian moment's Gamma((beta + 1) / 2) is a float
+MAX_GAUSSIAN_ORDER = 342.2487539126054
 
 
 @dataclass(frozen=True)
@@ -430,8 +433,8 @@ def _integrate(counts, params, row, ref, end, level, betas):
              np.stack([ref[holds], end[holds]], axis=1), _MOMENT_RULE, inner, kernel)
     np.abs(inner, out=inner)
     kernel[along[holds] > 1.0, _MIDDLE_NODES:] *= -1.0
-    # one scalar power per order: with an array of orders np.power takes
-    # x * x for some rows and pow(x, 2) for others, depending on the shape
+    # gcrb's rule for every power to a moment order: one scalar exponent at a
+    # time, since numpy picks its loop for a broadcast exponent by the shape
     moments = np.empty((betas.size, row.size))
     for i, b in enumerate(betas.tolist()):
         for pieces, x, weight in ((rest, dist, far), (holds, inner, kernel)):
@@ -442,12 +445,8 @@ def _integrate(counts, params, row, ref, end, level, betas):
     return phi_hat, deltas.T
 
 
-def _evaluate_counts(
-    counts: np.ndarray,
-    params: ModelParams,
-    domain: PhaseDomain,
-    betas,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _evaluate_counts(counts: np.ndarray, params: ModelParams, domain: PhaseDomain,
+                     betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """feasible (E,), phi_hat (E,) and Delta_beta (E, len(betas)) for each row
     of an (E, 4) counts table under params; an infeasible row, whose counts
     are impossible on the whole domain, has ``nan`` phi_hat and deltas.
@@ -478,45 +477,41 @@ def gaussian_abs_moment(beta, sigma):
     """Absolute central moment of a Gaussian with standard deviation sigma.
 
     E|X - mu|**beta = sigma**beta * 2**(beta/2) * Gamma((beta+1)/2) / sqrt(pi);
-    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  Orders
-    broadcast against sigmas; scalars give a float.
+    beta = 2, 3, 4 give sigma^2, 2*sqrt(2/pi)*sigma^3 and 3*sigma^4.  Orders,
+    up to MAX_GAUSSIAN_ORDER, broadcast against sigmas; scalars give a float.
     """
-    betas = check_orders(beta)
-    sigmas = np.asarray(check_real(sigma, "standard deviation", 0))
-    gammas = np.array([math.gamma((b + 1.0) / 2.0) for b in betas.flat]).reshape(betas.shape)
-    value = sigmas ** betas * 2.0 ** (betas / 2.0) * gammas / math.sqrt(PI)
-    return float(value) if value.ndim == 0 else value
+    betas = check_orders(beta, hi=MAX_GAUSSIAN_ORDER)
+    sigmas = check_real(sigma, "standard deviation", 0)
+    return per_order(lambda b, s: s ** b * 2.0 ** (b / 2.0) * math.gamma((b + 1.0) / 2.0)
+                     / math.sqrt(PI), betas, sigmas)
 
 
 def kappa(delta_beta, f_alpha, shots, beta):
     """Saturation ratio kappa_beta = Delta_beta / order_bound(beta, f_alpha,
     shots) = Delta_beta * M**(beta/2) * f_alpha**(beta/alpha).
 
-    Values below 1 indicate a violated order-beta bound.  Moments, orders,
-    informations and shots broadcast; scalars give a float.  Raises
-    UndefinedRatioError where f_alpha vanishes.
+    Values below 1 indicate a violated order-beta bound.  Moments (reals, or
+    nan for an infeasible row), orders, informations and shots broadcast;
+    scalars give a float.  Raises UndefinedRatioError where f_alpha vanishes.
     """
-    if np.any(np.asarray(f_alpha) <= 0.0):
+    moments = check_real(delta_beta, "absolute moment", nan=True)
+    infos = check_real(f_alpha, "generalized Fisher information", 0)
+    if np.any(infos == 0.0):
         raise UndefinedRatioError(
             "saturation ratio undefined: generalized Fisher information vanishes")
-    value = np.asarray(delta_beta, dtype=float) / order_bound(beta, f_alpha, shots)
+    value = np.asarray(moments) / order_bound(beta, infos, shots)
     return float(value) if value.ndim == 0 else value
 
 
 def _moment_orders(betas) -> np.ndarray:
-    """The moment orders a report on betas needs: the validated orders
-    themselves and 2, the Gaussianity ratios' reference, ascending."""
+    """The moment orders a report on betas needs: the validated orders, each
+    with a Gaussian moment, and 2, the Gaussianity ratios' reference, ascending."""
     # np.union1d, through np.unique, would import numpy.ma (half a megabyte)
-    return np.array(sorted({*check_orders(betas, ndim=1).tolist(), 2.0}))
+    return np.array(sorted({*check_orders(betas, hi=MAX_GAUSSIAN_ORDER, ndim=1).tolist(), 2.0}))
 
 
-def _reports(
-    phi_hat: np.ndarray,
-    moments: np.ndarray,
-    shots: np.ndarray,
-    params: ModelParams,
-    betas,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params: ModelParams,
+             betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delta_beta, kappa_beta and Gaussianity ratios, each (E, len(betas)),
     from the phi_hat (E,) and the moments (E, len(_moment_orders(betas))) of
     posteriors with the given shot counts.
@@ -561,12 +556,8 @@ class CountsReport(NamedTuple):
     gauss_ratios: np.ndarray  # (E, n_beta) Delta_beta / Delta_beta(Gaussian)
 
 
-def report_counts(
-    counts,
-    params: ModelParams,
-    domain: PhaseDomain = DEFAULT_DOMAIN,
-    betas=DEFAULT_BETAS,
-) -> CountsReport:
+def report_counts(counts, params: ModelParams, domain: PhaseDomain = DEFAULT_DOMAIN,
+                  betas=DEFAULT_BETAS) -> CountsReport:
     """phi_hat and, for each order beta, Delta_beta, the saturation ratio
     kappa_beta and the Gaussianity ratio Delta_beta / Delta_beta(Gaussian at
     sigma = sqrt(Delta_2)) for each row of an (E, 4) counts table under params.

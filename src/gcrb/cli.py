@@ -60,7 +60,7 @@ import numpy as np
 from . import __version__
 from .bayes import DEFAULT_BETAS, PhaseDomain, report_counts
 from .errors import EstimationError, UndefinedRatioError
-from .fisher import conjugate_exponent, generalized_fisher, order_bound
+from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
 from .montecarlo import (VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, campaign_tallies,
@@ -320,7 +320,7 @@ def cmd_bounds(args) -> int:
     infos = generalized_fisher(alphas, phases, params)
     bounds = order_bound(np.array(betas)[:, np.newaxis], infos, args.shots)
     with np.errstate(divide="ignore"):
-        rescaled = infos ** (-1.0 / np.array(alphas)[:, np.newaxis])
+        rescaled = per_order(lambda a, f: f ** (-1.0 / a), np.array(alphas)[:, np.newaxis], infos)
     lines = (
         f"{phase!r},{b!r},{a!r},{f!r},{bound!r},{r!r}"
         for phase, *cells in zip(phases, infos.T.tolist(), bounds.T.tolist(), rescaled.T.tolist())

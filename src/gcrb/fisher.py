@@ -13,7 +13,8 @@ familiar 1/(M*F) variance bound with F = f_2 the Fisher information,
 Every function here broadcasts over orders: `conjugate_exponent` maps an
 array of orders beta to their alphas, `generalized_fisher` gives f_alpha for
 arrays of orders and phases from one model evaluation, and `order_bound`
-turns arrays of f_alpha into the bounds.
+turns arrays of f_alpha into the bounds, each power to one order at a time
+(`per_order`), so that every element has the bits it would have alone.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ def conjugate_exponent(beta):
     return float(alphas) if alphas.ndim == 0 else alphas
 
 
+def per_order(func, orders, *arrays):
+    """func(beta, *parts) for each distinct order beta of orders, broadcast
+    against the arrays, where parts are the elements of the arrays at that
+    order, as 1-d arrays: each power to an order takes one scalar exponent
+    (the rule of `gcrb.bayes._integrate`).  Scalars give a float."""
+    distinct = set(np.ravel(orders).tolist())
+    orders, *arrays = np.broadcast_arrays(orders, *arrays)
+    out = np.empty(orders.shape)
+    for beta in distinct:
+        at = orders == beta
+        out[at] = func(beta, *(array[at] for array in arrays))
+    return float(out) if out.ndim == 0 else out
+
+
 def generalized_fisher(alpha, phases, params: ModelParams):
     """alpha-th absolute moment of the score, sum_x |dp|^alpha * p^(1-alpha).
 
@@ -54,12 +69,10 @@ def generalized_fisher(alpha, phases, params: ModelParams):
     effective = ModelParams(min(params.visibility, 1.0 - VISIBILITY_CLAMP))
     p = outcome_probs(phases, effective)
     dp = np.abs(outcome_dprobs(phases, effective))
-    # the orders on axes between the outcome axis and the phase axes
-    a = orders.reshape(orders.shape + (1,) * (p.ndim - 1))
-    p, dp = (x.reshape(x.shape[:1] + (1,) * orders.ndim + x.shape[1:]) for x in (p, dp))
+    # one scalar exponent per order (`per_order`), the outcomes summed in order
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0)
-    total = terms[0] + terms[1] + terms[2] + terms[3]
+        total = np.array([sum(np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0))
+                          for a in orders.ravel().tolist()]).reshape(orders.shape + p.shape[1:])
     return float(total) if total.ndim == 0 else total
 
 
@@ -71,10 +84,10 @@ def order_bound(beta, f_alpha, shots):
     Orders, informations (finite reals >= 0) and shot counts (whole numbers
     >= 1, uncapped) broadcast against each other; scalars give a float.
     """
-    alphas = conjugate_exponent(beta)
-    betas = np.asarray(beta, dtype=float)
-    infos = np.asarray(check_real(f_alpha, "generalized Fisher information", 0))
+    betas = check_orders(beta, bounded=True)
+    infos = check_real(f_alpha, "generalized Fisher information", 0)
     shots = np.asarray(check_whole(shots, "shots", 1), dtype=float)
     with np.errstate(divide="ignore"):
-        bound = shots ** (-betas / 2.0) * infos ** (-betas / alphas)
-    return float(bound) if bound.ndim == 0 else bound
+        # -beta / alpha, with alpha = beta / (beta - 1) as in conjugate_exponent
+        return per_order(lambda b, f, m: m ** (-b / 2.0) * f ** (-b / (b / (b - 1.0))),
+                         betas, infos, shots)

@@ -39,10 +39,12 @@ MODEL_NAME = "noon2-4setting"
 MAX_COUNT = 2 ** 53
 
 
-def _checked(values, name: str, lo, hi, whole: bool, ndim) -> tuple[np.ndarray, np.ndarray]:
+def _checked(values, name: str, lo, hi, whole: bool, ndim,
+             nan: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """values as a numeric array and as floats, checked: each element a finite
-    real in [lo, hi] and, if whole, a whole number, and ndim axes unless ndim
-    is None; otherwise a ValueError naming the first element that is not."""
+    real in [lo, hi], or nan where nan is true, and, if whole, a whole number,
+    and ndim axes unless ndim is None; otherwise a ValueError naming the first
+    element that is not."""
     array = np.asarray(values)
     # arrays of whole numbers are returned as int64
     hi = min(hi, 2 ** 63 - 1) if whole and array.ndim else hi
@@ -51,7 +53,7 @@ def _checked(values, name: str, lo, hi, whole: bool, ndim) -> tuple[np.ndarray, 
     what = (f"a {kind}" if dims == 0 else f"{kind}s" if ndim is None
             else f"a {ndim}-d array of {kind}s")
     where = "" if (lo, hi) == (-math.inf, math.inf) else f" in [{lo}, {hi}]"
-    rule = f"{name} must be {what}{where}, got"
+    rule = f"{name} must be {what}{where}{' or nan' if nan else ''}, got"
     if array.ndim != dims:
         raise ValueError(f"{rule} {values!r}")
     # asarray reads a bool among numbers as a number, and None, a string or an
@@ -69,6 +71,8 @@ def _checked(values, name: str, lo, hi, whole: bool, ndim) -> tuple[np.ndarray, 
         hi = math.nextafter(float(hi), -math.inf) if float(hi) > hi else float(hi)
     # nan fails every comparison
     ok = np.isfinite(reals) & (array >= lo) & (array <= hi)
+    if nan:
+        ok |= np.isnan(reals)
     if whole:
         ok &= reals == np.floor(reals)
     if not ok.all():
@@ -76,12 +80,13 @@ def _checked(values, name: str, lo, hi, whole: bool, ndim) -> tuple[np.ndarray, 
     return array, reals
 
 
-def check_real(values, name: str, lo=-math.inf, hi=math.inf, *, ndim=None):
+def check_real(values, name: str, lo=-math.inf, hi=math.inf, *, ndim=None, nan=False):
     """A finite real in [lo, hi] as a float, or an array of them (of ndim axes
     unless ndim is None) as a float array, read elementwise.  Raises
-    ValueError for any other value: nan, inf, bools (also among numbers),
-    strings, None, complex numbers, objects and ints beyond float range."""
-    _, reals = _checked(values, name, lo, hi, False, ndim)
+    ValueError for any other value: nan unless nan is true, inf, bools (also
+    among numbers), strings, None, complex numbers, objects and ints beyond
+    float range."""
+    _, reals = _checked(values, name, lo, hi, False, ndim, nan)
     return float(reals) if reals.ndim == 0 else reals
 
 
@@ -93,11 +98,11 @@ def check_whole(values, name: str, lo=-math.inf, hi=math.inf, *, ndim=None):
     return int(array.tolist()) if array.ndim == 0 else array.astype(np.int64)
 
 
-def check_orders(values, bounded: bool = False, *, ndim=None) -> np.ndarray:
+def check_orders(values, bounded: bool = False, *, hi=math.inf, ndim=None) -> np.ndarray:
     """Moment orders beta as a float array of their shape, under the rules of
-    `check_real`: finite reals >= 1, and > 1 where bounded, since an order-beta
-    bound needs the conjugate exponent beta / (beta - 1)."""
-    orders = np.asarray(check_real(values, "moment order", 1, ndim=ndim))
+    `check_real`: finite reals in [1, hi], and > 1 where bounded, since an
+    order-beta bound needs the conjugate exponent beta / (beta - 1)."""
+    orders = np.asarray(check_real(values, "moment order", 1, hi, ndim=ndim))
     if bounded and (orders == 1.0).any():
         raise ValueError(f"moment order of a bound must be > 1, got {values!r}")
     return orders

@@ -19,27 +19,23 @@ A moment is flagged through a statistical window of half-width
                            the miscalibrated asymptotic posterior itself
                            violates.
 
-Experiments derive their RNG streams from (seed, experiment index), so
-campaigns are reproducible and embarrassingly parallel: `gcrb.cli` runs the
-v_est values of a sweep, each ``dataclasses.replace(config, v_est=v)``, as
-separate campaigns, shared between its own process and forked children, with
-the same bytes as in one process.
-A tally does not depend on v_est, so a sweep draws a campaign's tallies once
-(`campaign_tallies`) and passes them to each v_est's `run_campaign`.  A
-campaign's shots are at most 2**53 (`gcrb.model.MAX_COUNT`), so its own
-tallies pass the counts check that given tallies face.  Tallies go through
-the counts evaluator under `analyze`'s `gcrb.bayes.report_counts`
-(`gcrb.bayes._evaluate_counts`; a row's results do not depend on which rows
-share its block) and are flagged by array comparison against the per-order
-bounds, windows and Gaussian centres of the rule, all taken from one
-`generalized_fisher` call at (phase_true, v_est).
+Every tally is drawn by `draw_tallies`: row i holds M categorical draws at
+its phase from the stream of (seed, indices[i]), a numpy PCG64 generator
+seeded by ``SeedSequence(entropy=seed, spawn_key=(indices[i],))``, so a row
+does not depend on which rows are drawn with it and any experiment can be
+recomputed alone (`run_experiment`).  Nor does a tally depend on v_est:
+`gcrb.cli` draws a campaign's tallies once (`campaign_tallies`) and runs the
+`run_campaign` of each v_est of a sweep, shared between its own process and
+forked children, with the same bytes as in one process.  Tallies go through
+the counts evaluator of `gcrb.bayes.report_counts` and are flagged by array
+comparison against the per-order bounds, windows and Gaussian centres of the
+rule, all taken from one `generalized_fisher` call at (phase_true, v_est).
 
-`run_campaign` returns the experiments as one `ExperimentTable` of columns,
-and `run_experiment` recomputes any single experiment, drawn from its own
-stream, as a one-row table.  Statistics are expressions on the table, per
-order of ``config.beta_list``: Sigma_beta is ``table.flags.mean(axis=0)``,
-the violation counts ``table.flags.sum(axis=0)``; the infeasible experiments
-are ``(~table.feasible).sum()`` and the estimator bias
+`run_campaign` returns the experiments as one `ExperimentTable` of columns.
+Statistics are expressions on the table, per order of ``config.beta_list``:
+Sigma_beta is ``table.flags.mean(axis=0)``, the violation counts
+``table.flags.sum(axis=0)``; the infeasible experiments are
+``(~table.feasible).sum()`` and the estimator bias
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
 
@@ -53,14 +49,15 @@ import numpy as np
 from .bayes import (
     DEFAULT_BETAS,
     DEFAULT_DOMAIN,
+    MAX_GAUSSIAN_ORDER,
     PhaseDomain,
     _evaluate_counts,
     gaussian_abs_moment,
 )
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import (MAX_COUNT, ModelParams, check_counts, check_orders, check_real, check_whole,
-                    outcome_probs)
+from .model import (MAX_COUNT, N_SETTINGS, ModelParams, check_counts, check_orders, check_real,
+                    check_whole, outcome_probs)
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -92,8 +89,9 @@ class CampaignConfig:
             "v_est": ModelParams(self.v_est).visibility,
             "shots": check_whole(self.shots, "shots", 1, MAX_COUNT, ndim=0),
             "n_experiments": check_whole(self.n_experiments, "n_experiments", 1, ndim=0),
-            # every order needs a conjugate one
-            "beta_list": tuple(check_orders(self.beta_list, bounded=True, ndim=1).tolist()),
+            # every order needs a conjugate one and its window (`sigma_beta`)
+            "beta_list": tuple(check_orders(self.beta_list, bounded=True,
+                                            hi=MAX_GAUSSIAN_ORDER / 2.0, ndim=1).tolist()),
             "seed": check_whole(self.seed, "seed", 0, 2 ** 64 - 1, ndim=0),
             "sigma_window": check_real(self.sigma_window, "sigma_window", 0, ndim=0),
         }.items():
@@ -116,33 +114,36 @@ class ExperimentTable:
     flags: np.ndarray      # (E, n_beta) violation flags
 
 
-def experiment_rng(seed: int, experiment_index: int) -> np.random.Generator:
-    """Deterministic per-experiment stream derived from (seed, index)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(experiment_index,))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def sample_tally(
-    phase_true: float,
-    v_true: float,
-    shots: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """M i.i.d. categorical draws over the settings, returned as the (4,)
-    integer array of per-setting counts."""
-    probs = outcome_probs(check_real(phase_true, "phase_true", ndim=0), ModelParams(v_true))
-    return rng.multinomial(check_whole(shots, "shots", 0, MAX_COUNT, ndim=0), probs)
+def draw_tallies(phases, v_true: float, shots: int, seed: int, indices) -> np.ndarray:
+    """(E, 4) int64 tallies of M = shots categorical draws over the settings
+    with visibility v_true: row i is drawn at phases[i], or at one phase for
+    every row, from the stream of (seed, indices[i]) (module notes).  Shots
+    are whole numbers in [0, 2**53], seeds in [0, 2**64), indices >= 0."""
+    indices = check_whole(indices, "experiment index", 0, ndim=1)
+    phases = check_real(phases, "phase")
+    if np.shape(phases) not in ((), indices.shape):
+        raise ValueError(f"phases must be one phase or one per index, got {phases!r}")
+    shots = check_whole(shots, "shots", 0, MAX_COUNT, ndim=0)
+    seed = check_whole(seed, "seed", 0, 2 ** 64 - 1, ndim=0)
+    probs = np.broadcast_to(outcome_probs(phases, ModelParams(v_true)).T,
+                            (indices.size, N_SETTINGS))
+    tallies = np.empty(probs.shape, dtype=np.int64)
+    for row, (i, p) in enumerate(zip(indices.tolist(), probs)):
+        stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        tallies[row] = np.random.Generator(np.random.PCG64(stream)).multinomial(shots, p)
+    return tallies
 
 
 def sigma_beta(beta, shots: int, fisher_info: float):
     """Standard deviation of |phi - phi_hat|**beta under the asymptotic Gaussian
-    posterior of width sigma = 1/sqrt(M * F), for one order or an array of
-    orders; a scalar order gives a float."""
+    posterior of width sigma = 1/sqrt(M * F), for one order up to
+    MAX_GAUSSIAN_ORDER / 2 or an array of them; a scalar order gives a float."""
+    betas = check_orders(beta, hi=MAX_GAUSSIAN_ORDER / 2.0)
     if not check_real(fisher_info, "Fisher information", 0, ndim=0) > 0.0:
         raise ValueError("sigma_beta undefined for vanishing Fisher information")
     sigma = 1.0 / math.sqrt(check_whole(shots, "shots", 1, ndim=0) * fisher_info)
-    mean = gaussian_abs_moment(beta, sigma)
-    variance = gaussian_abs_moment(2.0 * np.asarray(beta), sigma) - mean ** 2
+    mean = gaussian_abs_moment(betas, sigma)
+    variance = gaussian_abs_moment(2.0 * betas, sigma) - mean ** 2
     # clip the tiny negative excursions float cancellation can produce
     value = np.sqrt(np.maximum(variance, 0.0))
     return float(value) if value.ndim == 0 else value
@@ -174,13 +175,8 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return floors, windows, centers
 
 
-def _flag_violations(
-    deltas: np.ndarray,
-    floors: np.ndarray,
-    windows: np.ndarray,
-    centers: np.ndarray,
-    rule: str,
-) -> np.ndarray:
+def _flag_violations(deltas: np.ndarray, floors: np.ndarray, windows: np.ndarray,
+                     centers: np.ndarray, rule: str) -> np.ndarray:
     """Violation flags of (E, n_beta) moments against the bounds, windows and
     Gaussian centres of the rule, which broadcast against the moments."""
     if rule == "two-sided-bound":
@@ -206,18 +202,12 @@ def _evaluate(config: CampaignConfig, index: np.ndarray, counts: np.ndarray) -> 
     return ExperimentTable(index, counts, feasible, phi_hat, deltas, flags)
 
 
-def _draw(config: CampaignConfig, rows: range) -> np.ndarray:
-    """(len(rows), 4) tallies of the given experiments of a campaign, each
-    drawn with v_true from its own (seed, index) stream."""
-    probs = outcome_probs(config.phase_true, ModelParams(config.v_true))
-    return np.array([experiment_rng(config.seed, i).multinomial(config.shots, probs) for i in rows])
-
-
 def campaign_tallies(config: CampaignConfig) -> np.ndarray:
-    """The (n_experiments, 4) tallies of a campaign.  They do not depend on
-    v_est, so a v_est sweep draws them once and passes them to the
-    `run_campaign` of each v_est."""
-    return _draw(config, range(config.n_experiments))
+    """The (n_experiments, 4) tallies of a campaign, drawn at phase_true with
+    v_true (`draw_tallies`).  They do not depend on v_est, so a v_est sweep
+    draws them once and passes them to the `run_campaign` of each v_est."""
+    return draw_tallies(config.phase_true, config.v_true, config.shots, config.seed,
+                        np.arange(config.n_experiments))
 
 
 def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentTable:
@@ -227,7 +217,9 @@ def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentT
     Raises ValueError unless the index is an integer in [0, n_experiments).
     """
     index = check_whole(experiment_index, "experiment_index", 0, config.n_experiments - 1, ndim=0)
-    return _evaluate(config, np.array([index]), _draw(config, range(index, index + 1)))
+    index = np.array([index])
+    return _evaluate(config, index, draw_tallies(config.phase_true, config.v_true, config.shots,
+                                                 config.seed, index))
 
 
 def run_campaign(config: CampaignConfig, counts=None) -> ExperimentTable:

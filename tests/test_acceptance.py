@@ -23,9 +23,8 @@ from gcrb.model import ModelParams, outcome_dprobs, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
     campaign_tallies,
-    experiment_rng,
+    draw_tallies,
     run_campaign,
-    sample_tally,
     sigma_beta,
 )
 
@@ -124,8 +123,7 @@ def truth_campaign(request):
     phi_star = PI / 8.0
     params = ModelParams(0.95)
     info = generalized_fisher(2.0, phi_star, params)
-    tallies = np.array([sample_tally(phi_star, 0.95, shots, experiment_rng(seed, i))
-                        for i in range(n_exp)])
+    tallies = draw_tallies(phi_star, 0.95, shots, seed, np.arange(n_exp))
     ms = report_counts(tallies, params, DEFAULT_DOMAIN, (2.0, 3.0, 4.0))
     kappas, ratios = [], []
     for d2, d3, d4 in ms.deltas.tolist():
@@ -226,8 +224,8 @@ def test_criterion_4d_violations_peak_where_information_is_minimal(sigma_table):
 def test_criterion_6_beta3_bias_signature(tmp_path):
     shots, v_true = 10000, 0.96
     folded = DEFAULT_DOMAIN.lower + math.fmod(2.8 - DEFAULT_DOMAIN.lower, DEFAULT_DOMAIN.width)
-    tallies = np.array([sample_tally(folded, v_true, shots, experiment_rng(seed, 0))
-                        for seed in range(20)])
+    tallies = np.concatenate([draw_tallies(folded, v_true, shots, seed, [0])
+                              for seed in range(20)])
     path = tmp_path / "synthetic.csv"
     write_counts(CountsTable(np.full(20, 2.8), tallies, ("",) * 20), path)
     parsed = parse_counts(path)

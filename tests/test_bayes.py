@@ -13,6 +13,7 @@ from gcrb.bayes import (
     _CUT_DROP,
     _CUT_SLACK,
     DEFAULT_DOMAIN,
+    MAX_GAUSSIAN_ORDER,
     _evaluate_counts,
     _moment_orders,
     _pool,
@@ -27,7 +28,7 @@ from gcrb.bayes import (
 from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import order_bound
 from gcrb.model import ModelParams, outcome_probs
-from gcrb.montecarlo import experiment_rng, sample_tally, sigma_beta
+from gcrb.montecarlo import draw_tallies, sigma_beta
 
 PI = math.pi
 L = PI / 2.0
@@ -309,6 +310,32 @@ def test_rows_of_every_piece_layout_match_their_one_row_calls():
                 assert got[38 * copy + i:38 * copy + i + 1].tobytes() == want.tobytes(), i
 
 
+def ingest_recipe(seed, rows=200):
+    """The counts of the benchmark's ingest recipe: phases uniform on
+    [0, pi/2], M log-uniform in [1e3, 1e6], v_true = 0.95."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, L, rows)
+    shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, rows)).astype(np.int64)
+    probs = outcome_probs(phases, ModelParams(0.95)).T
+    return np.stack([rng.multinomial(m, p) for m, p in zip(shots, probs)])
+
+
+@pytest.mark.parametrize("v_est", [0.9, 0.935, 1.0])
+def test_report_rows_match_one_row_and_repeated_calls(v_est):
+    # every column of a row has the bits of the row alone, and of each copy
+    # in the table of every row repeated 21 times: kappa_beta of 12 to 17
+    # rows used to differ there, through f_alpha taken with broadcast orders
+    counts, params = ingest_recipe(11), ModelParams(v_est)
+    report = report_counts(counts, params)
+    repeated = report_counts(np.repeat(counts, 21, axis=0), params)
+    for row in range(len(counts)):
+        alone = report_counts(counts[row:row + 1], params)
+        for got, copies, want in zip(report, repeated, alone):
+            assert got[row:row + 1].tobytes() == want.tobytes(), row
+            copies = copies[21 * row:21 * row + 21]
+            assert copies.tobytes() == np.repeat(want, 21, axis=0).tobytes(), row
+
+
 def lobed_rows():
     """700 tallies at pi/4 (v = 0.95, M from 100 to 1e5), whose posteriors at
     v_est 0.99 have several lobes, and those parameters and orders."""
@@ -471,7 +498,7 @@ def test_estimate_of_symmetric_peak():
 
 
 def test_estimate_of_simulated_experiment_is_consistent():
-    tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(1, 0))
+    tally = draw_tallies(PI / 8.0, 0.95, 2000, 1, [0])[0]
     f_max = 2.0 * 0.95 ** 2 / (1.0 - 0.95 ** 2 / 2.0)
     estimate = one_row(tally, ModelParams(0.95), betas=(2.0,)).estimate
     assert abs(estimate - PI / 8.0) <= 3.0 / math.sqrt(2000.0 * f_max)
@@ -492,7 +519,7 @@ def test_gaussian_third_moment():
 
 def test_moment_set_matches_absolute_moment():
     # each order computed alone agrees with the set sharing one rule
-    tally = sample_tally(0.4, 0.95, 2000, experiment_rng(7, 0))
+    tally = draw_tallies(0.4, 0.95, 2000, 7, [0])[0]
     ms = one_row(tally, ModelParams(0.95))
     for b, value in ms.deltas.items():
         alone = one_row(tally, ModelParams(0.95), betas=(b,))
@@ -517,8 +544,8 @@ def test_grid_refinement_convergence():
     # no grid sets the resolution: from a flat posterior to one of 10**8
     # shots, about 1e-4 wide, the results match the dense reference
     params = ModelParams(0.95)
-    counts = np.array([sample_tally(PI / 8.0, 0.95, m, experiment_rng(42, 0))
-                       for m in (0, 30, 2000, 18000, 10 ** 6, 10 ** 8)])
+    counts = np.concatenate([draw_tallies(PI / 8.0, 0.95, m, 42, [0])
+                             for m in (0, 30, 2000, 18000, 10 ** 6, 10 ** 8)])
     report = report_counts(counts, params)
     for row, tally in enumerate(counts):
         mean, want = dense_reference(tally, 0.95)
@@ -549,6 +576,20 @@ def test_gaussian_abs_moment_values():
     for bad in (True, np.True_, [2.0, True], (2.0, np.True_)):
         with pytest.raises(ValueError):
             gaussian_abs_moment(bad, 1.0)
+    # Gamma((beta + 1) / 2) leaves float range above MAX_GAUSSIAN_ORDER, where
+    # math.gamma used to raise OverflowError; sigma_beta takes twice each order
+    assert math.isfinite(math.gamma((MAX_GAUSSIAN_ORDER + 1.0) / 2.0))
+    beyond = math.nextafter(MAX_GAUSSIAN_ORDER, math.inf)
+    assert gaussian_abs_moment(MAX_GAUSSIAN_ORDER, 0.01) == 0.0
+    assert sigma_beta(MAX_GAUSSIAN_ORDER / 2.0, 2000, 1.8) == 0.0
+    for call, largest in (
+            (lambda: gaussian_abs_moment(beyond, 0.01), MAX_GAUSSIAN_ORDER),
+            (lambda: gaussian_abs_moment([2.0, 400.0], 0.01), MAX_GAUSSIAN_ORDER),
+            (lambda: report_counts([[1, 2, 3, 4]], ModelParams(0.95), betas=(2.0, beyond)),
+             MAX_GAUSSIAN_ORDER),
+            (lambda: sigma_beta(beyond / 2.0, 2000, 1.8), MAX_GAUSSIAN_ORDER / 2.0)):
+        with pytest.raises(ValueError, match=rf"moment order must be .* in \[1, {largest}\]"):
+            call()
 
 
 def test_gaussian_abs_moment_broadcasts():
@@ -574,6 +615,17 @@ def test_kappa_values():
     for shots in (0, 1.5, np.array([2000.0, 0.5])):
         with pytest.raises(ValueError):
             kappa(1e-4, 1.805, shots, 2.0)
+    # moments and informations are checked before any arithmetic: a bool
+    # moment used to count as 1 and a string information raised numpy's
+    # UFuncTypeError; a nan moment, an infeasible row's, gives a nan ratio
+    for bad in (True, np.True_, "1", None, [1e-4, True], 10 ** 400, 1 + 0j):
+        with pytest.raises(ValueError, match="absolute moment"):
+            kappa(bad, 1.805, 2000, 2.0)
+    for bad in (True, np.True_, "1", None, [1.805, True], 10 ** 400, math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="generalized Fisher information"):
+            kappa(1e-4, bad, 2000, 2.0)
+    assert math.isnan(kappa(math.nan, 1.805, 2000, 2.0))
+    assert np.isnan(kappa(np.array([1e-4, math.nan]), 1.805, 2000, 2.0)).tolist() == [False, True]
 
 
 def test_bool_shot_counts_are_rejected():
@@ -607,7 +659,7 @@ def test_degenerate_posterior_rejected():
 
 
 def test_saturation_report_shape():
-    tally = sample_tally(PI / 8.0, 0.95, 2000, experiment_rng(9, 4))
+    tally = draw_tallies(PI / 8.0, 0.95, 2000, 9, [4])[0]
     table = report_counts(np.array([tally, tally]), ModelParams(0.95))
     assert table.feasible.shape == table.phi_hat.shape == (2,)
     assert table.deltas.shape == table.kappas.shape == table.gauss_ratios.shape == (2, 4)
@@ -638,7 +690,7 @@ def test_saturation_report_nan_markers():
     # kappa is undefined without shots, without information (v = 0) and for
     # beta = 1, whose conjugate order is infinite
     assert all(math.isnan(k) for k in one_row((0, 0, 0, 0), ModelParams(0.95)).kappas.values())
-    tally = sample_tally(0.5, 0.95, 2000, experiment_rng(3, 1))
+    tally = draw_tallies(0.5, 0.95, 2000, 3, [1])[0]
     flat = one_row(tally, ModelParams(0.0))
     assert all(math.isnan(k) for k in flat.kappas.values())
     mixed = one_row(tally, ModelParams(0.95), betas=(1.0, 2.0))

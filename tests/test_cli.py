@@ -16,7 +16,7 @@ import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.errors import EstimationError, UndefinedRatioError
 from gcrb.ingest import CountsTable, write_counts
-from gcrb.montecarlo import CampaignConfig, experiment_rng, run_campaign, sample_tally
+from gcrb.montecarlo import CampaignConfig, draw_tallies, run_campaign
 
 PI = math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -170,6 +170,34 @@ def test_oversized_shot_counts_are_usage_errors(tmp_path, capsys):
     assert all(float(row["bound_delta_beta"]) > 0.0 for row in rows_of(out))
 
 
+def test_orders_beyond_the_gaussian_moments_are_usage_errors(tmp_path, capsys):
+    # the Gaussian moment of an order above 342.2487539126054 leaves float
+    # range, and a campaign's window takes it at twice each order: one error
+    # line naming the largest order that fits, exit code 1 and no output, not
+    # an OverflowError
+    counts = tmp_path / "counts.csv"
+    counts.write_text("phase_rad,c0,c1,c2,c3\n0.3,510,600,490,400\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    for argv, largest in (
+            (["simulate", "--beta", "200", "--experiments", "2", "--v-est", "0.95"],
+             "171.1243769563027"),
+            (["simulate", "--beta", "2,171.2", "--experiments", "2", "--v-est", "0.95"],
+             "171.1243769563027"),
+            (["analyze", str(counts), "--beta", "400", "--v-est", "0.95"], "342.2487539126054"),
+            (["analyze", str(counts), "--beta", "2,343", "--v-est", "0.9,0.95"],
+             "342.2487539126054")):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gcrb: error: moment order must be") and err.count("\n") == 1
+        assert f", {largest}]" in err
+        assert not out.exists() and not (tmp_path / "out.csv.manifest.json").exists()
+    # a campaign at the largest order that fits, and a report at order 100, still run
+    for argv in (["simulate", "--beta", "171.1243769563027", "--experiments", "2",
+                  "--v-est", "0.95"],
+                 ["analyze", str(counts), "--beta", "2,100", "--v-est", "0.95"]):
+        assert main([*argv, "--out", str(out)]) == 0
+
+
 def test_simulate_zero_information_v_est_flags_its_own_rows(tmp_path, capsys):
     # v_est = 0 leaves Sigma_beta undefined; its rows are nan and the other
     # rows match a sweep without it
@@ -192,6 +220,17 @@ def test_bounds_reference_value(tmp_path):
     assert float(row["f_alpha"]) == pytest.approx(1.805, rel=1e-12)
     assert float(row["bound_delta_beta"]) == pytest.approx(2.770e-4, rel=1e-3)
     assert float(row["bound_rescaled"]) == pytest.approx(1.805 ** -0.5, rel=1e-12)
+
+
+def test_bounds_rows_of_a_phase_do_not_depend_on_the_other_phases(tmp_path):
+    # each power to an order takes one scalar exponent: phase 0.3 alone and
+    # among 15,001 phases gets the same bytes (f_2 alone used to end in ...75)
+    alone, among = tmp_path / "alone.csv", tmp_path / "among.csv"
+    assert main(["bounds", "--phase-true", "0.3", "--out", str(alone)]) == 0
+    assert main(["bounds", "--phase-true", "0:1.5:0.0001", "--out", str(among)]) == 0
+    rows = read(alone).splitlines()[1:]
+    assert len(rows) == 4 and rows[1].startswith("0.3,2.0,2.0,3.2200419436281753,")
+    assert [line for line in read(among).splitlines() if line.startswith("0.3,")] == rows
 
 
 def test_bounds_zero_visibility_markers(tmp_path):
@@ -222,7 +261,7 @@ def counts_table(labels, tallies):
 
 
 def write_synthetic_counts(path, phase, v_true, shots, n_rows, seed=0):
-    tallies = [sample_tally(phase, v_true, shots, experiment_rng(seed, i)) for i in range(n_rows)]
+    tallies = draw_tallies(phase, v_true, shots, seed, np.arange(n_rows))
     write_counts(counts_table([phase] * n_rows, tallies), path)
 
 
@@ -257,8 +296,7 @@ def test_analyze_overestimated_visibility_hits_beta3_first(tmp_path):
 def test_analyze_fold_option_changes_label_only(tmp_path):
     # counts generated at the folded phase but labeled with the nominal 2.8 rad
     counts = tmp_path / "counts.csv"
-    tally = sample_tally(2.8 - PI / 2.0, 0.96, 5000, experiment_rng(0, 0))
-    write_counts(counts_table([2.8], [tally]), counts)
+    write_counts(counts_table([2.8], draw_tallies(2.8 - PI / 2.0, 0.96, 5000, 0, [0])), counts)
     for fold in (False, True):
         out = tmp_path / f"fold_{fold}.csv"
         args = ["analyze", str(counts), "--v-est", "0.96", "--beta", "2", "--out", str(out)]
@@ -324,8 +362,9 @@ def spread_table(rng):
     """Twenty counts rows, two per set phase, with M from 1e3 to 1e6."""
     labels = np.repeat(rng.uniform(0.0, PI / 2.0, 10), 2)
     shots = np.rint(10.0 ** rng.uniform(3.0, 6.0, labels.size)).astype(int)
-    return counts_table(labels, [sample_tally(float(phase), 0.95, int(m), rng)
-                                 for phase, m in zip(labels, shots)])
+    seed = int(rng.integers(2 ** 32))
+    return counts_table(labels, [draw_tallies(phase, 0.95, m, seed, [i])
+                                 for i, (phase, m) in enumerate(zip(labels, shots))])
 
 
 def test_analyze_shuffled_rows_give_the_same_row_per_record(tmp_path):
@@ -541,19 +580,19 @@ def test_simulate_draws_the_tallies_once_before_the_fork(monkeypatch, tmp_path):
     # the workers take the parent's draw as an argument instead of each
     # drawing again; every draw, a child's too, leaves its pid in a file
     draws = tmp_path / "draws"
-    draw = gcrb.montecarlo._draw
+    draw = gcrb.montecarlo.draw_tallies
     map_in_order = gcrb.cli._map_in_order
 
-    def logged_draw(config, rows):
+    def logged_draw(*args):
         with open(draws, "a", encoding="utf-8") as log:
             log.write(f"{os.getpid()}\n")
-        return draw(config, rows)
+        return draw(*args)
 
     def in_order(func, values):
         drawn_before.append(draws.read_text(encoding="utf-8").split())
         return map_in_order(func, values)
 
-    monkeypatch.setattr(gcrb.montecarlo, "_draw", logged_draw)
+    monkeypatch.setattr(gcrb.montecarlo, "draw_tallies", logged_draw)
     monkeypatch.setattr(gcrb.cli, "_map_in_order", in_order)
     for cpus in (1, 2):
         use_cpus(monkeypatch, cpus)

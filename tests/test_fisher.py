@@ -132,6 +132,22 @@ def test_vectorised_over_phases_and_orders():
         generalized_fisher((2.0, 1.0), phases, params)
 
 
+def test_prefixes_have_the_bits_of_the_long_call():
+    # every power to an order takes one scalar exponent, so an element's
+    # bits do not depend on the length of its call: with broadcast orders
+    # numpy picked its power loop by shape, and f_alpha differed on
+    # prefixes of up to 2,730 phases, the bounds on prefixes of up to 4,096
+    params = ModelParams(0.95)
+    phases = 0.3 + 1e-4 * np.arange(5000)
+    betas = np.array([1.5, 2.0, 3.0, 4.0])[:, np.newaxis]
+    infos = generalized_fisher(conjugate_exponent(betas[:, 0]), phases, params)
+    bounds = order_bound(betas, infos, 2000)
+    for n in range(1, 5001):
+        prefix = generalized_fisher(conjugate_exponent(betas[:, 0]), phases[:n], params)
+        assert prefix.tobytes() == infos[:, :n].tobytes(), n
+        assert order_bound(betas, prefix, 2000).tobytes() == bounds[:, :n].tobytes(), n
+
+
 def test_monotone_information_in_visibility():
     previous = -1.0
     for v in np.linspace(0.0, 0.999, 200):

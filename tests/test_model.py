@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcrb.bayes import (DEFAULT_DOMAIN, PhaseDomain, _log_ratio, _ratio_scale, _split,
-                        gaussian_abs_moment, report_counts)
+                        gaussian_abs_moment, kappa, report_counts)
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
 from gcrb.model import ModelParams, check_counts, check_whole, outcome_dprobs, outcome_probs
-from gcrb.montecarlo import CampaignConfig, experiment_rng, sample_tally, sigma_beta
+from gcrb.montecarlo import CampaignConfig, draw_tallies, sigma_beta
 
 PI = math.pi
 L = PI / 2.0
@@ -90,7 +90,7 @@ def test_every_entry_point_rejects_every_bad_number():
     # arrays of them, "sequence" parameters sequences only.  Every bad number
     # raises ValueError, alone and among good numbers, never OverflowError or
     # TypeError.  Visibilities, counts, phase labels, experiment indices,
-    # sample_tally's shots and conjugate_exponent have tests of their own.
+    # draw_tallies' shots and conjugate_exponent have tests of their own.
     base = dict(phase_true=0.4, v_true=0.95, v_est=0.95, n_experiments=3)
     checked = [
         ("scalar", 0.5, lambda x: PhaseDomain(x, 1.0)),
@@ -99,8 +99,10 @@ def test_every_entry_point_rejects_every_bad_number():
           for name in ("phase_true", "v_true", "v_est", "shots", "n_experiments", "seed",
                        "sigma_window")),
         ("sequence", 2.0, lambda x: CampaignConfig(**base, beta_list=x)),
-        ("scalar", 0.4, lambda x: sample_tally(x, 0.95, 10, experiment_rng(0, 0))),
-        ("scalar", 0.95, lambda x: sample_tally(0.4, x, 10, experiment_rng(0, 0))),
+        ("array", 0.4, lambda x: draw_tallies(x, 0.95, 10, 0, [0, 1])),
+        ("scalar", 0.95, lambda x: draw_tallies(0.4, x, 10, 0, [0])),
+        ("scalar", 0, lambda x: draw_tallies(0.4, 0.95, 10, x, [0])),
+        ("sequence", 0, lambda x: draw_tallies(0.4, 0.95, 10, 0, x)),
         ("array", 2.0, lambda x: sigma_beta(x, 2000, 1.8)),
         ("scalar", 2000, lambda x: sigma_beta(2.0, x, 1.8)),
         ("scalar", 1.8, lambda x: sigma_beta(2.0, 2000, x)),
@@ -110,6 +112,7 @@ def test_every_entry_point_rejects_every_bad_number():
         ("array", 2.0, lambda x: gaussian_abs_moment(x, 0.1)),
         ("array", 0.1, lambda x: gaussian_abs_moment(2.0, x)),
         ("array", 2.0, lambda x: generalized_fisher(x, 0.4, ModelParams(0.95))),
+        ("array", 1.8, lambda x: kappa(1e-4, x, 2000, 2.0)),
         ("sequence", 2.0, lambda x: report_counts([[1, 2, 3, 4]], ModelParams(0.95), betas=x)),
     ]
     for form, good, call in checked:

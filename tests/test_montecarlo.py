@@ -13,10 +13,9 @@ from gcrb.montecarlo import (
     CampaignConfig,
     ExperimentTable,
     campaign_tallies,
-    experiment_rng,
+    draw_tallies,
     run_campaign,
     run_experiment,
-    sample_tally,
     sigma_beta,
 )
 
@@ -87,31 +86,62 @@ def test_config_validation():
     assert (config.shots, config.n_experiments, config.seed) == (2000, 40, 5)
 
 
-def test_sample_tally_zero_shots():
-    tally = sample_tally(0.3, 0.9, 0, experiment_rng(0, 0))
-    assert tally.tolist() == [0, 0, 0, 0]
-    assert tally.shape == (4,) and tally.dtype.kind == "i"
-    assert sample_tally(0.3, 0.9, np.int64(0), experiment_rng(0, 0)).tolist() == [0, 0, 0, 0]
+def test_draw_tallies_zero_shots():
+    tallies = draw_tallies(0.3, 0.9, 0, 0, [0, 1])
+    assert tallies.tolist() == [[0, 0, 0, 0]] * 2
+    assert tallies.shape == (2, 4) and tallies.dtype == np.int64
+    assert draw_tallies(0.3, 0.9, np.int64(0), 0, [0]).tolist() == [[0, 0, 0, 0]]
+    assert draw_tallies(0.3, 0.9, 5, 0, []).shape == (0, 4)
     # a bool is not a number of shots (True used to draw one)
     for bad in (True, False, np.True_, 2.5, -1, 10 ** 400, math.nan, math.inf, "1", None, 1 + 0j):
         with pytest.raises(ValueError):
-            sample_tally(0.3, 0.9, bad, experiment_rng(0, 0))
+            draw_tallies(0.3, 0.9, bad, 0, [0])
+    # seeds, indices and the phases' shape are checked once per call
+    for bad in (dict(seed=-1), dict(seed=2 ** 64), dict(seed=True), dict(indices=[0, -1]),
+                dict(indices=0), dict(indices=[[0]]), dict(indices=[0, 1.5]),
+                dict(phases=[0.3, 0.4, 0.5]), dict(phases=[[0.3, 0.4]])):
+        with pytest.raises(ValueError):
+            draw_tallies(**{**dict(phases=0.3, v_true=0.9, shots=10, seed=0, indices=[0, 1]),
+                            **bad})
 
 
-def test_sample_tally_never_draws_impossible_outcome():
+def test_draw_tallies_rows_follow_their_own_streams():
+    # row i is drawn at its phase from the stream of (seed, indices[i]),
+    # whichever rows share the call: numpy's generator, seeded as the module
+    # notes say, is the oracle
+    phases, v, shots, seed = [0.3, 1.2, 0.0, 0.7], 0.95, 2000, 11
+    indices = [7, 0, 2 ** 40, 3]
+    tallies = draw_tallies(phases, v, shots, seed, indices)
+    for row, (phase, i) in enumerate(zip(phases, indices)):
+        stream = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+        want = np.random.Generator(np.random.PCG64(stream)).multinomial(
+            shots, outcome_probs(phase, ModelParams(v)))
+        assert tallies[row].tolist() == want.tolist()
+        assert draw_tallies(phase, v, shots, seed, [i]).tolist() == [want.tolist()]
+        assert draw_tallies([phase], v, shots, seed, np.array([i])).tolist() == [want.tolist()]
+    # one phase serves every row
+    assert (draw_tallies(0.3, v, shots, seed, indices)[0] == tallies[0]).all()
+    # a campaign draws experiment i from (seed, i) at phase_true with v_true
+    config = small_config(n_experiments=6, seed=seed)
+    want = draw_tallies(config.phase_true, config.v_true, config.shots, seed, np.arange(6))
+    assert campaign_tallies(config).tolist() == want.tolist()
+    assert run_experiment(config, 4).counts.tolist() == want[4:5].tolist()
+
+
+def test_draw_tallies_never_draws_impossible_outcome():
     # at phi = 0 and v = 1 the third setting has probability zero
-    tally = sample_tally(0.0, 1.0, 1000, experiment_rng(1, 0))
+    tally = draw_tallies(0.0, 1.0, 1000, 1, [0])[0]
     assert tally[2] == 0
     assert tally.sum() == 1000
 
 
-def test_sample_tally_frequency_concentration():
+def test_draw_tallies_frequency_concentration():
     phi, v, shots = PI / 8.0, 0.95, 2000
     probs = outcome_probs(phi, ModelParams(v))
     tolerance = 4.0 * np.sqrt(probs * (1.0 - probs) / shots)
     good = 0
     for seed in range(1000):
-        tally = sample_tally(phi, v, shots, experiment_rng(seed, 0))
+        tally = draw_tallies(phi, v, shots, seed, [0])[0]
         freqs = tally / shots
         if np.all(np.abs(freqs - probs) <= tolerance):
             good += 1
@@ -280,15 +310,15 @@ def test_campaign_on_given_tallies():
 
 
 def test_campaign_shots_are_capped_at_the_largest_exact_count():
-    # a campaign's shots are whole numbers in [1, 2**53], sample_tally's in
+    # a campaign's shots are whole numbers in [1, 2**53], draw_tallies' in
     # [0, 2**53]: at 2**60 run_campaign used to evaluate its own draw, with
     # counts near 4.8e17, which the check of given tallies rejects
     for shots in (2 ** 53 + 1, 2 ** 60, 10 ** 30, 10 ** 400, float(2 ** 60)):
         with pytest.raises(ValueError, match="shots"):
             small_config(shots=shots)
         with pytest.raises(ValueError, match="shots"):
-            sample_tally(0.4, 0.95, shots, experiment_rng(0, 0))
-    assert sample_tally(0.4, 0.95, 2 ** 53, experiment_rng(0, 0)).sum() == 2 ** 53
+            draw_tallies(0.4, 0.95, shots, 0, [0])
+    assert draw_tallies(0.4, 0.95, 2 ** 53, 0, [0]).sum() == 2 ** 53
     # at the cap a campaign's own draw passes the check of given tallies
     config = small_config(shots=2 ** 53, n_experiments=2)
     own, given = run_campaign(config), run_campaign(config, campaign_tallies(config))
