@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
-from .model import (N_SETTINGS, PI, ModelParams, check_counts, check_orders, check_real,
-                    outcome_dprobs, outcome_probs)
+from .model import (N_SETTINGS, PI, ModelParams, _outcomes, check_counts, check_orders,
+                    check_real, outcome_probs)
 
 # moment orders analyzed when none are given
 DEFAULT_BETAS = (1.5, 2.0, 3.0, 4.0)
@@ -107,6 +107,10 @@ _KINK_REACH = 0.125
 
 # the largest order whose Gaussian moment's Gamma((beta + 1) / 2) is a float
 MAX_GAUSSIAN_ORDER = 342.2487539126054
+
+# the smallest normal float: a ratio to a bound or a Gaussian moment below it
+# is nan, since an underflowed denominator has lost its digits
+TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -228,7 +232,7 @@ def _slope_curvature(counts: np.ndarray, phi: np.ndarray, params: ModelParams):
     """d log L / d phi and d**2 log L / d phi**2 of (P, 4) counts at (P,)
     phases; inf or nan where a counted outcome is impossible."""
     counted = counts.T > 0.0
-    probs, dprobs = outcome_probs(phi, params), outcome_dprobs(phi, params)
+    probs, dprobs = _outcomes(phi, params)
     with np.errstate(divide="ignore", invalid="ignore"):
         safe = np.where(counted, probs, 1.0)
         score = np.where(counted, dprobs / safe, 0.0)
@@ -493,14 +497,26 @@ def kappa(delta_beta, f_alpha, shots, beta):
     Values below 1 indicate a violated order-beta bound.  Moments (reals, or
     nan for an infeasible row), orders, informations and shots broadcast;
     scalars give a float.  Raises UndefinedRatioError where f_alpha vanishes.
+    kappa is nan where the bound leaves float range (`_ratio`).
     """
     moments = check_real(delta_beta, "absolute moment", nan=True)
     infos = check_real(f_alpha, "generalized Fisher information", 0)
     if np.any(infos == 0.0):
         raise UndefinedRatioError(
             "saturation ratio undefined: generalized Fisher information vanishes")
-    value = np.asarray(moments) / order_bound(beta, infos, shots)
+    value = _ratio(moments, order_bound(beta, infos, shots))
     return float(value) if value.ndim == 0 else value
+
+
+def _ratio(numerator, denominator) -> np.ndarray:
+    """numerator / denominator, or nan where the denominator is below the
+    smallest normal float (0 included) or not finite, as a moment or bound
+    of a high order can be, and where the quotient overflows; no
+    RuntimeWarning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = np.asarray(numerator) / denominator
+    usable = (denominator >= TINY) & (denominator < math.inf) & ~np.isinf(value)
+    return np.where(usable, value, math.nan)
 
 
 def _moment_orders(betas) -> np.ndarray:
@@ -519,8 +535,9 @@ def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params
     f_alpha is taken at each row's phi_hat, from one model evaluation for all
     rows and orders; rows with ``nan`` phi_hat (infeasible counts) are left
     out of it and get ``nan`` throughout.  kappa is ``nan`` when there are no
-    shots or f_alpha is undefined (beta = 1) or vanishes; the Gaussianity
-    ratio is ``nan`` when Delta_2 = 0.
+    shots or f_alpha is undefined (beta = 1), vanishes or is not finite; the
+    Gaussianity ratio is ``nan`` when Delta_2 = 0.  Either is ``nan`` where
+    its bound or Gaussian moment leaves float range (`_ratio`).
     """
     betas = check_orders(betas)
     orders = _moment_orders(betas)
@@ -532,12 +549,15 @@ def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params
     infos = np.zeros(deltas.shape)
     infos[np.ix_(feasible, bounded)] = generalized_fisher(
         conjugate_exponent(betas[bounded]), phi_hat[feasible], params).T
-    rows, cols = np.nonzero((shots[:, np.newaxis] > 0) & (infos > 0.0))
+    # kappa takes finite informations: an infinite one's bound is 0, and nan
+    rows, cols = np.nonzero((shots[:, np.newaxis] > 0) & (infos > 0.0) & (infos < math.inf))
     kappas = np.full(deltas.shape, math.nan)
     kappas[rows, cols] = kappa(deltas[rows, cols], infos[rows, cols], shots[rows], betas[cols])
     spread = d2 > 0.0
     ratios = np.full(deltas.shape, math.nan)
-    ratios[spread] = deltas[spread] / gaussian_abs_moment(betas, np.sqrt(d2[spread])[:, np.newaxis])
+    with np.errstate(over="ignore"):
+        centers = gaussian_abs_moment(betas, np.sqrt(d2[spread])[:, np.newaxis])
+    ratios[spread] = _ratio(deltas[spread], centers)
     return deltas, kappas, ratios
 
 

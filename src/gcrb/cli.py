@@ -32,11 +32,20 @@ written.  The output bytes do not depend on the process count, and one CPU
 may emit a DeprecationWarning, because OpenBLAS threads make the process
 multi-threaded.
 
+`simulate` writes nan in a row whose Sigma_beta is undefined, every row of
+a v_est without Fisher information at phase_true and the row of an order
+whose bound, sigma_beta or Gaussian centre leaves float range, and warns of
+it on stderr.
+
 Every output CSV is streamed line by line into a temporary file that then
 replaces the output atomically, and is accompanied by
 ``<out>.manifest.json`` recording the command, the fully resolved
-configuration, the seed and the tool version.  Reruns with the same manifest
-reproduce the output byte for byte.
+configuration, the seed and the tool version (`_emit`).  The configuration
+is the parsed options themselves, ``vars(args)`` but the command, the output
+and the seed, with the values a command resolves (the v_est list, the
+orders, the phases, the domain as ``{lower, upper}``) in place of their
+specs, so an option added to the parser is recorded without more code.
+Reruns with the same manifest reproduce the output byte for byte.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 """
@@ -50,7 +59,7 @@ import os
 import pickle
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -58,19 +67,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import DEFAULT_BETAS, PhaseDomain, report_counts
+from .bayes import DEFAULT_BETAS, DEFAULT_DOMAIN, PhaseDomain, report_counts
 from .errors import EstimationError, UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
 from .montecarlo import (VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, campaign_tallies,
-                         run_campaign)
+                         defined_orders, run_campaign)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-DEFAULT_DOMAIN_SPEC = "0:1.5707963267948966"
 DEFAULT_VEST_SPEC = "0.9:1.0:0.01"
 DEFAULT_PHASE = math.pi / 8.0
 # a range is expanded into a list, and each value into CSV rows, before the
@@ -144,22 +152,26 @@ def _write_atomic(path: Path, lines) -> None:
         raise
 
 
-def _emit(out: Path, header: tuple[str, ...], lines, manifest: dict) -> None:
-    """Stream the header and the CSV lines to out, then write its manifest."""
+def _emit(args, header: tuple[str, ...], lines, **resolved) -> None:
+    """Stream the header and the CSV lines to args.out, then write its
+    manifest, whose configuration is every parsed option but the command,
+    the output and the seed, each one given in resolved taking its resolved
+    value in place of its spec."""
+    out = Path(args.out)
     _write_atomic(out, chain([",".join(header)], lines))
-    manifest_path = out.with_name(out.name + ".manifest.json")
-    _write_atomic(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True)])
-
-
-def _manifest(command: str, seed, config: dict, outputs: list[str]) -> dict:
-    return {
-        "command": command,
-        "config": config,
+    options = vars(args)
+    config = {key: value for key, value in options.items()
+              if key not in ("command", "func", "out", "seed")}
+    manifest = {
+        "command": args.command,
+        "config": {**config, **resolved},
         "model": MODEL_NAME,
-        "outputs": outputs,
-        "seed": seed,
+        "outputs": [out.name],
+        "seed": options.get("seed"),
         "version": __version__,
     }
+    _write_atomic(out.with_name(out.name + ".manifest.json"),
+                  [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _run_share(func, share, write_fd):
@@ -250,17 +262,25 @@ def _map_in_order(func, values) -> list:
         raise
 
 
-def _campaign_lines(counts: np.ndarray, config: CampaignConfig) -> tuple[bool, str]:
-    """Whether Sigma_beta is defined at the campaign's v_est, and the CSV lines
-    of the campaign on counts joined by newlines.  Where it is undefined (no
-    Fisher information at phase_true) the lines carry nan, and the sweep goes on."""
-    v_est, n = config.v_est, config.n_experiments
+def _campaign_lines(counts: np.ndarray, config: CampaignConfig) -> tuple[list[str], str]:
+    """The warnings of the campaign on counts, and its CSV lines joined by
+    newlines.  A row whose Sigma_beta is undefined, at every order where
+    phase_true has no Fisher information and at an order whose reference
+    leaves float range (`gcrb.montecarlo.defined_orders`), carries nan and
+    has a warning, and the sweep goes on."""
+    v_est, n, phase = config.v_est, config.n_experiments, config.phase_true
     try:
-        flags = run_campaign(config, counts).flags
+        defined = defined_orders(config).tolist()
+        sums = run_campaign(config, counts).flags.sum(axis=0).tolist()
     except UndefinedRatioError:
-        return False, "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list)
-    return True, "\n".join(f"{v_est!r},{b!r},{c / n!r},{c},{n}"
-                            for b, c in zip(config.beta_list, flags.sum(axis=0).tolist()))
+        return ([f"v_est={v_est!r} has zero Fisher information at phase_true={phase!r}; "
+                 f"its sigma_beta rows are nan"],
+                "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list))
+    cells = [f"{c / n!r},{c}" if ok else "nan,nan" for ok, c in zip(defined, sums)]
+    return ([f"v_est={v_est!r} beta={b!r}: the bound, sigma_beta or Gaussian centre at "
+             f"phase_true={phase!r} leaves float range; its sigma_beta row is nan"
+             for b, ok in zip(config.beta_list, defined) if not ok],
+            "\n".join(f"{v_est!r},{b!r},{cell},{n}" for b, cell in zip(config.beta_list, cells)))
 
 
 def cmd_simulate(args) -> int:
@@ -286,32 +306,18 @@ def cmd_simulate(args) -> int:
     # drawn once, before the fork: a tally does not depend on v_est
     counts = campaign_tallies(base)
     results = _map_in_order(partial(_campaign_lines, counts), configs)
-    undefined = [v_est for v_est, (defined, _) in zip(v_est_values, results) if not defined]
-    out = Path(args.out)
-    config = {
-        "phase_true": args.phase_true,
-        "v_true": args.v_true,
-        "v_est": v_est_values,
-        "shots": args.shots,
-        "experiments": args.experiments,
-        "beta": list(betas),
-        "domain": {"lower": domain.lower, "upper": domain.upper},
-        "sigma_window": args.sigma_window,
-        "violation_rule": args.violation_rule,
-        "window_scale": args.window_scale,
-    }
-    _emit(out, ("v_est", "beta", "sigma_frac", "n_violations", "n_experiments"),
-          (lines for _, lines in results), _manifest("simulate", args.seed, config, [out.name]))
-    for v_est in undefined:
-        print(f"warning: v_est={v_est!r} has zero Fisher information at "
-              f"phase_true={args.phase_true!r}; its sigma_beta rows are nan", file=sys.stderr)
+    _emit(args, ("v_est", "beta", "sigma_frac", "n_violations", "n_experiments"),
+          (lines for _, lines in results), v_est=v_est_values, beta=betas, domain=asdict(domain))
+    for warnings, _ in results:
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     # tuples keep the arguments of generalized_fisher hashable for
     # perfbench/tracer.py, which records them
-    phases = tuple(parse_value_list(args.phase_true))
+    phases = tuple(parse_value_list(args.phase))
     betas = tuple(parse_value_list(args.beta))
     params = ModelParams(args.v_est)
     alphas = tuple(conjugate_exponent(betas).tolist())
@@ -326,15 +332,8 @@ def cmd_bounds(args) -> int:
         for phase, *cells in zip(phases, infos.T.tolist(), bounds.T.tolist(), rescaled.T.tolist())
         for b, a, f, bound, r in zip(betas, alphas, *cells)
     )
-    out = Path(args.out)
-    config = {
-        "phase": phases,
-        "v_est": args.v_est,
-        "shots": args.shots,
-        "beta": list(betas),
-    }
-    _emit(out, ("phase", "beta", "alpha", "f_alpha", "bound_delta_beta", "bound_rescaled"),
-          lines, _manifest("bounds", None, config, [out.name]))
+    _emit(args, ("phase", "beta", "alpha", "f_alpha", "bound_delta_beta", "bound_rescaled"),
+          lines, phase=phases, beta=betas)
     return EXIT_OK
 
 
@@ -379,18 +378,10 @@ def cmd_analyze(args) -> int:
     results = _map_in_order(partial(_report_lines, table.counts, labels, betas, domain), params)
     # each (row, v_est)
     feasible = np.stack([f for f, _ in results], axis=1)
-    out = Path(args.out)
-    config = {
-        "counts": str(args.counts),
-        "v_est": v_est_values,
-        "beta": list(betas),
-        "domain": {"lower": domain.lower, "upper": domain.upper},
-        "fold": bool(args.fold),
-    }
     # one string per (row, v_est), in that order
     lines = chain.from_iterable(zip(*(value_lines for _, value_lines in results)))
-    _emit(out, ("phase_label", "v_est", "beta", "phi_hat", "delta_beta", "kappa_beta", "gauss_ratio"),
-          lines, _manifest("analyze", None, config, [out.name]))
+    _emit(args, ("phase_label", "v_est", "beta", "phi_hat", "delta_beta", "kappa_beta", "gauss_ratio"),
+          lines, v_est=v_est_values, beta=betas, domain=asdict(domain))
     # the file's label as a Python float: numpy 2 writes np.float64(0.3)
     for ir, iv in zip(*np.nonzero(~feasible)):
         print(f"warning: infeasible row flagged: phase_rad={float(table.phase_label[ir])!r} "
@@ -402,7 +393,7 @@ def _add_common(parser, *, with_domain=True):
     parser.add_argument("--beta", action="append", default=None,
                         help="moment order(s), repeatable or comma list (default 1.5,2,3,4)")
     if with_domain:
-        parser.add_argument("--domain", default=DEFAULT_DOMAIN_SPEC,
+        parser.add_argument("--domain", default=f"{DEFAULT_DOMAIN.lower!r}:{DEFAULT_DOMAIN.upper!r}",
                             help="prior support lo:hi in radians (default [0, pi/2])")
     parser.add_argument("--out", required=True, help="output CSV path")
 
@@ -432,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bnd = sub.add_parser("bounds", help="generalized bounds over one or more phases")
-    bnd.add_argument("--phase-true", action="append", default=None,
+    bnd.add_argument("--phase-true", action="append", default=None, dest="phase",
                      help="phase(s) in radians, repeatable or range a:b:step (default pi/8)")
     bnd.add_argument("--v-est", type=float, default=0.95, help="visibility (default 0.95)")
     bnd.add_argument("--shots", type=int, default=2000, help="measurements M (default 2000)")
@@ -457,8 +448,8 @@ def main(argv=None) -> int:
         args.beta = [",".join(str(b) for b in DEFAULT_BETAS)]
     if getattr(args, "v_est", None) is None and args.command == "simulate":
         args.v_est = [DEFAULT_VEST_SPEC]
-    if args.command == "bounds" and args.phase_true is None:
-        args.phase_true = [str(DEFAULT_PHASE)]
+    if args.command == "bounds" and args.phase is None:
+        args.phase = [str(DEFAULT_PHASE)]
     try:
         return args.func(args)
     except EstimationError as exc:

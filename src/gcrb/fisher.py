@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (ModelParams, check_orders, check_real, check_whole, outcome_dprobs,
-                    outcome_probs)
+from .model import ModelParams, _outcomes, check_orders, check_real, check_whole
 
 # f_alpha summands are evaluated in the factored form |dp|^alpha * p^(1-alpha),
 # which stays finite as p -> 0.  At v = 1 some outcome probabilities vanish on
@@ -64,13 +63,16 @@ def generalized_fisher(alpha, phases, params: ModelParams):
     shape.  ``alpha`` is one order > 1 or an array of them; an array puts its
     axes before the phase axes of the result, and all orders share one model
     evaluation.  Outcomes with zero probability contribute nothing (they never occur).
+    Near a zero of an outcome probability a large alpha takes the sum past
+    float range, to inf, or nan where a summand is 0 * inf, without a
+    RuntimeWarning.
     """
     orders = check_orders(alpha, bounded=True)
     effective = ModelParams(min(params.visibility, 1.0 - VISIBILITY_CLAMP))
-    p = outcome_probs(phases, effective)
-    dp = np.abs(outcome_dprobs(phases, effective))
+    p, dp = _outcomes(phases, effective)
+    dp = np.abs(dp)
     # one scalar exponent per order (`per_order`), the outcomes summed in order
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         total = np.array([sum(np.where(p > 0.0, dp ** a * p ** (1.0 - a), 0.0))
                           for a in orders.ravel().tolist()]).reshape(orders.shape + p.shape[1:])
     return float(total) if total.ndim == 0 else total
@@ -79,7 +81,9 @@ def generalized_fisher(alpha, phases, params: ModelParams):
 def order_bound(beta, f_alpha, shots):
     """Lower bound M**(-beta/2) * f_alpha**(-beta/alpha) on Delta_beta from
     M = shots repetitions, or the +inf marker where f_alpha vanishes
-    (unbounded uncertainty).
+    (unbounded uncertainty).  Past float range the bound is 0 or inf, or nan
+    where one factor underflows and the other overflows, without a
+    RuntimeWarning: callers judge it by its value.
 
     Orders, informations (finite reals >= 0) and shot counts (whole numbers
     >= 1, uncapped) broadcast against each other; scalars give a float.
@@ -87,7 +91,7 @@ def order_bound(beta, f_alpha, shots):
     betas = check_orders(beta, bounded=True)
     infos = check_real(f_alpha, "generalized Fisher information", 0)
     shots = np.asarray(check_whole(shots, "shots", 1), dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # -beta / alpha, with alpha = beta / (beta - 1) as in conjugate_exponent
         return per_order(lambda b, f, m: m ** (-b / 2.0) * f ** (-b / (b / (b - 1.0))),
                          betas, infos, shots)

@@ -12,7 +12,8 @@ at 2*phi, every probability is pi-periodic in the phase; the trigonometric
 argument is reduced with an exact remainder so that periodicity holds bitwise.
 
 The model is evaluated on whole phase arrays: :func:`outcome_probs` and
-:func:`outcome_dprobs` return one row per setting.
+:func:`outcome_dprobs` return one row per setting, and `_outcomes` both
+from one reduction of the phases.
 
 Every number given to gcrb is checked here, with a ValueError for any bad
 value: `check_real` and `check_whole` take finite reals and whole numbers in
@@ -149,13 +150,27 @@ def outcome_probs(phases, params: ModelParams) -> np.ndarray:
     cos 2phi, sin 2phi, -cos 2phi, -sin 2phi.  Each column sums to one and
     every entry lies in [0, 1/2].
     """
-    cu, su = _phase_trig(phases)
-    v = params.visibility
-    return 0.25 * np.array([1.0 + v * cu, 1.0 + v * su, 1.0 - v * cu, 1.0 - v * su])
+    return _probs(_phase_trig(phases), params.visibility)
 
 
 def outcome_dprobs(phases, params: ModelParams) -> np.ndarray:
     """d p(theta_k | phi) / d phi for k = 0..3, shape (4, *phases.shape)."""
-    cu, su = _phase_trig(phases)
-    half_v = 0.5 * params.visibility
+    return _dprobs(_phase_trig(phases), params.visibility)
+
+
+def _outcomes(phases, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """`outcome_probs` and `outcome_dprobs`, with their bits, from one
+    reduction of the phases."""
+    trig = _phase_trig(phases)
+    return _probs(trig, params.visibility), _dprobs(trig, params.visibility)
+
+
+def _probs(trig, v: float) -> np.ndarray:
+    cu, su = trig
+    return 0.25 * np.array([1.0 + v * cu, 1.0 + v * su, 1.0 - v * cu, 1.0 - v * su])
+
+
+def _dprobs(trig, v: float) -> np.ndarray:
+    cu, su = trig
+    half_v = 0.5 * v
     return np.array([half_v * -su, half_v * cu, half_v * su, half_v * -cu])

@@ -34,7 +34,9 @@ rule, all taken from one `generalized_fisher` call at (phase_true, v_est).
 `run_campaign` returns the experiments as one `ExperimentTable` of columns.
 Statistics are expressions on the table, per order of ``config.beta_list``:
 Sigma_beta is ``table.flags.mean(axis=0)``, the violation counts
-``table.flags.sum(axis=0)``; the infeasible experiments are
+``table.flags.sum(axis=0)``, at the orders where ``defined_orders(config)``
+holds (at orders from about 85 the Gaussian moments leave float range, and
+the flags compare against nan); the infeasible experiments are
 ``(~table.feasible).sum()`` and the estimator bias
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
@@ -50,6 +52,7 @@ from .bayes import (
     DEFAULT_BETAS,
     DEFAULT_DOMAIN,
     MAX_GAUSSIAN_ORDER,
+    TINY,
     PhaseDomain,
     _evaluate_counts,
     gaussian_abs_moment,
@@ -156,7 +159,9 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     They use the experimenter's model: f_alpha of every order and the Fisher
     information F = f_2 come from one model evaluation at (phase_true, v_est).
     Raises UndefinedRatioError when F vanishes there, which leaves the windows
-    undefined.
+    undefined.  An order whose bound, sigma_beta or centre is below the
+    smallest normal float or not finite, as sigma_beta is from order 85 at
+    2,000 shots, has nan in all three (`defined_orders`).
     """
     betas = np.array(config.beta_list)
     infos = generalized_fisher(np.append(conjugate_exponent(betas), 2.0),
@@ -167,12 +172,27 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
             f"violation windows undefined: Fisher information vanishes at "
             f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
         )
-    floors = order_bound(betas, infos[:-1], config.shots)
-    windows = config.sigma_window * sigma_beta(betas, config.shots, info)
+    with np.errstate(over="ignore", invalid="ignore"):
+        floors = order_bound(betas, infos[:-1], config.shots)
+        sigmas = sigma_beta(betas, config.shots, info)
+        centers = gaussian_abs_moment(betas, 1.0 / math.sqrt(config.shots * info))
+    windows = config.sigma_window * sigmas
     if config.window_scale == "standard-error":
         windows /= math.sqrt(config.shots)
-    centers = gaussian_abs_moment(betas, 1.0 / math.sqrt(config.shots * info))
+    values = np.array([floors, sigmas, centers])
+    undefined = ~((values >= TINY) & (values < math.inf)).all(axis=0)
+    for column in (floors, windows, centers):
+        column[undefined] = math.nan
     return floors, windows, centers
+
+
+def defined_orders(config: CampaignConfig) -> np.ndarray:
+    """Whether Sigma_beta is defined at each order of config.beta_list: not
+    where the order's bound, sigma_beta or Gaussian centre at (phase_true,
+    v_est, shots) leaves float range (`_reference`), since the flags of
+    `run_campaign` at that order compare against nan.  Raises
+    UndefinedRatioError where the Fisher information vanishes at phase_true."""
+    return ~np.isnan(_reference(config)[0])
 
 
 def _flag_violations(deltas: np.ndarray, floors: np.ndarray, windows: np.ndarray,

@@ -626,6 +626,13 @@ def test_kappa_values():
             kappa(1e-4, bad, 2000, 2.0)
     assert math.isnan(kappa(math.nan, 1.805, 2000, 2.0))
     assert np.isnan(kappa(np.array([1e-4, math.nan]), 1.805, 2000, 2.0)).tolist() == [False, True]
+    # a bound below the smallest normal float or past float range, and a
+    # ratio that overflows, give nan and no RuntimeWarning
+    assert order_bound(300.0, 3.0, 2000) == 0.0
+    assert math.isnan(kappa(1e-57, 3.0, 2000, 300.0))
+    assert math.isnan(kappa(1e-57, 1e-300, 1, 300.0))
+    assert math.isnan(kappa(1e300, 1.0, 1e10, 40.0))
+    assert kappa(1e-57, 3.0, 2000, 100.0) == 1e-57 / order_bound(100.0, 3.0, 2000)
 
 
 def test_bool_shot_counts_are_rejected():

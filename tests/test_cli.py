@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gcrb
 import gcrb.cli
 import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
@@ -84,7 +86,7 @@ def test_failed_stream_leaves_the_old_output(tmp_path):
         raise RuntimeError("stream broke")
 
     with pytest.raises(RuntimeError, match="stream broke"):
-        _emit(out, ("a", "b"), lines(), {"command": "test"})
+        _emit(argparse.Namespace(command="test", out=str(out)), ("a", "b"), lines())
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
@@ -144,6 +146,38 @@ def test_simulate_manifest_contents(tmp_path):
     assert manifest["outputs"] == ["m.csv"]
     assert manifest["config"]["experiments"] == 2
     assert manifest["config"]["shots"] == 2000
+
+
+def test_manifests_record_every_parsed_option(tmp_path):
+    # the complete configuration of each command with non-default options:
+    # every parsed option but the command, the output and the seed, with the
+    # resolved v_est values, orders, phases and domain
+    counts = tmp_path / "counts.csv"
+    counts.write_text("phase_rad,c0,c1,c2,c3\n0.3,510,600,490,400\n", encoding="utf-8")
+    runs = {
+        "simulate": (["simulate", "--phase-true", "0.5", "--v-true", "0.93", "--v-est", "0.9",
+                      "--v-est", "0.95:0.97:0.01", "--shots", "500", "--experiments", "3",
+                      "--seed", "5", "--sigma-window", "2.5", "--violation-rule",
+                      "two-sided-bound", "--window-scale", "posterior-sd", "--beta", "1.5",
+                      "--beta", "2,3.5", "--domain=-0.5:1.0"], 5, {
+            "phase_true": 0.5, "v_true": 0.93, "v_est": [0.9, 0.95, 0.96, 0.97], "shots": 500,
+            "experiments": 3, "sigma_window": 2.5, "violation_rule": "two-sided-bound",
+            "window_scale": "posterior-sd", "beta": [1.5, 2.0, 3.5],
+            "domain": {"lower": -0.5, "upper": 1.0}}),
+        "bounds": (["bounds", "--phase-true", "0.1", "--phase-true", "0.2:0.4:0.1", "--v-est",
+                    "0.9", "--shots", "300", "--beta", "1.2,5"], None, {
+            "phase": [0.1, 0.2, 0.3, 0.4], "v_est": 0.9, "shots": 300, "beta": [1.2, 5.0]}),
+        "analyze": (["analyze", str(counts), "--fold", "--v-est", "0.9,0.95", "--beta", "6",
+                     "--domain", "0.1:1.2"], None, {
+            "counts": str(counts), "v_est": [0.9, 0.95], "beta": [6.0], "fold": True,
+            "domain": {"lower": 0.1, "upper": 1.2}}),
+    }
+    for command, (argv, seed, config) in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads(read(tmp_path / f"{command}.csv.manifest.json"))
+        assert manifest == {"command": command, "config": config, "model": "noon2-4setting",
+                            "outputs": [out.name], "seed": seed, "version": gcrb.__version__}
 
 
 def test_simulate_invalid_config_leaves_no_output(tmp_path):
@@ -210,6 +244,43 @@ def test_simulate_zero_information_v_est_flags_its_own_rows(tmp_path, capsys):
     assert header == read(clean).splitlines()[0]
     assert lines[:4] == [f"0.0,{b},nan,nan,5" for b in ("1.5", "2.0", "3.0", "4.0")]
     assert lines[4:] == read(clean).splitlines()[1:]
+
+
+def test_simulate_orders_beyond_float_range_flag_their_own_rows(tmp_path, capsys):
+    # at beta = 100 sigma_beta's Gaussian moment of order 200 underflows and
+    # the window was 0, which flagged every experiment: that row is nan with
+    # one warning, and the other order's row matches a run without it
+    clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
+    argv = ["simulate", "--experiments", "4", "--v-est", "0.95"]
+    assert main([*argv, "--beta", "2", "--out", str(clean)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*argv, "--beta", "2,100", "--out", str(mixed)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: v_est=0.95 beta=100.0:")
+    header, *lines = read(mixed).splitlines()
+    assert [header, lines[0]] == read(clean).splitlines()
+    assert lines[1:] == ["0.95,100.0,nan,nan,4"]
+
+
+def test_analyze_ratios_beyond_float_range_are_nan(tmp_path, capsys):
+    # at beta = 300 the bound and the Gaussian moment underflow to 0: kappa
+    # and the Gaussianity ratio were inf, with two RuntimeWarnings
+    counts = tmp_path / "counts.csv"
+    counts.write_text("phase_rad,c0,c1,c2,c3\n0.3,510,600,490,400\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["analyze", str(counts), "--beta", "300", "--v-est", "0.95", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = rows_of(out)
+    assert math.isfinite(float(row["delta_beta"]))
+    assert (row["kappa_beta"], row["gauss_ratio"]) == ("nan", "nan")
+    # at beta = 1.01, alpha = 101, and a phi_hat near the zero of p_3 at pi/4
+    # under v = 1 takes f_alpha to inf: kappa is nan, where it was a usage
+    # error and an overflow warning
+    counts.write_text("phase_rad,c0,c1,c2,c3\n0.78,500,1000,500,0\n", encoding="utf-8")
+    assert main(["analyze", str(counts), "--beta", "1.01,2", "--v-est", "1.0", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    low, two = rows_of(out)
+    assert low["kappa_beta"] == "nan" and math.isfinite(float(two["kappa_beta"]))
 
 
 def test_bounds_reference_value(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gcrb.bayes import (DEFAULT_DOMAIN, PhaseDomain, _log_ratio, _ratio_scale, _split,
                         gaussian_abs_moment, kappa, report_counts)
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
-from gcrb.model import ModelParams, check_counts, check_whole, outcome_dprobs, outcome_probs
+from gcrb.model import (ModelParams, _outcomes, check_counts, check_whole, outcome_dprobs,
+                        outcome_probs)
 from gcrb.montecarlo import CampaignConfig, draw_tallies, sigma_beta
 
 PI = math.pi
@@ -149,6 +150,16 @@ def test_array_evaluation_matches_pointwise():
     for i, phi in enumerate(phases):
         np.testing.assert_array_equal(probs[:, i], outcome_probs(float(phi), params))
         np.testing.assert_array_equal(dprobs[:, i], outcome_dprobs(float(phi), params))
+
+
+def test_outcomes_share_one_reduction_with_the_bits_of_each():
+    # generalized_fisher and the posterior's slope take p and dp/dphi from
+    # one reduction of the phases, with the bits of the public functions
+    phases = np.random.default_rng(17).uniform(-2 * PI, 2 * PI, (3, 50))
+    params = ModelParams(0.93)
+    probs, dprobs = _outcomes(phases, params)
+    assert probs.tobytes() == outcome_probs(phases, params).tobytes()
+    assert dprobs.tobytes() == outcome_dprobs(phases, params).tobytes()
 
 
 def test_outcome_prob_requires_finite_phase():

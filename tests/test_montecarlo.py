@@ -239,6 +239,20 @@ def test_posterior_sd_windows_are_standard_error_windows_times_sqrt_shots():
     assert sd_windows == pytest.approx(windows * math.sqrt(config.shots), rel=1e-15)
 
 
+def test_orders_whose_reference_leaves_float_range_are_undefined():
+    # from about order 85 at these settings sigma_beta's Gaussian moment of
+    # twice the order underflows: that order's bound, window and centre are
+    # nan, and the other orders keep the bits they have alone
+    config = small_config(v_est=0.95, beta_list=(2.0, 100.0))
+    assert mc.defined_orders(config).tolist() == [True, False]
+    alone = mc._reference(dataclasses.replace(config, beta_list=(2.0,)))
+    for column, column_alone in zip(mc._reference(config), alone):
+        assert column[:1].tobytes() == column_alone.tobytes()
+        assert math.isnan(column[1])
+    with pytest.raises(UndefinedRatioError):
+        mc.defined_orders(dataclasses.replace(config, v_est=0.0))
+
+
 def test_infeasible_experiment_counts_as_violation():
     # one row of a block gets counts so large that its likelihood is zero
     # everywhere on the domain; only that row is infeasible and flagged
