@@ -5,7 +5,8 @@ data, reconstructs phase posteriors, computes absolute central moments and
 generalized Fisher informations, and measures how often each order-beta lower
 bound is broken, which flags miscalibration bias in the sensor model.
 `report_counts` analyzes a table of counts, one posterior per row, for the
-library and for `gcrb analyze` alike.
+library, for `gcrb analyze` and for the campaigns of `run_campaign` alike,
+and its `CountsReport` is the one row table of each.
 """
 
 __version__ = "0.1.0"
@@ -42,7 +43,6 @@ from .model import (
 )
 from .montecarlo import (
     CampaignConfig,
-    ExperimentTable,
     campaign_tallies,
     draw_tallies,
     run_campaign,
@@ -58,7 +58,6 @@ __all__ = [
     "CountsTable",
     "DEFAULT_DOMAIN",
     "EstimationError",
-    "ExperimentTable",
     "MODEL_NAME",
     "ModelParams",
     "PhaseDomain",

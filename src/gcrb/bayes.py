@@ -50,13 +50,14 @@ call, however many pieces its batch holds.  `_split` and `_cut` allocate
 their own small arrays.  The pool is per thread and empty at import; the CLI
 forks before it evaluates anything, so each child fills a pool of its own.
 
-`report_counts` is the analysis routine of the library and of `gcrb analyze`:
-it takes an (E, 4) counts table to feasibility, phi_hat, Delta_beta,
+`report_counts` is the analysis routine of the library, of `gcrb analyze`
+and of `simulate`'s campaigns (`gcrb.montecarlo.run_campaign`): it takes an
+(E, 4) counts table to a `CountsReport` of feasibility, phi_hat, Delta_beta,
 kappa_beta and Gaussianity ratios, one row per counts row.  It chains
-`_evaluate_counts`, which `simulate` shares, with `_reports`, which
-adds the kappa and Gaussianity columns.  `gaussian_abs_moment` and `kappa`
-broadcast over orders, so the reports are array expressions over the
-(E, n_beta) columns; kappa is Delta_beta over `gcrb.fisher.order_bound`.
+`_evaluate_counts` with `_reports`, which adds the kappa and Gaussianity
+columns.  `gaussian_abs_moment` and `kappa` broadcast over orders, so the
+reports are array expressions over the (E, n_beta) columns; kappa is
+Delta_beta over `gcrb.fisher.order_bound`.
 """
 
 from __future__ import annotations
@@ -562,11 +563,14 @@ def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params
 
 
 class CountsReport(NamedTuple):
-    """The analysis of an (E, 4) counts table, one row per counts row.
+    """The analysis of an (E, 4) counts table, one row per counts row: gcrb's
+    one row table, from `report_counts` and from the campaigns of
+    `gcrb.montecarlo`, which add flags and the defined-order mask.
 
     An infeasible row, whose counts are impossible on the whole domain, is
-    ``nan`` throughout.  ``nan`` also marks a kappa without shots or
-    information and a Gaussianity ratio of a posterior without spread.
+    ``nan`` throughout, and a campaign flags it at every order.  ``nan`` also
+    marks a kappa without shots or information and a Gaussianity ratio of a
+    posterior without spread.
     """
 
     feasible: np.ndarray      # (E,)
@@ -574,6 +578,8 @@ class CountsReport(NamedTuple):
     deltas: np.ndarray        # (E, n_beta) absolute moments Delta_beta
     kappas: np.ndarray        # (E, n_beta) saturation ratios kappa_beta
     gauss_ratios: np.ndarray  # (E, n_beta) Delta_beta / Delta_beta(Gaussian)
+    flags: np.ndarray | None = None    # (E, n_beta) a campaign's violation flags
+    defined: np.ndarray | None = None  # (n_beta,) where a campaign's Sigma_beta is defined
 
 
 def report_counts(counts, params: ModelParams, domain: PhaseDomain = DEFAULT_DOMAIN,

@@ -7,10 +7,9 @@ Subcommands
 
 `analyze` calls the library's analysis routine, `gcrb.bayes.report_counts`,
 once per v_est on the whole counts table.  `simulate` calls
-`gcrb.montecarlo.run_campaign` once per v_est, which shares that routine's
-counts evaluator, ``nan`` on infeasible rows (`gcrb.bayes._evaluate_counts`),
-and writes per order the column sum of the table's flags (n_violations) and
-their column mean Sigma_beta (sigma_frac).
+`gcrb.montecarlo.run_campaign` once per v_est, which flags that routine's
+report of the campaign's tallies, and writes per order the column sum of the
+report's flags (n_violations) and their column mean Sigma_beta (sigma_frac).
 `bounds` computes every f_alpha from one `generalized_fisher` call and the
 bounds from the resulting arrays (`gcrb.fisher.order_bound`).
 
@@ -73,7 +72,7 @@ from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_ord
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
 from .montecarlo import (VIOLATION_RULES, WINDOW_SCALES, CampaignConfig, campaign_tallies,
-                         defined_orders, run_campaign)
+                         run_campaign)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -266,16 +265,16 @@ def _campaign_lines(counts: np.ndarray, config: CampaignConfig) -> tuple[list[st
     """The warnings of the campaign on counts, and its CSV lines joined by
     newlines.  A row whose Sigma_beta is undefined, at every order where
     phase_true has no Fisher information and at an order whose reference
-    leaves float range (`gcrb.montecarlo.defined_orders`), carries nan and
+    leaves float range (the campaign's ``defined`` mask), carries nan and
     has a warning, and the sweep goes on."""
     v_est, n, phase = config.v_est, config.n_experiments, config.phase_true
     try:
-        defined = defined_orders(config).tolist()
-        sums = run_campaign(config, counts).flags.sum(axis=0).tolist()
+        table = run_campaign(config, counts)
     except UndefinedRatioError:
         return ([f"v_est={v_est!r} has zero Fisher information at phase_true={phase!r}; "
                  f"its sigma_beta rows are nan"],
                 "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list))
+    defined, sums = table.defined.tolist(), table.flags.sum(axis=0).tolist()
     cells = [f"{c / n!r},{c}" if ok else "nan,nan" for ok, c in zip(defined, sums)]
     return ([f"v_est={v_est!r} beta={b!r}: the bound, sigma_beta or Gaussian centre at "
              f"phase_true={phase!r} leaves float range; its sigma_beta row is nan"

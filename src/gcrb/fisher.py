@@ -1,14 +1,20 @@
 """Standard and generalized Fisher information with the order-beta lower bounds.
 
-For Hoelder-conjugate exponents 1/alpha + 1/beta = 1, the beta-th absolute
-central moment of an unbiased estimate from M independent repetitions obeys
+For Hoelder-conjugate exponents 1/alpha + 1/beta = 1, the order-beta bound
+on the beta-th absolute central moment of an unbiased estimate is taken in
+the paper's per-shot form
 
     Delta_beta >= M**(-beta/2) * f_alpha**(-beta/alpha),
 
 where f_alpha = sum_theta p(theta|phi) * |d/dphi log p(theta|phi)|**alpha is
-the alpha-th absolute moment of the score.  beta = alpha = 2 recovers the
-familiar 1/(M*F) variance bound with F = f_2 the Fisher information,
-``generalized_fisher(2.0, phases, params)``.
+the alpha-th absolute moment of the single-shot score.  Hoelder's inequality
+for M shots gives (E|S_M|**alpha)**(-beta/alpha), with S_M the score of the
+whole tally; the per-shot form puts M**(alpha/2) f_alpha for E|S_M|**alpha,
+which is exact only at beta = alpha = 2.  At M = 2000 the order-3 form is
+1.15 times that bound at phi = pi/8, v = 0.95, and 1.33 times at 3 pi/16,
+v = 0.99; the exact M-shot bound is item 14 of ROADMAP.md.  beta = alpha = 2
+recovers the familiar 1/(M*F) variance bound with F = f_2 the Fisher
+information, ``generalized_fisher(2.0, phases, params)``.
 
 Every function here broadcasts over orders: `conjugate_exponent` maps an
 array of orders beta to their alphas, `generalized_fisher` gives f_alpha for
@@ -79,9 +85,10 @@ def generalized_fisher(alpha, phases, params: ModelParams):
 
 
 def order_bound(beta, f_alpha, shots):
-    """Lower bound M**(-beta/2) * f_alpha**(-beta/alpha) on Delta_beta from
-    M = shots repetitions, or the +inf marker where f_alpha vanishes
-    (unbounded uncertainty).  Past float range the bound is 0 or inf, or nan
+    """The per-shot order-beta bound M**(-beta/2) * f_alpha**(-beta/alpha) on
+    Delta_beta at M = shots, exact for M shots only at beta = 2 (module
+    notes), or the +inf marker where f_alpha vanishes (unbounded
+    uncertainty).  Past float range the bound is 0 or inf, or nan
     where one factor underflows and the other overflows, without a
     RuntimeWarning: callers judge it by its value.
 

@@ -26,17 +26,20 @@ does not depend on which rows are drawn with it and any experiment can be
 recomputed alone (`run_experiment`).  Nor does a tally depend on v_est:
 `gcrb.cli` draws a campaign's tallies once (`campaign_tallies`) and runs the
 `run_campaign` of each v_est of a sweep, shared between its own process and
-forked children, with the same bytes as in one process.  Tallies go through
-the counts evaluator of `gcrb.bayes.report_counts` and are flagged by array
-comparison against the per-order bounds, windows and Gaussian centres of the
-rule, all taken from one `generalized_fisher` call at (phase_true, v_est).
+forked children, with the same bytes as in one process.  A campaign's
+tallies go through `gcrb.bayes.report_counts`, as a counts file's do in
+`gcrb analyze`, and are flagged by array comparison against the per-order
+bounds, windows and Gaussian centres of the rule, all taken from one
+`generalized_fisher` call at (phase_true, v_est).
 
-`run_campaign` returns the experiments as one `ExperimentTable` of columns.
-Statistics are expressions on the table, per order of ``config.beta_list``:
+`run_campaign` returns the experiments as the `CountsReport` of their
+tallies, one row per experiment in index order, with two more fields: the
+(E, n_beta) ``flags`` and the per-order mask ``defined``.  Statistics are
+array expressions on that table, per order of ``config.beta_list``:
 Sigma_beta is ``table.flags.mean(axis=0)``, the violation counts
-``table.flags.sum(axis=0)``, at the orders where ``defined_orders(config)``
-holds (at orders from about 85 the Gaussian moments leave float range, and
-the flags compare against nan); the infeasible experiments are
+``table.flags.sum(axis=0)``, at the orders where ``table.defined`` holds (at
+orders from about 85 the Gaussian moments leave float range, and the flags
+compare against nan); the infeasible experiments are
 ``(~table.feasible).sum()`` and the estimator bias
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
@@ -53,14 +56,15 @@ from .bayes import (
     DEFAULT_DOMAIN,
     MAX_GAUSSIAN_ORDER,
     TINY,
+    CountsReport,
     PhaseDomain,
-    _evaluate_counts,
     gaussian_abs_moment,
+    report_counts,
 )
 from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
-from .model import (MAX_COUNT, N_SETTINGS, ModelParams, check_counts, check_orders, check_real,
-                    check_whole, outcome_probs)
+from .model import (MAX_COUNT, N_SETTINGS, ModelParams, check_orders, check_real, check_whole,
+                    outcome_probs)
 
 VIOLATION_RULES = ("composite", "below-bound", "two-sided-bound", "gaussian-consistency")
 WINDOW_SCALES = ("standard-error", "posterior-sd")
@@ -99,22 +103,6 @@ class CampaignConfig:
             "sigma_window": check_real(self.sigma_window, "sigma_window", 0, ndim=0),
         }.items():
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class ExperimentTable:
-    """Synthetic experiments as columns, one row per experiment.
-
-    An infeasible row, whose counts are impossible under v_est, has ``nan``
-    phi_hat and deltas and every order flagged.
-    """
-
-    index: np.ndarray      # (E,) experiment indices
-    counts: np.ndarray     # (E, 4) tallies
-    feasible: np.ndarray   # (E,)
-    phi_hat: np.ndarray    # (E,) posterior means
-    deltas: np.ndarray     # (E, n_beta) absolute moments Delta_beta
-    flags: np.ndarray      # (E, n_beta) violation flags
 
 
 def draw_tallies(phases, v_true: float, shots: int, seed: int, indices) -> np.ndarray:
@@ -161,7 +149,7 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Raises UndefinedRatioError when F vanishes there, which leaves the windows
     undefined.  An order whose bound, sigma_beta or centre is below the
     smallest normal float or not finite, as sigma_beta is from order 85 at
-    2,000 shots, has nan in all three (`defined_orders`).
+    2,000 shots, has nan in all three: Sigma_beta is undefined there.
     """
     betas = np.array(config.beta_list)
     infos = generalized_fisher(np.append(conjugate_exponent(betas), 2.0),
@@ -186,15 +174,6 @@ def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return floors, windows, centers
 
 
-def defined_orders(config: CampaignConfig) -> np.ndarray:
-    """Whether Sigma_beta is defined at each order of config.beta_list: not
-    where the order's bound, sigma_beta or Gaussian centre at (phase_true,
-    v_est, shots) leaves float range (`_reference`), since the flags of
-    `run_campaign` at that order compare against nan.  Raises
-    UndefinedRatioError where the Fisher information vanishes at phase_true."""
-    return ~np.isnan(_reference(config)[0])
-
-
 def _flag_violations(deltas: np.ndarray, floors: np.ndarray, windows: np.ndarray,
                      centers: np.ndarray, rule: str) -> np.ndarray:
     """Violation flags of (E, n_beta) moments against the bounds, windows and
@@ -210,16 +189,17 @@ def _flag_violations(deltas: np.ndarray, floors: np.ndarray, windows: np.ndarray
     return below | off_center
 
 
-def _evaluate(config: CampaignConfig, index: np.ndarray, counts: np.ndarray) -> ExperimentTable:
-    """Analyze the tallies of the experiments index with v_est and flag
-    their violations."""
-    rule = _reference(config)
-    feasible, phi_hat, deltas = _evaluate_counts(counts, ModelParams(config.v_est),
-                                                 config.domain, config.beta_list)
+def _campaign(config: CampaignConfig, counts) -> CountsReport:
+    """The report of the campaign's experiments with the given tallies,
+    analyzed with v_est (`report_counts`), with their violation flags and
+    the orders where Sigma_beta is defined."""
+    floors, windows, centers = _reference(config)
+    report = report_counts(counts, ModelParams(config.v_est), config.domain, config.beta_list)
     # an infeasible row is maximal evidence of model mismatch: counts
     # impossible under v_est
-    flags = _flag_violations(deltas, *rule, config.violation_rule) | ~feasible[:, np.newaxis]
-    return ExperimentTable(index, counts, feasible, phi_hat, deltas, flags)
+    flags = (_flag_violations(report.deltas, floors, windows, centers, config.violation_rule)
+             | ~report.feasible[:, np.newaxis])
+    return report._replace(flags=flags, defined=~np.isnan(floors))
 
 
 def campaign_tallies(config: CampaignConfig) -> np.ndarray:
@@ -230,29 +210,32 @@ def campaign_tallies(config: CampaignConfig) -> np.ndarray:
                         np.arange(config.n_experiments))
 
 
-def run_experiment(config: CampaignConfig, experiment_index: int) -> ExperimentTable:
+def run_experiment(config: CampaignConfig, experiment_index: int) -> CountsReport:
     """Sample one experiment with v_true, analyze it with v_est, flag violations.
 
-    Returns a one-row table, deterministic given (config.seed, experiment_index).
-    Raises ValueError unless the index is an integer in [0, n_experiments).
+    Returns a one-row report, deterministic given (config.seed,
+    experiment_index), whose tally is ``draw_tallies(phase_true, v_true,
+    shots, seed, [experiment_index])``.  Raises ValueError unless the index
+    is an integer in [0, n_experiments).
     """
     index = check_whole(experiment_index, "experiment_index", 0, config.n_experiments - 1, ndim=0)
-    index = np.array([index])
-    return _evaluate(config, index, draw_tallies(config.phase_true, config.v_true, config.shots,
-                                                 config.seed, index))
+    return _campaign(config, draw_tallies(config.phase_true, config.v_true, config.shots,
+                                          config.seed, [index]))
 
 
-def run_campaign(config: CampaignConfig, counts=None) -> ExperimentTable:
+def run_campaign(config: CampaignConfig, counts=None) -> CountsReport:
     """Every experiment of one campaign, in index order, analyzed from the
     given (n_experiments, 4) tallies, or from the campaign's own draw
     (`campaign_tallies`) when none are given.  Raises ValueError unless the
-    given tallies pass `gcrb.model.check_counts`, have n_experiments rows and
-    hold config.shots shots in every row, the M of the bounds."""
-    if counts is None:
-        counts = campaign_tallies(config)
-    else:
-        counts = check_counts(counts)
-        if len(counts) != config.n_experiments or (counts.sum(axis=1) != config.shots).any():
-            raise ValueError(f"counts must have {config.n_experiments} rows, "
-                             f"each summing to shots={config.shots}")
-    return _evaluate(config, np.arange(config.n_experiments), counts)
+    given tallies pass `gcrb.model.check_counts`, which `report_counts`
+    applies, have n_experiments rows and hold config.shots shots in every
+    row, the M of the bounds."""
+    table = _campaign(config, campaign_tallies(config) if counts is None else counts)
+    # report_counts has checked them once: whole numbers up to 2**53, whose
+    # int64 sums are exact
+    if counts is not None and (
+            table.feasible.size != config.n_experiments
+            or (np.asarray(counts).astype(np.int64).sum(axis=1) != config.shots).any()):
+        raise ValueError(f"counts must have {config.n_experiments} rows, "
+                         f"each summing to shots={config.shots}")
+    return table

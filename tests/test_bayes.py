@@ -47,7 +47,7 @@ def row_report(phi_hat, columns, betas):
 def one_row(counts, params, domain=DEFAULT_DOMAIN, betas=BETAS):
     """The report_counts report of one tally."""
     report = report_counts(np.asarray(counts)[np.newaxis], params, domain, betas)
-    return row_report(report.phi_hat, report[2:], betas)
+    return row_report(report.phi_hat, report[2:5], betas)
 
 
 def expected_counts(shots, phase, v=0.95):
@@ -139,7 +139,7 @@ def test_moments_are_positive_up_to_2_53_shots():
         for v in (0.95, 0.99, 1.0):
             report = report_counts(counts, ModelParams(v))
             assert report.feasible.all()
-            for column in report[2:]:
+            for column in report[2:5]:
                 assert np.isfinite(column).all() and (column > 0.0).all(), (phase, v)
             if v == 0.95 and phase > 0.1:
                 # the Gaussian limit, each order within 1e-6 from 1e7 shots on
@@ -330,7 +330,7 @@ def test_report_rows_match_one_row_and_repeated_calls(v_est):
     repeated = report_counts(np.repeat(counts, 21, axis=0), params)
     for row in range(len(counts)):
         alone = report_counts(counts[row:row + 1], params)
-        for got, copies, want in zip(report, repeated, alone):
+        for got, copies, want in zip(report[:5], repeated[:5], alone[:5]):
             assert got[row:row + 1].tobytes() == want.tobytes(), row
             copies = copies[21 * row:21 * row + 21]
             assert copies.tobytes() == np.repeat(want, 21, axis=0).tobytes(), row
@@ -439,7 +439,7 @@ def test_block_reports_leave_infeasible_rows_nan():
     report = report_counts(counts, params, domain, BETAS)
     assert report.feasible.tolist() == [True, False]
     assert report.phi_hat.tobytes() == phi_hat.tobytes() and np.isnan(report.phi_hat[1])
-    for got, want in zip(report[2:], columns):
+    for got, want in zip(report[2:5], columns):
         assert got.tobytes() == want.tobytes()
 
 

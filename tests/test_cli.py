@@ -18,7 +18,7 @@ import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
 from gcrb.errors import EstimationError, UndefinedRatioError
 from gcrb.ingest import CountsTable, write_counts
-from gcrb.montecarlo import CampaignConfig, draw_tallies, run_campaign
+from gcrb.montecarlo import CampaignConfig, campaign_tallies, draw_tallies, run_campaign
 
 PI = math.pi
 ROOT = Path(__file__).resolve().parents[1]
@@ -364,6 +364,32 @@ def test_analyze_overestimated_visibility_hits_beta3_first(tmp_path):
     assert min(kappa3) < 1.0
 
 
+def test_analyze_of_a_campaign_file_writes_the_campaign_table(tmp_path):
+    # simulate and analyze report through one routine: analyze on a file of
+    # a campaign's tallies, labelled phase_true, writes each cell as the repr
+    # of the matching cell of the campaign's table
+    config = CampaignConfig(phase_true=PI / 8.0, v_true=0.95, v_est=0.95, n_experiments=30,
+                            seed=7)
+    counts = campaign_tallies(config)
+    path = tmp_path / "campaign.csv"
+    write_counts(counts_table([config.phase_true] * len(counts), counts), path)
+    orders = len(config.beta_list)
+    for v in (0.95, 0.99):
+        table = run_campaign(dataclasses.replace(config, v_est=v), counts)
+        out = tmp_path / f"report_{v}.csv"
+        assert main(["analyze", str(path), "--v-est", repr(v), "--out", str(out)]) == 0
+        rows = rows_of(out)
+        assert len(rows) == len(counts) * orders
+        for n, row in enumerate(rows):
+            i, k = divmod(n, orders)
+            assert (row["phase_label"], row["beta"]) == (repr(config.phase_true),
+                                                         repr(config.beta_list[k]))
+            assert row["phi_hat"] == repr(float(table.phi_hat[i]))
+            for column, cells in (("delta_beta", table.deltas), ("kappa_beta", table.kappas),
+                                  ("gauss_ratio", table.gauss_ratios)):
+                assert row[column] == repr(float(cells[i, k])), (column, i, k)
+
+
 def test_analyze_fold_option_changes_label_only(tmp_path):
     # counts generated at the folded phase but labeled with the nominal 2.8 rad
     counts = tmp_path / "counts.csv"
@@ -675,6 +701,23 @@ def test_simulate_draws_the_tallies_once_before_the_fork(monkeypatch, tmp_path):
         parent = [str(os.getpid())]
         assert drawn_before == [parent], cpus
         assert draws.read_text(encoding="utf-8").split() == parent, cpus
+
+
+def test_simulate_takes_one_flagging_reference_per_v_est(monkeypatch, tmp_path):
+    # each campaign takes its bounds, windows, centres and defined orders
+    # from one _reference call; with one CPU every share runs in-process
+    reference = gcrb.montecarlo._reference
+    calls = []
+
+    def counted(config):
+        calls.append(config.v_est)
+        return reference(config)
+
+    monkeypatch.setattr(gcrb.montecarlo, "_reference", counted)
+    use_cpus(monkeypatch, 1)
+    assert main(["simulate", "--v-est", "0.9,0.95,1.0", "--experiments", "5",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    assert calls == [0.9, 0.95, 1.0]
 
 
 def test_analyze_bytes_do_not_depend_on_the_worker_count(monkeypatch, capsys, tmp_path):

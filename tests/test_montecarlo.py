@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 import gcrb.montecarlo as mc
-from gcrb.bayes import gaussian_abs_moment
+from gcrb.bayes import CountsReport, PhaseDomain, gaussian_abs_moment, report_counts
 from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
     CampaignConfig,
-    ExperimentTable,
     campaign_tallies,
     draw_tallies,
     run_campaign,
@@ -22,11 +21,17 @@ from gcrb.montecarlo import (
 PI = math.pi
 
 
+# the per-row columns of a campaign's report; `defined` is one per order
+ROW_FIELDS = tuple(name for name in CountsReport._fields if name != "defined")
+
+
 def assert_row_identical(table, i, row):
-    """Row i of table equals the one-row table row bit for bit, nan included."""
-    for f in dataclasses.fields(ExperimentTable):
-        got, want = getattr(table, f.name)[i], getattr(row, f.name)[0]
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (f.name, i)
+    """Row i of table equals the one-row table row bit for bit, nan included,
+    and both have the same defined orders."""
+    assert table.defined.tobytes() == row.defined.tobytes()
+    for name in ROW_FIELDS:
+        got, want = getattr(table, name)[i], getattr(row, name)[0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (name, i)
 
 
 def bias_and_stderr(table, phase_true):
@@ -125,7 +130,8 @@ def test_draw_tallies_rows_follow_their_own_streams():
     config = small_config(n_experiments=6, seed=seed)
     want = draw_tallies(config.phase_true, config.v_true, config.shots, seed, np.arange(6))
     assert campaign_tallies(config).tolist() == want.tolist()
-    assert run_experiment(config, 4).counts.tolist() == want[4:5].tolist()
+    # and run_experiment analyzes that row alone
+    assert_row_identical(run_campaign(config, want), 4, run_experiment(config, 4))
 
 
 def test_draw_tallies_never_draws_impossible_outcome():
@@ -168,8 +174,8 @@ def test_run_experiment_is_deterministic():
     config = small_config()
     first = run_experiment(config, 7)
     second = run_experiment(config, 7)
-    assert first.index.tolist() == [7]
     assert_row_identical(first, 0, second)
+    assert_row_identical(run_campaign(config), 7, first)
     # an index names one of the campaign's experiments: an integer, not a
     # bool, in [0, n_experiments)
     assert_row_identical(run_experiment(config, np.int64(7)), 0, first)
@@ -243,34 +249,51 @@ def test_orders_whose_reference_leaves_float_range_are_undefined():
     # from about order 85 at these settings sigma_beta's Gaussian moment of
     # twice the order underflows: that order's bound, window and centre are
     # nan, and the other orders keep the bits they have alone
-    config = small_config(v_est=0.95, beta_list=(2.0, 100.0))
-    assert mc.defined_orders(config).tolist() == [True, False]
+    config = small_config(v_est=0.95, beta_list=(2.0, 100.0), n_experiments=4)
+    assert run_campaign(config).defined.tolist() == [True, False]
     alone = mc._reference(dataclasses.replace(config, beta_list=(2.0,)))
     for column, column_alone in zip(mc._reference(config), alone):
         assert column[:1].tobytes() == column_alone.tobytes()
         assert math.isnan(column[1])
     with pytest.raises(UndefinedRatioError):
-        mc.defined_orders(dataclasses.replace(config, v_est=0.0))
+        run_campaign(dataclasses.replace(config, v_est=0.0))
 
 
 def test_infeasible_experiment_counts_as_violation():
-    # one row of a block gets counts so large that its likelihood is zero
-    # everywhere on the domain; only that row is infeasible and flagged
-    config = small_config(v_est=0.99, n_experiments=8)
-    clean = run_campaign(config)
-    counts = clean.counts.astype(float)
-    counts[3] = 1e308
-    with np.errstate(over="ignore"):
-        table = mc._evaluate(config, np.arange(8), counts)
-    assert table.index.tolist() == list(range(8))
+    # under v_est = 1 setting 2 is impossible wherever cos 2phi rounds to 1,
+    # here on the whole domain: one row of a block that counts it is the
+    # only infeasible row, flagged at every order and nan in every column
+    config = small_config(v_est=1.0, n_experiments=8, domain=PhaseDomain(0.0, 1e-9))
+    clean = draw_tallies(0.0, 1.0, config.shots, 3, np.arange(8))
+    assert (clean[:, 2] == 0).all()
+    counts = clean.copy()
+    counts[3, :3] += (-1, 0, 1)
+    table, clean = run_campaign(config, counts), run_campaign(config, clean)
     assert table.feasible.tolist() == [i != 3 for i in range(8)]
     assert np.isnan(table.phi_hat[3])
-    assert np.isnan(table.deltas[3]).all()
+    for name in ("deltas", "kappas", "gauss_ratios"):
+        assert np.isnan(getattr(table, name)[3]).all(), name
     assert table.flags[3].all()
     keep = table.feasible
-    for name in ("phi_hat", "deltas", "flags"):
+    for name in ROW_FIELDS[1:]:
         got, want = getattr(table, name)[keep], getattr(clean, name)[keep]
         assert got.tobytes() == want.tobytes(), name
+
+
+def test_campaign_is_the_report_of_its_tallies():
+    # a campaign and report_counts return one row table, the campaign's
+    # columns the bits of report_counts on its tallies; report_counts alone
+    # has no flags and no defined orders
+    for betas in ((1.5, 2.0, 3.0, 4.0), (3.0, 1.5), (2.5,), (4.0, 2.0, 100.0)):
+        config = small_config(v_est=0.99, beta_list=betas, n_experiments=12, seed=6)
+        counts = campaign_tallies(config)
+        table = run_campaign(config, counts)
+        report = report_counts(counts, ModelParams(config.v_est), config.domain, betas)
+        assert type(table) is type(report) is CountsReport
+        assert report.flags is None and report.defined is None
+        assert table.flags.shape == (12, len(betas)) and table.defined.shape == (len(betas),)
+        for got, want in zip(table[:5], report[:5]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), betas
 
 
 def test_campaign_blocks_match_single_experiments():
@@ -278,7 +301,7 @@ def test_campaign_blocks_match_single_experiments():
     # row equals its recomputation from (seed, index) alone
     config = small_config(v_est=1.0, n_experiments=37, seed=8)
     table = run_campaign(config)
-    assert table.index.tolist() == list(range(37))
+    assert table.flags.shape == (37, len(config.beta_list))
     assert table.feasible.all()
     flagged = table.flags.any(axis=1)
     assert flagged.any() and not flagged.all()
@@ -305,9 +328,9 @@ def test_campaign_on_given_tallies():
     counts = campaign_tallies(config)
     assert counts.shape == (12, 4) and (counts.sum(axis=1) == config.shots).all()
     own, given = run_campaign(config), run_campaign(config, counts)
-    for f in dataclasses.fields(ExperimentTable):
-        got, want = getattr(given, f.name), getattr(own, f.name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
+    for name in CountsReport._fields:
+        got, want = getattr(given, name), getattr(own, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     # integer-valued floats are counts too
     assert run_campaign(config, counts.astype(float)).flags.tobytes() == own.flags.tobytes()
     negative = counts.copy()
@@ -335,8 +358,9 @@ def test_campaign_shots_are_capped_at_the_largest_exact_count():
     assert draw_tallies(0.4, 0.95, 2 ** 53, 0, [0]).sum() == 2 ** 53
     # at the cap a campaign's own draw passes the check of given tallies
     config = small_config(shots=2 ** 53, n_experiments=2)
-    own, given = run_campaign(config), run_campaign(config, campaign_tallies(config))
-    assert own.counts.max() > 2 ** 50 and own.feasible.all()
+    tallies = campaign_tallies(config)
+    own, given = run_campaign(config), run_campaign(config, tallies)
+    assert tallies.max() > 2 ** 50 and own.feasible.all()
     assert own.flags.tobytes() == given.flags.tobytes()
     assert own.deltas.tobytes() == given.deltas.tobytes()
 
