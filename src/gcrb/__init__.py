@@ -6,7 +6,9 @@ generalized Fisher informations, and measures how often each order-beta lower
 bound is broken, which flags miscalibration bias in the sensor model.
 `report_counts` analyzes a table of counts, one posterior per row, for the
 library, for `gcrb analyze` and for the campaigns of `run_campaign` alike,
-and its `CountsReport` is the one row table of each.
+and its `CountsReport` is the one row table of each.  A number that is
+undefined there is nan, and a campaign's ``defined`` mask is false at each
+order whose Sigma_beta is undefined; no exception marks either.
 """
 
 __version__ = "0.1.0"
@@ -16,13 +18,11 @@ from .bayes import (
     CountsReport,
     PhaseDomain,
     gaussian_abs_moment,
-    kappa,
     report_counts,
 )
 from .errors import (
     CountsParseError,
     EstimationError,
-    UndefinedRatioError,
 )
 from .fisher import (
     conjugate_exponent,
@@ -47,7 +47,6 @@ from .montecarlo import (
     draw_tallies,
     run_campaign,
     run_experiment,
-    sigma_beta,
 )
 
 __all__ = [
@@ -61,14 +60,12 @@ __all__ = [
     "MODEL_NAME",
     "ModelParams",
     "PhaseDomain",
-    "UndefinedRatioError",
     "campaign_tallies",
     "conjugate_exponent",
     "draw_tallies",
     "fold_phase",
     "gaussian_abs_moment",
     "generalized_fisher",
-    "kappa",
     "order_bound",
     "outcome_dprobs",
     "outcome_probs",
@@ -76,6 +73,5 @@ __all__ = [
     "report_counts",
     "run_campaign",
     "run_experiment",
-    "sigma_beta",
     "write_counts",
 ]

@@ -55,9 +55,10 @@ and of `simulate`'s campaigns (`gcrb.montecarlo.run_campaign`): it takes an
 (E, 4) counts table to a `CountsReport` of feasibility, phi_hat, Delta_beta,
 kappa_beta and Gaussianity ratios, one row per counts row.  It chains
 `_evaluate_counts` with `_reports`, which adds the kappa and Gaussianity
-columns.  `gaussian_abs_moment` and `kappa` broadcast over orders, so the
-reports are array expressions over the (E, n_beta) columns; kappa is
-Delta_beta over `gcrb.fisher.order_bound`.
+columns.  `gaussian_abs_moment` and `gcrb.fisher.order_bound` broadcast
+over orders, so the reports are array expressions over the (E, n_beta)
+columns; kappa is Delta_beta over the order bound (`_ratio`).  The orders
+are checked once, in `report_counts`.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
 from .model import (N_SETTINGS, PI, ModelParams, _outcomes, check_counts, check_orders,
                     check_real, outcome_probs)
@@ -491,24 +491,6 @@ def gaussian_abs_moment(beta, sigma):
                      / math.sqrt(PI), betas, sigmas)
 
 
-def kappa(delta_beta, f_alpha, shots, beta):
-    """Saturation ratio kappa_beta = Delta_beta / order_bound(beta, f_alpha,
-    shots) = Delta_beta * M**(beta/2) * f_alpha**(beta/alpha).
-
-    Values below 1 indicate a violated order-beta bound.  Moments (reals, or
-    nan for an infeasible row), orders, informations and shots broadcast;
-    scalars give a float.  Raises UndefinedRatioError where f_alpha vanishes.
-    kappa is nan where the bound leaves float range (`_ratio`).
-    """
-    moments = check_real(delta_beta, "absolute moment", nan=True)
-    infos = check_real(f_alpha, "generalized Fisher information", 0)
-    if np.any(infos == 0.0):
-        raise UndefinedRatioError(
-            "saturation ratio undefined: generalized Fisher information vanishes")
-    value = _ratio(moments, order_bound(beta, infos, shots))
-    return float(value) if value.ndim == 0 else value
-
-
 def _ratio(numerator, denominator) -> np.ndarray:
     """numerator / denominator, or nan where the denominator is below the
     smallest normal float (0 included) or not finite, as a moment or bound
@@ -521,17 +503,18 @@ def _ratio(numerator, denominator) -> np.ndarray:
 
 
 def _moment_orders(betas) -> np.ndarray:
-    """The moment orders a report on betas needs: the validated orders, each
-    with a Gaussian moment, and 2, the Gaussianity ratios' reference, ascending."""
+    """The moment orders a report on the validated orders betas needs: those
+    and 2, the Gaussianity ratios' reference, ascending."""
     # np.union1d, through np.unique, would import numpy.ma (half a megabyte)
-    return np.array(sorted({*check_orders(betas, hi=MAX_GAUSSIAN_ORDER, ndim=1).tolist(), 2.0}))
+    return np.array(sorted({*np.asarray(betas, dtype=float).tolist(), 2.0}))
 
 
 def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params: ModelParams,
              betas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delta_beta, kappa_beta and Gaussianity ratios, each (E, len(betas)),
-    from the phi_hat (E,) and the moments (E, len(_moment_orders(betas))) of
-    posteriors with the given shot counts.
+    """Delta_beta, kappa_beta = Delta_beta / order_bound(beta, f_alpha, M) and
+    Gaussianity ratios, each (E, len(betas)), from the phi_hat (E,) and the
+    moments (E, len(_moment_orders(betas))) of posteriors with the given shot
+    counts, at validated orders betas.
 
     f_alpha is taken at each row's phi_hat, from one model evaluation for all
     rows and orders; rows with ``nan`` phi_hat (infeasible counts) are left
@@ -540,7 +523,7 @@ def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params
     Gaussianity ratio is ``nan`` when Delta_2 = 0.  Either is ``nan`` where
     its bound or Gaussian moment leaves float range (`_ratio`).
     """
-    betas = check_orders(betas)
+    betas = np.asarray(betas, dtype=float)
     orders = _moment_orders(betas)
     deltas = moments[:, np.searchsorted(orders, betas)]
     d2 = moments[:, np.searchsorted(orders, 2.0)]
@@ -553,7 +536,8 @@ def _reports(phi_hat: np.ndarray, moments: np.ndarray, shots: np.ndarray, params
     # kappa takes finite informations: an infinite one's bound is 0, and nan
     rows, cols = np.nonzero((shots[:, np.newaxis] > 0) & (infos > 0.0) & (infos < math.inf))
     kappas = np.full(deltas.shape, math.nan)
-    kappas[rows, cols] = kappa(deltas[rows, cols], infos[rows, cols], shots[rows], betas[cols])
+    kappas[rows, cols] = _ratio(deltas[rows, cols],
+                                order_bound(betas[cols], infos[rows, cols], shots[rows]))
     spread = d2 > 0.0
     ratios = np.full(deltas.shape, math.nan)
     with np.errstate(over="ignore"):
@@ -570,7 +554,8 @@ class CountsReport(NamedTuple):
     An infeasible row, whose counts are impossible on the whole domain, is
     ``nan`` throughout, and a campaign flags it at every order.  ``nan`` also
     marks a kappa without shots or information and a Gaussianity ratio of a
-    posterior without spread.
+    posterior without spread.  A campaign's ``defined`` is false where its
+    Sigma_beta is undefined (`gcrb.montecarlo._reference`).
     """
 
     feasible: np.ndarray      # (E,)
@@ -595,6 +580,7 @@ def report_counts(counts, params: ModelParams, domain: PhaseDomain = DEFAULT_DOM
     the orders.
     """
     counts = check_counts(counts)
+    betas = check_orders(betas, hi=MAX_GAUSSIAN_ORDER, ndim=1)
     shots = counts.sum(axis=1).astype(float)
     feasible, phi_hat, moments = _evaluate_counts(counts, params, domain, _moment_orders(betas))
     return CountsReport(feasible, phi_hat, *_reports(phi_hat, moments, shots, params, betas))

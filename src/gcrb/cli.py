@@ -33,8 +33,8 @@ multi-threaded.
 
 `simulate` writes nan in a row whose Sigma_beta is undefined, every row of
 a v_est without Fisher information at phase_true and the row of an order
-whose bound, sigma_beta or Gaussian centre leaves float range, and warns of
-it on stderr.
+whose bound, window or Gaussian centre leaves float range, and warns of
+each such row on stderr.
 
 Every output CSV is streamed line by line into a temporary file that then
 replaces the output atomically, and is accompanied by
@@ -67,7 +67,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import DEFAULT_BETAS, DEFAULT_DOMAIN, PhaseDomain, report_counts
-from .errors import EstimationError, UndefinedRatioError
+from .errors import EstimationError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound, per_order
 from .ingest import fold_phase, parse_counts
 from .model import MODEL_NAME, ModelParams
@@ -268,16 +268,12 @@ def _campaign_lines(counts: np.ndarray, config: CampaignConfig) -> tuple[list[st
     leaves float range (the campaign's ``defined`` mask), carries nan and
     has a warning, and the sweep goes on."""
     v_est, n, phase = config.v_est, config.n_experiments, config.phase_true
-    try:
-        table = run_campaign(config, counts)
-    except UndefinedRatioError:
-        return ([f"v_est={v_est!r} has zero Fisher information at phase_true={phase!r}; "
-                 f"its sigma_beta rows are nan"],
-                "\n".join(f"{v_est!r},{b!r},nan,nan,{n}" for b in config.beta_list))
+    table = run_campaign(config, counts)
     defined, sums = table.defined.tolist(), table.flags.sum(axis=0).tolist()
     cells = [f"{c / n!r},{c}" if ok else "nan,nan" for ok, c in zip(defined, sums)]
-    return ([f"v_est={v_est!r} beta={b!r}: the bound, sigma_beta or Gaussian centre at "
-             f"phase_true={phase!r} leaves float range; its sigma_beta row is nan"
+    return ([f"v_est={v_est!r} beta={b!r}: zero Fisher information, or a bound, window "
+             f"or Gaussian centre out of float range, at phase_true={phase!r}; its "
+             f"sigma_beta row is nan"
              for b, ok in zip(config.beta_list, defined) if not ok],
             "\n".join(f"{v_est!r},{b!r},{cell},{n}" for b, cell in zip(config.beta_list, cells)))
 

@@ -1,12 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, for data gcrb cannot analyze;
+a number that is undefined is nan instead (`gcrb.bayes.CountsReport`)."""
 
 
 class EstimationError(Exception):
     """Base class for all diagnostic-pipeline errors."""
-
-
-class UndefinedRatioError(EstimationError):
-    """Saturation ratio requested with vanishing generalized Fisher information."""
 
 
 class CountsParseError(EstimationError):

@@ -6,7 +6,8 @@ every configured moment order against its generalized lower bound.  The
 fraction Sigma_beta of experiments flagged per order is the bias diagnostic.
 
 A moment is flagged through a statistical window of half-width
-``sigma_window * sigma_beta(...)`` (scaled per ``window_scale``):
+``sigma_window`` times the standard deviation of |phi - phi_hat|**beta under
+the asymptotic Gaussian posterior (over sqrt(M) per ``window_scale``):
 
 * ``below-bound``          Delta_beta sits more than a window below the bound.
 * ``two-sided-bound``      Delta_beta differs from the bound by over a window.
@@ -37,10 +38,11 @@ tallies, one row per experiment in index order, with two more fields: the
 (E, n_beta) ``flags`` and the per-order mask ``defined``.  Statistics are
 array expressions on that table, per order of ``config.beta_list``:
 Sigma_beta is ``table.flags.mean(axis=0)``, the violation counts
-``table.flags.sum(axis=0)``, at the orders where ``table.defined`` holds (at
-orders from about 85 the Gaussian moments leave float range, and the flags
-compare against nan); the infeasible experiments are
-``(~table.feasible).sum()`` and the estimator bias
+``table.flags.sum(axis=0)``, at the orders where ``table.defined`` holds.
+It is false, and the flags compare against nan, at orders from about 85,
+whose Gaussian moments leave float range, and at every order of a v_est
+without Fisher information at phase_true (v_est = 0).  The infeasible
+experiments are ``(~table.feasible).sum()`` and the estimator bias
 ``table.phi_hat[table.feasible].mean() - config.phase_true``.
 """
 
@@ -61,7 +63,6 @@ from .bayes import (
     gaussian_abs_moment,
     report_counts,
 )
-from .errors import UndefinedRatioError
 from .fisher import conjugate_exponent, generalized_fisher, order_bound
 from .model import (MAX_COUNT, N_SETTINGS, ModelParams, check_orders, check_real, check_whole,
                     outcome_probs)
@@ -96,7 +97,7 @@ class CampaignConfig:
             "v_est": ModelParams(self.v_est).visibility,
             "shots": check_whole(self.shots, "shots", 1, MAX_COUNT, ndim=0),
             "n_experiments": check_whole(self.n_experiments, "n_experiments", 1, ndim=0),
-            # every order needs a conjugate one and its window (`sigma_beta`)
+            # every order needs a conjugate one, and its window twice the order
             "beta_list": tuple(check_orders(self.beta_list, bounded=True,
                                             hi=MAX_GAUSSIAN_ORDER / 2.0, ndim=1).tolist()),
             "seed": check_whole(self.seed, "seed", 0, 2 ** 64 - 1, ndim=0),
@@ -125,45 +126,32 @@ def draw_tallies(phases, v_true: float, shots: int, seed: int, indices) -> np.nd
     return tallies
 
 
-def sigma_beta(beta, shots: int, fisher_info: float):
-    """Standard deviation of |phi - phi_hat|**beta under the asymptotic Gaussian
-    posterior of width sigma = 1/sqrt(M * F), for one order up to
-    MAX_GAUSSIAN_ORDER / 2 or an array of them; a scalar order gives a float."""
-    betas = check_orders(beta, hi=MAX_GAUSSIAN_ORDER / 2.0)
-    if not check_real(fisher_info, "Fisher information", 0, ndim=0) > 0.0:
-        raise ValueError("sigma_beta undefined for vanishing Fisher information")
-    sigma = 1.0 / math.sqrt(check_whole(shots, "shots", 1, ndim=0) * fisher_info)
-    mean = gaussian_abs_moment(betas, sigma)
-    variance = gaussian_abs_moment(2.0 * betas, sigma) - mean ** 2
-    # clip the tiny negative excursions float cancellation can produce
-    value = np.sqrt(np.maximum(variance, 0.0))
-    return float(value) if value.ndim == 0 else value
-
-
 def _reference(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The bounds, windows and Gaussian centres of a campaign's flagging
     rule, one per order and the same for every experiment.
 
     They use the experimenter's model: f_alpha of every order and the Fisher
-    information F = f_2 come from one model evaluation at (phase_true, v_est).
-    Raises UndefinedRatioError when F vanishes there, which leaves the windows
-    undefined.  An order whose bound, sigma_beta or centre is below the
-    smallest normal float or not finite, as sigma_beta is from order 85 at
-    2,000 shots, has nan in all three: Sigma_beta is undefined there.
+    information F = f_2 come from one model evaluation at (phase_true, v_est),
+    the centres and windows from the moments of the Gaussian posterior of
+    width 1/sqrt(M F).  An order whose bound, window's standard deviation or
+    centre is below the smallest normal float or not finite, as that standard
+    deviation is from order 85 at 2,000 shots, or whose f_alpha is, has nan
+    in all three, as has every order where F vanishes (v_est = 0): Sigma_beta
+    is undefined there.
     """
     betas = np.array(config.beta_list)
     infos = generalized_fisher(np.append(conjugate_exponent(betas), 2.0),
                                config.phase_true, ModelParams(config.v_est))
     info = float(infos[-1])
-    if not info > 0.0:
-        raise UndefinedRatioError(
-            f"violation windows undefined: Fisher information vanishes at "
-            f"phase_true={config.phase_true!r} under v_est={config.v_est!r}"
-        )
+    # sigma 0, where F vanishes, takes every centre and window below TINY,
+    # and an f_alpha out of float range (inf, or nan) is read as 0: bound inf
+    sigma = 1.0 / math.sqrt(config.shots * info) if info > 0.0 else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        floors = order_bound(betas, infos[:-1], config.shots)
-        sigmas = sigma_beta(betas, config.shots, info)
-        centers = gaussian_abs_moment(betas, 1.0 / math.sqrt(config.shots * info))
+        floors = order_bound(betas, np.where(np.isfinite(infos[:-1]), infos[:-1], 0.0),
+                             config.shots)
+        centers, squares = np.split(gaussian_abs_moment(np.append(betas, 2.0 * betas), sigma), 2)
+        # clip the tiny negative excursions float cancellation can produce
+        sigmas = np.sqrt(np.maximum(squares - centers ** 2, 0.0))
     windows = config.sigma_window * sigmas
     if config.window_scale == "standard-error":
         windows /= math.sqrt(config.shots)

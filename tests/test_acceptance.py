@@ -14,7 +14,6 @@ import pytest
 from gcrb.bayes import (
     DEFAULT_DOMAIN,
     gaussian_abs_moment,
-    kappa,
     report_counts,
 )
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
@@ -25,7 +24,6 @@ from gcrb.montecarlo import (
     campaign_tallies,
     draw_tallies,
     run_campaign,
-    sigma_beta,
 )
 
 PI = math.pi
@@ -127,7 +125,7 @@ def truth_campaign(request):
     ms = report_counts(tallies, params, DEFAULT_DOMAIN, (2.0, 3.0, 4.0))
     kappas, ratios = [], []
     for d2, d3, d4 in ms.deltas.tolist():
-        kappas.append(kappa(d2, info, shots, 2.0))
+        kappas.append(d2 / order_bound(2.0, info, shots))
         sigma = math.sqrt(d2)
         ratios.append((
             d3 / gaussian_abs_moment(3.0, sigma),
@@ -238,12 +236,15 @@ def test_criterion_6_beta3_bias_signature(tmp_path):
         signature = 0
         ms = report_counts(parsed.counts, params, DEFAULT_DOMAIN, (2.0, 3.0))
         for estimate, row in zip(ms.phi_hat.tolist(), ms.deltas.tolist()):
-            info = generalized_fisher(2.0, estimate, params)
+            sigma = 1.0 / math.sqrt(shots * generalized_fisher(2.0, estimate, params))
             flags = {}
             for b, delta in zip((2.0, 3.0), row):
                 f_alpha = generalized_fisher(conjugate_exponent(b), estimate, params)
                 bound = order_bound(b, f_alpha, shots)
-                window = 3.0 * sigma_beta(b, shots, info) / math.sqrt(shots)
+                # sigma_beta, the sd of |phi - phi_hat|**beta under the Gaussian posterior
+                sigma_b = math.sqrt(gaussian_abs_moment(2.0 * b, sigma)
+                                    - gaussian_abs_moment(b, sigma) ** 2)
+                window = 3.0 * sigma_b / math.sqrt(shots)
                 flags[b] = delta + window < bound
             # order-3 bound violated while the standard bound is fulfilled
             if flags[3.0] and not flags[2.0]:

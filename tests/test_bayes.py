@@ -14,21 +14,21 @@ from gcrb.bayes import (
     _CUT_SLACK,
     DEFAULT_DOMAIN,
     MAX_GAUSSIAN_ORDER,
+    TINY,
     _evaluate_counts,
     _moment_orders,
     _pool,
+    _ratio,
     _reports,
     _split,
     _split_points,
     PhaseDomain,
     gaussian_abs_moment,
-    kappa,
     report_counts,
 )
-from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import order_bound
 from gcrb.model import ModelParams, outcome_probs
-from gcrb.montecarlo import draw_tallies, sigma_beta
+from gcrb.montecarlo import CampaignConfig, draw_tallies, run_campaign
 
 PI = math.pi
 L = PI / 2.0
@@ -577,17 +577,21 @@ def test_gaussian_abs_moment_values():
         with pytest.raises(ValueError):
             gaussian_abs_moment(bad, 1.0)
     # Gamma((beta + 1) / 2) leaves float range above MAX_GAUSSIAN_ORDER, where
-    # math.gamma used to raise OverflowError; sigma_beta takes twice each order
+    # math.gamma used to raise OverflowError; a campaign's window takes twice
+    # each order, whose moment underflows at the largest: that order is undefined
     assert math.isfinite(math.gamma((MAX_GAUSSIAN_ORDER + 1.0) / 2.0))
     beyond = math.nextafter(MAX_GAUSSIAN_ORDER, math.inf)
     assert gaussian_abs_moment(MAX_GAUSSIAN_ORDER, 0.01) == 0.0
-    assert sigma_beta(MAX_GAUSSIAN_ORDER / 2.0, 2000, 1.8) == 0.0
+    campaign = dict(phase_true=0.4, v_true=0.95, v_est=0.95, n_experiments=1)
+    assert run_campaign(CampaignConfig(**campaign, beta_list=(MAX_GAUSSIAN_ORDER / 2.0,))
+                        ).defined.tolist() == [False]
     for call, largest in (
             (lambda: gaussian_abs_moment(beyond, 0.01), MAX_GAUSSIAN_ORDER),
             (lambda: gaussian_abs_moment([2.0, 400.0], 0.01), MAX_GAUSSIAN_ORDER),
             (lambda: report_counts([[1, 2, 3, 4]], ModelParams(0.95), betas=(2.0, beyond)),
              MAX_GAUSSIAN_ORDER),
-            (lambda: sigma_beta(beyond / 2.0, 2000, 1.8), MAX_GAUSSIAN_ORDER / 2.0)):
+            (lambda: CampaignConfig(**campaign, beta_list=(beyond / 2.0,)),
+             MAX_GAUSSIAN_ORDER / 2.0)):
         with pytest.raises(ValueError, match=rf"moment order must be .* in \[1, {largest}\]"):
             call()
 
@@ -605,43 +609,36 @@ def test_gaussian_abs_moment_broadcasts():
 
 
 def test_kappa_values():
-    assert kappa(1.0 / (2000.0 * 1.805), 1.805, 2000, 2.0) == pytest.approx(1.0, rel=1e-12)
-    assert kappa(2.0 / (2000.0 * 1.805), 1.805, 2000, 2.0) == pytest.approx(2.0, rel=1e-12)
-    with pytest.raises(UndefinedRatioError):
-        kappa(1e-4, 0.0, 2000, 2.0)
+    # kappa_beta is Delta_beta over the order bound (`_ratio`)
+    bound = order_bound(2.0, 1.805, 2000)
+    assert _ratio(1.0 / (2000.0 * 1.805), bound) == pytest.approx(1.0, rel=1e-12)
+    assert _ratio(2.0 / (2000.0 * 1.805), bound) == pytest.approx(2.0, rel=1e-12)
     # analyze passes float shot counts
-    assert kappa(1e-4, np.array([1.805]), np.array([2000.0]), 2.0).tolist() == [
-        kappa(1e-4, 1.805, 2000, 2.0)]
+    assert order_bound(2.0, np.array([1.805]), np.array([2000.0])).tolist() == [bound]
     for shots in (0, 1.5, np.array([2000.0, 0.5])):
         with pytest.raises(ValueError):
-            kappa(1e-4, 1.805, shots, 2.0)
-    # moments and informations are checked before any arithmetic: a bool
-    # moment used to count as 1 and a string information raised numpy's
-    # UFuncTypeError; a nan moment, an infeasible row's, gives a nan ratio
-    for bad in (True, np.True_, "1", None, [1e-4, True], 10 ** 400, 1 + 0j):
-        with pytest.raises(ValueError, match="absolute moment"):
-            kappa(bad, 1.805, 2000, 2.0)
+            order_bound(2.0, 1.805, shots)
     for bad in (True, np.True_, "1", None, [1.805, True], 10 ** 400, math.nan, math.inf, -1.0):
         with pytest.raises(ValueError, match="generalized Fisher information"):
-            kappa(1e-4, bad, 2000, 2.0)
-    assert math.isnan(kappa(math.nan, 1.805, 2000, 2.0))
-    assert np.isnan(kappa(np.array([1e-4, math.nan]), 1.805, 2000, 2.0)).tolist() == [False, True]
+            order_bound(2.0, bad, 2000)
+    # a nan moment, an infeasible row's, gives a nan ratio
+    assert math.isnan(_ratio(math.nan, bound))
+    assert np.isnan(_ratio(np.array([1e-4, math.nan]), bound)).tolist() == [False, True]
     # a bound below the smallest normal float or past float range, and a
     # ratio that overflows, give nan and no RuntimeWarning
     assert order_bound(300.0, 3.0, 2000) == 0.0
-    assert math.isnan(kappa(1e-57, 3.0, 2000, 300.0))
-    assert math.isnan(kappa(1e-57, 1e-300, 1, 300.0))
-    assert math.isnan(kappa(1e300, 1.0, 1e10, 40.0))
-    assert kappa(1e-57, 3.0, 2000, 100.0) == 1e-57 / order_bound(100.0, 3.0, 2000)
+    assert math.isnan(_ratio(1e-57, order_bound(300.0, 3.0, 2000)))
+    assert math.isnan(_ratio(1e-310, TINY / 4.0))
+    assert math.isnan(_ratio(1e-57, order_bound(300.0, 1e-300, 1)))
+    assert math.isnan(_ratio(1e300, order_bound(40.0, 1.0, 1e10)))
+    assert _ratio(1e-57, order_bound(100.0, 3.0, 2000)) == 1e-57 / order_bound(100.0, 3.0, 2000)
 
 
 def test_bool_shot_counts_are_rejected():
     with pytest.raises(ValueError):
-        kappa(1e-3, 1.8, True, 2.0)
+        order_bound(2.0, np.array([1.8]), np.array([True]))
     with pytest.raises(ValueError):
-        kappa(np.array([1e-3]), np.array([1.8]), np.array([True]), 2.0)
-    with pytest.raises(ValueError):
-        sigma_beta(2.0, True, 1.0)
+        CampaignConfig(phase_true=0.4, v_true=0.95, v_est=0.95, shots=True)
     with pytest.raises(ValueError):
         order_bound(2.0, 1.8, True)
 

@@ -16,7 +16,7 @@ import gcrb
 import gcrb.cli
 import gcrb.montecarlo
 from gcrb.cli import _emit, _map_in_order, main, parse_value_list
-from gcrb.errors import EstimationError, UndefinedRatioError
+from gcrb.errors import CountsParseError, EstimationError
 from gcrb.ingest import CountsTable, write_counts
 from gcrb.montecarlo import CampaignConfig, campaign_tallies, draw_tallies, run_campaign
 
@@ -239,15 +239,19 @@ def test_simulate_zero_information_v_est_flags_its_own_rows(tmp_path, capsys):
     assert main(["simulate", "--v-est", "0.95", "--experiments", "5", "--out", str(clean)]) == 0
     capsys.readouterr()
     assert main(["simulate", "--v-est", "0,0.95", "--experiments", "5", "--out", str(mixed)]) == 0
-    assert "v_est=0.0" in capsys.readouterr().err
+    # one warning per order, as for an order out of float range
+    err = capsys.readouterr().err.splitlines()
+    warnings = [line for line in err if line.startswith("warning:")]
+    orders = ("1.5", "2.0", "3.0", "4.0")
+    assert [w.split(":")[1] for w in warnings] == [f" v_est=0.0 beta={b}" for b in orders]
     header, *lines = read(mixed).splitlines()
     assert header == read(clean).splitlines()[0]
-    assert lines[:4] == [f"0.0,{b},nan,nan,5" for b in ("1.5", "2.0", "3.0", "4.0")]
+    assert lines[:4] == [f"0.0,{b},nan,nan,5" for b in orders]
     assert lines[4:] == read(clean).splitlines()[1:]
 
 
 def test_simulate_orders_beyond_float_range_flag_their_own_rows(tmp_path, capsys):
-    # at beta = 100 sigma_beta's Gaussian moment of order 200 underflows and
+    # at beta = 100 the window's Gaussian moment of order 200 underflows and
     # the window was 0, which flagged every experiment: that row is nan with
     # one warning, and the other order's row matches a run without it
     clean, mixed = tmp_path / "clean.csv", tmp_path / "mixed.csv"
@@ -620,16 +624,18 @@ def test_a_child_exception_reaches_the_parent_as_itself(monkeypatch):
         if value == 1:
             raise EstimationError("degenerate posterior")
         if value == 3:
-            raise UndefinedRatioError("no information")
+            # crosses the pipe through its own __reduce__
+            raise CountsParseError([(2, "bad")])
         return value
 
     use_cpus(monkeypatch, 2)
     for values, kind, message in (([0, 1], EstimationError, "degenerate posterior"),
-                                  ([0, 3], UndefinedRatioError, "no information")):
+                                  ([0, 3], CountsParseError, "invalid counts table: line 2: bad")):
         with pytest.raises(EstimationError) as err:
             _map_in_order(reject_odd, values)
         assert type(err.value) is kind and err.value.args == (message,)
         assert_no_child_left()
+    assert err.value.line_errors == [(2, "bad")]
 
 
 def test_a_failing_parent_share_kills_the_children(monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 import gcrb.montecarlo as mc
 from gcrb.bayes import CountsReport, PhaseDomain, gaussian_abs_moment, report_counts
-from gcrb.errors import UndefinedRatioError
 from gcrb.fisher import conjugate_exponent, generalized_fisher, order_bound
 from gcrb.model import ModelParams, outcome_probs
 from gcrb.montecarlo import (
@@ -15,7 +14,6 @@ from gcrb.montecarlo import (
     draw_tallies,
     run_campaign,
     run_experiment,
-    sigma_beta,
 )
 
 PI = math.pi
@@ -155,19 +153,20 @@ def test_draw_tallies_frequency_concentration():
 
 
 def test_sigma_beta_closed_forms():
-    shots, info = 2000, 1.805
-    sigma = 1.0 / math.sqrt(shots * info)
-    assert sigma_beta(2.0, shots, info) == pytest.approx(math.sqrt(2.0) * sigma ** 2, rel=1e-12)
-    assert sigma_beta(3.0, shots, info) == pytest.approx(
-        math.sqrt(15.0 - 8.0 / PI) * sigma ** 3, rel=1e-12
-    )
-    # orders broadcast
-    assert sigma_beta(np.array([2.0, 3.0]), shots, info).tolist() == [
-        sigma_beta(2.0, shots, info), sigma_beta(3.0, shots, info)]
+    # posterior-sd windows of sigma_window 1 are the standard deviations of
+    # |phi - phi_hat|**beta under the Gaussian posterior of F = f_2
+    config = small_config(v_est=0.95, beta_list=(2.0, 3.0), window_scale="posterior-sd",
+                          sigma_window=1.0)
+    info = generalized_fisher(2.0, config.phase_true, ModelParams(config.v_est))
+    sigma = 1.0 / math.sqrt(config.shots * info)
+    _, windows, _ = mc._reference(config)
+    assert windows[0] == pytest.approx(math.sqrt(2.0) * sigma ** 2, rel=1e-12)
+    assert windows[1] == pytest.approx(math.sqrt(15.0 - 8.0 / PI) * sigma ** 3, rel=1e-12)
     # degenerate limit: the window collapses as the posterior sharpens
-    assert sigma_beta(2.0, 10 ** 12, info) < sigma_beta(2.0, shots, info) * 1e-8
-    with pytest.raises(ValueError):
-        sigma_beta(2.0, shots, 0.0)
+    sharp = mc._reference(dataclasses.replace(config, shots=10 ** 12))[1]
+    assert sharp[0] < windows[0] * 1e-8
+    # no Fisher information (v_est = 0): no window at any order
+    assert np.isnan(mc._reference(dataclasses.replace(config, v_est=0.0))).all()
 
 
 def test_run_experiment_is_deterministic():
@@ -195,8 +194,9 @@ def test_run_experiment_flags_are_recomputable():
     for k, b in enumerate(config.beta_list):
         f_alpha = generalized_fisher(conjugate_exponent(b), config.phase_true, params)
         bound = order_bound(b, f_alpha, config.shots)
-        window = config.sigma_window * sigma_beta(b, config.shots, info) / math.sqrt(config.shots)
         center = gaussian_abs_moment(b, sigma_post)
+        sd = math.sqrt(gaussian_abs_moment(2.0 * b, sigma_post) - center ** 2)
+        window = config.sigma_window * sd / math.sqrt(config.shots)
         delta = row.deltas[0, k]
         expected = delta + window < bound or abs(delta - center) > window
         assert row.flags[0, k] == expected
@@ -246,7 +246,7 @@ def test_posterior_sd_windows_are_standard_error_windows_times_sqrt_shots():
 
 
 def test_orders_whose_reference_leaves_float_range_are_undefined():
-    # from about order 85 at these settings sigma_beta's Gaussian moment of
+    # from about order 85 at these settings the window's Gaussian moment of
     # twice the order underflows: that order's bound, window and centre are
     # nan, and the other orders keep the bits they have alone
     config = small_config(v_est=0.95, beta_list=(2.0, 100.0), n_experiments=4)
@@ -255,8 +255,17 @@ def test_orders_whose_reference_leaves_float_range_are_undefined():
     for column, column_alone in zip(mc._reference(config), alone):
         assert column[:1].tobytes() == column_alone.tobytes()
         assert math.isnan(column[1])
-    with pytest.raises(UndefinedRatioError):
-        run_campaign(dataclasses.replace(config, v_est=0.0))
+    blind = run_campaign(dataclasses.replace(config, v_est=0.0))
+    assert not blind.defined.any()
+    assert (blind.flags == ~blind.feasible[:, np.newaxis]).all()
+    # at beta = 1.01, alpha = 101 takes f_alpha at phase 0.78 under v = 1 to
+    # inf, and at phase 0 to nan: a usage error before, an undefined order now
+    for phase in (0.78, 0.0):
+        near = dataclasses.replace(config, phase_true=phase, v_est=1.0, beta_list=(1.01, 2.0))
+        alone = mc._reference(dataclasses.replace(near, beta_list=(2.0,)))
+        assert run_campaign(near).defined.tolist() == [False, True]
+        for column, column_alone in zip(mc._reference(near), alone):
+            assert math.isnan(column[0]) and column[1:].tobytes() == column_alone.tobytes()
 
 
 def test_infeasible_experiment_counts_as_violation():
@@ -367,9 +376,11 @@ def test_campaign_shots_are_capped_at_the_largest_exact_count():
 
 def test_zero_information_campaign_is_undefined():
     # v_est = 0 carries no Fisher information: the violation windows, and so
-    # Sigma_beta, are undefined
-    with pytest.raises(UndefinedRatioError):
-        run_campaign(small_config(v_est=0.0, n_experiments=3))
+    # Sigma_beta, are undefined at every order, and only infeasible rows are
+    # flagged
+    table = run_campaign(small_config(v_est=0.0, n_experiments=3))
+    assert table.defined.tolist() == [False] * 4
+    assert (table.flags == ~table.feasible[:, np.newaxis]).all()
 
 
 def test_violation_fractions_deterministic_and_exact():
